@@ -148,11 +148,11 @@ class Chunk {
   std::uint32_t ring_slot_ = kNoRingSlot;
   std::uint64_t ring_slot_off_ = 0;
 
-  /// Fault counter snapshot taken when this chunk was armed via
-  /// ChunkAllocator::arm_chunks: a later mismatch means a fault already
-  /// disarmed the chunk, so the pre-copy must re-arm it individually
-  /// before its clear-and-recheck dance.
-  std::uint64_t batch_armed_faults_ = 0;
+  /// Tracker event count (WriteTracker::write_events) snapshotted just
+  /// before ChunkAllocator::arm_chunks armed this chunk: a later mismatch
+  /// means a fault or notify may have disarmed it, so the pre-copy must
+  /// re-arm it individually before its clear-and-recheck dance.
+  std::uint64_t batch_armed_events_ = 0;
 };
 
 }  // namespace nvmcp::alloc

@@ -59,11 +59,15 @@ ChunkAllocator::ChunkAllocator(vmem::Container& container, Options opts)
     dir_ = opts_.shared_dir;
     ring_depth_ = dir_->ring_depth();
   } else if (ring_depth_ > 1) {
-    // Depth 1 is the paper's two-slot scheme: no directory, no ring
-    // records, zero extra NVM traffic -- byte-for-byte the legacy layout.
     owned_dir_ = std::make_unique<epoch::EpochDirectory>(
         container, epoch::EpochDirectory::Options{ring_depth_});
     dir_ = owned_dir_.get();
+  } else if (container.metadata().header().epoch_region_off != 0) {
+    // Depth 1 is the paper's two-slot scheme: no directory, no ring
+    // records, zero extra NVM traffic. It cannot address ring slots, so a
+    // container written at depth > 1 is refused rather than migrated.
+    throw NvmcpError(
+        "nvalloc: container holds version rings; reopen it at depth > 1");
   }
 }
 
@@ -160,18 +164,6 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
     rec->committed = vmem::ChunkRecord::kNoneCommitted;
     if (persistent) rec->flags |= vmem::ChunkRecord::kPersistent;
     meta.persist_record(*rec);
-  } else if (!dir_ && (rec->slot_off[0] == 0 || rec->slot_off[1] == 0)) {
-    // Reopened at depth 1 against ring-mode metadata: ring slots are not
-    // addressable without a directory, so make sure both legacy version
-    // slots exist (a ring-native record aliases at most two regions and
-    // may alias fewer). The committed alias, if any, is kept -- it holds
-    // the newest payload.
-    for (int i = 0; i < 2; ++i) {
-      if (rec->slot_off[i] == 0) {
-        rec->slot_off[i] = container_->alloc_region(size);
-      }
-    }
-    meta.persist_record(*rec);
   }
 
   auto chunk = std::unique_ptr<Chunk>(new Chunk());
@@ -200,17 +192,7 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
   const std::size_t track_len = c.owns_dram_ ? c.dram_capacity_ : c.size_;
   c.prot_handle_ = vmem::ProtectionManager::instance().register_range(
       c.dram_, track_len, &c.tracker_, c.mode_);
-  if (dir_) {
-    c.ring_ = dir_->ensure_ring(id, size, opts_.quota);
-    if (rec->has_committed()) {
-      // A committed version from a two-slot session is adopted into the
-      // ring so it stays addressable (no-op for ring-native records).
-      c.ring_->adopt_legacy(rec->slot_off[rec->committed],
-                            rec->epoch[rec->committed],
-                            rec->checksum[rec->committed],
-                            rec->slot_off[rec->in_progress_slot()]);
-    }
-  }
+  if (dir_) c.ring_ = dir_->ensure_ring(id, size, opts_.quota);
   if (c.mode_ == vmem::TrackMode::kWriteLog) {
     c.log_sink_ =
         vmem::ProtectionManager::instance().log_sink(c.prot_handle_);
@@ -422,6 +404,22 @@ std::vector<Chunk*> ChunkAllocator::chunks() const {
   return out;
 }
 
+void ChunkAllocator::with_live(
+    const std::vector<Chunk*>& cs,
+    const std::function<void(const std::vector<Chunk*>&)>& fn) const {
+  std::shared_lock lock(mu_);
+  std::vector<const Chunk*> owned;
+  for (const auto& c : chunks_) owned.push_back(c.get());
+  std::sort(owned.begin(), owned.end(), std::less<>());
+  std::vector<Chunk*> live;
+  for (Chunk* c : cs) {
+    if (std::binary_search(owned.begin(), owned.end(), c, std::less<>())) {
+      live.push_back(c);
+    }
+  }
+  fn(live);
+}
+
 AllocStats ChunkAllocator::stats() const {
   std::shared_lock lock(mu_);
   AllocStats s;
@@ -444,50 +442,33 @@ std::size_t ChunkAllocator::arm_chunks(const std::vector<Chunk*>& cs) {
   std::vector<int> handles;
   handles.reserve(cs.size());
   for (Chunk* c : cs) {
+    // Snapshot BEFORE arming: precopy_chunk(skip_arm=true) re-arms a chunk
+    // iff the count moved since, i.e. a fault or notify may have disarmed
+    // it before its own dirty-flag dance (only sound on an armed range).
+    c->batch_armed_events_ = c->tracker_.write_events();
     if (c->prot_handle_ >= 0) handles.push_back(c->prot_handle_);
   }
-  const std::size_t calls =
-      vmem::ProtectionManager::instance().protect_batch(handles);
-  // Snapshot fault counters AFTER arming: precopy_chunk(skip_arm=true)
-  // re-arms individually iff a fault landed in the widened window between
-  // this batch arm and its own dirty-flag dance (that fault disarmed the
-  // chunk, and the dance is only sound against an armed range).
-  for (Chunk* c : cs) {
-    c->batch_armed_faults_ =
-        c->tracker_.faults.load(std::memory_order_acquire);
-  }
-  return calls;
+  return vmem::ProtectionManager::instance().protect_batch(handles);
 }
 
 double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
                                      BandwidthLimiter* stream,
                                      bool skip_arm) {
-  auto& prot = vmem::ProtectionManager::instance();
-  // Arm tracking first, then clear the chunk's dirty flag, then verify no
-  // fault raced the clear: the handler bumps the fault counter *before*
-  // setting the dirty flags, so an unchanged counter proves the flag we
-  // cleared was not concurrently re-set. A store that lands after this
-  // dance faults normally (the range is armed) and re-marks the chunk, so
-  // the possibly-torn slot is never committed. (In kWriteLog mode
-  // writes_logged plays the fault counter's role: append bumps it before
-  // the dirty flags.)
-  if (c.prot_handle_ >= 0) {
-    if (!skip_arm) {
-      prot.protect(c.prot_handle_);
-    } else if (c.tracker_.faults.load(std::memory_order_acquire) !=
-               c.batch_armed_faults_) {
-      // A fault since the batch arm disarmed this chunk: re-arm it so the
-      // dance below is race-safe again.
-      prot.protect(c.prot_handle_);
-    }
+  // Snapshot the tracker's event count, arm tracking, clear the dirty
+  // flag, then verify no event raced the clear: faults, notifies and log
+  // appends bump the count *before* the dirty flags, so an unchanged count
+  // proves the cleared flag was not re-set. Snapshotting before the arm
+  // means an event in between cannot be absorbed (leaving the chunk clean
+  // and disarmed). A later store hits an armed range and re-marks the
+  // chunk, so the possibly-torn slot is never committed.
+  const std::uint64_t f0 = c.tracker_.write_events();
+  if (c.prot_handle_ >= 0 && (!skip_arm || f0 != c.batch_armed_events_)) {
+    // With skip_arm, an event since the batch arm may have disarmed this
+    // chunk: re-arm it so the dance below is race-safe again.
+    vmem::ProtectionManager::instance().protect(c.prot_handle_);
   }
-  const std::uint64_t f0 =
-      c.tracker_.faults.load(std::memory_order_acquire) +
-      c.tracker_.writes_logged.load(std::memory_order_acquire);
   c.tracker_.dirty_local.store(false, std::memory_order_release);
-  if (c.tracker_.faults.load(std::memory_order_acquire) +
-          c.tracker_.writes_logged.load(std::memory_order_acquire) !=
-      f0) {
+  if (c.tracker_.write_events() != f0) {
     c.tracker_.dirty_local.store(true, std::memory_order_release);
   }
 

@@ -24,6 +24,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <shared_mutex>
@@ -64,7 +65,8 @@ class ChunkAllocator {
     /// Committed epochs retained per chunk (0: NVMCP_EPOCH_RING_DEPTH,
     /// default 1). Depth 1 is the paper's two-slot scheme, byte-for-byte;
     /// depth N > 1 keeps the last N epochs in a per-chunk version ring
-    /// addressable through the epoch directory.
+    /// addressable through the epoch directory. Reopening a container at
+    /// the other layout throws NvmcpError; ring depths may change (4 -> 2).
     int ring_depth = 0;
     /// Multi-tenant arena mode: use this epoch directory (owned by the
     /// arena, shared by every tenant — a container has exactly one epoch
@@ -115,6 +117,13 @@ class ChunkAllocator {
   /// Stable snapshot of current chunks (pre-copy engine iterates this).
   std::vector<Chunk*> chunks() const;
 
+  /// Run fn(live) under the shared lock, `live` being the chunks of `cs`
+  /// not nvdeleted since `cs` was listed, so none is freed under fn. fn
+  /// must not call nvalloc/nvrealloc/nvdelete/find/chunks.
+  void with_live(const std::vector<Chunk*>& cs,
+                 const std::function<void(const std::vector<Chunk*>&)>& fn)
+      const;
+
   AllocStats stats() const;
   vmem::Container& container() { return *container_; }
 
@@ -129,17 +138,18 @@ class ChunkAllocator {
   /// callers must never run two copies of the SAME chunk concurrently.
   /// With `skip_arm` the caller promises the chunk was armed by a
   /// preceding arm_chunks() batch; the per-chunk re-arm is then elided
-  /// unless a fault already disarmed it (detected via the fault-counter
-  /// snapshot arm_chunks took). Returns seconds spent.
+  /// unless a fault or notify may have disarmed it (detected via the
+  /// event-count snapshot arm_chunks took). Returns seconds spent.
   double precopy_chunk(Chunk& c, std::uint64_t epoch,
                        BandwidthLimiter* stream = nullptr,
                        bool skip_arm = false);
 
   /// Batched re-arm: protect every chunk in `cs` through
   /// ProtectionManager::protect_batch (address-adjacent ranges coalesce
-  /// into one mprotect call) and snapshot each chunk's fault counter so a
-  /// later precopy_chunk(..., skip_arm=true) can detect an intervening
-  /// fault. Returns the number of mprotect calls issued.
+  /// into one mprotect call), snapshotting each chunk's event count first
+  /// so a later precopy_chunk(..., skip_arm=true) can detect an
+  /// intervening fault or notify. Returns the number of mprotect calls
+  /// issued.
   std::size_t arm_chunks(const std::vector<Chunk*>& cs);
 
   /// Crash-safe commit of the in-progress slot holding `epoch` data:

@@ -33,10 +33,11 @@ inline const char* to_string(PrecopyPolicy p) {
 
 /// Remote-transport payload codec (the adaptive-codec stage fused into
 /// the parallel checkpoint pipeline). Local NVM slots always hold raw
-/// bytes; the codec applies to what the remote helper *ships*:
+/// bytes; the codec applies to what the remote helper *ships*, which is
+/// always a compress:: frame (header with the decoded-payload CRC, then
+/// the body):
 ///   kUnset    - resolve from NVMCP_CODEC (unset env = kRaw)
-///   kRaw      - legacy unframed puts, byte-for-byte the pre-codec wire
-///               and store behavior
+///   kRaw      - every send a raw frame (payload verbatim)
 ///   kLz       - every send framed + LZ-compressed (raw fallback when the
 ///               payload does not shrink)
 ///   kDelta    - every send framed + XOR-delta against the previous
@@ -116,7 +117,7 @@ struct CheckpointConfig {
 
   /// Remote-transport codec for this rank's chunks (see CodecMode).
   /// kUnset consults the NVMCP_CODEC environment knob; unset there too
-  /// means kRaw, which is byte-for-byte the legacy wire behavior.
+  /// means kRaw (raw frames).
   CodecMode codec_mode = CodecMode::kUnset;
 
   /// Rank of this process within its node (used for remote put keys).

@@ -197,23 +197,26 @@ void CheckpointManager::precopy_loop() {
     if (delayed && !threshold_reached()) continue;
 
     const std::uint64_t epoch = next_epoch();
+    // The application may nvdelete chunks while this thread works from
+    // its snapshot: every touch of a chunk goes through with_live.
     std::vector<alloc::Chunk*> eligible;
-    for (alloc::Chunk* c : alloc_->chunks()) {
-      if (!running_.load(std::memory_order_acquire)) return;
-      if (!c->persistent() || !c->dirty_local()) continue;
-      if (restoring_.load(std::memory_order_acquire) &&
-          restore_deferred(c->id())) {
-        continue;  // still streaming in: nothing meaningful to pre-copy
+    alloc_->with_live(alloc_->chunks(), [&](const auto& live) {
+      for (alloc::Chunk* c : live) {
+        if (!c->persistent() || !c->dirty_local()) continue;
+        if (restoring_.load(std::memory_order_acquire) &&
+            restore_deferred(c->id())) {
+          continue;  // still streaming in: nothing meaningful to pre-copy
+        }
+        if (cfg_.local_policy == PrecopyPolicy::kDcpcp &&
+            !prediction_.ready_for_precopy(
+                c->id(),
+                c->tracker().mods_in_interval.load(
+                    std::memory_order_acquire))) {
+          continue;  // hot chunk: expected to be modified again, skip
+        }
+        eligible.push_back(c);
       }
-      if (cfg_.local_policy == PrecopyPolicy::kDcpcp &&
-          !prediction_.ready_for_precopy(
-              c->id(),
-              c->tracker().mods_in_interval.load(
-                  std::memory_order_acquire))) {
-        continue;  // hot chunk: expected to be modified again, skip
-      }
-      eligible.push_back(c);
-    }
+    });
 
     if (copy_threads_ > 1 && eligible.size() > 1) {
       // Sharded scan: up to copy_threads_ chunks move concurrently per
@@ -233,16 +236,16 @@ void CheckpointManager::precopy_loop() {
 
     for (alloc::Chunk* c : eligible) {
       if (!running_.load(std::memory_order_acquire)) return;
-      double secs = 0;
-      {
-        std::lock_guard<std::mutex> lock(ckpt_mu_);
-        if (!c->dirty_local()) continue;  // raced with the coordinated step
+      std::lock_guard<std::mutex> lock(ckpt_mu_);
+      alloc_->with_live({c}, [&](const auto& live) {
+        // Deleted, or raced with the coordinated step.
+        if (live.empty() || !c->dirty_local()) return;
         telemetry::Span span("precopy_chunk", "ckpt.local");
-        secs = alloc_->precopy_chunk(*c, epoch, serial_stream());
-      }
-      m_.bytes_precopied->add(c->size());
-      m_.precopy_seconds->add(secs);
-      m_.precopy_passes->add(1);
+        m_.precopy_seconds->add(
+            alloc_->precopy_chunk(*c, epoch, serial_stream()));
+        m_.bytes_precopied->add(c->size());
+        m_.precopy_passes->add(1);
+      });
     }
   }
 }
@@ -255,20 +258,21 @@ void CheckpointManager::precopy_batch(
   {
     std::lock_guard<std::mutex> lock(ckpt_mu_);
     telemetry::Span span("precopy_batch", "ckpt.local");
-    // Batched re-arm: one coalesced protect_batch for the whole batch
-    // instead of one mprotect per chunk inside each worker. precopy_chunk
-    // still re-arms any chunk a fault disarmed in the window (it compares
-    // the fault counter against arm_chunks' snapshot).
-    const bool batched = batch_rearm_ && batch.size() > 1;
-    if (batched) alloc_->arm_chunks(batch);
-    run_sharded(batch, [&, batched](alloc::Chunk& c,
-                                    BandwidthLimiter* stream) {
-      if (!c.dirty_local()) return;  // raced with the coordinated step
-      const double secs = alloc_->precopy_chunk(c, epoch, stream, batched);
-      bytes.fetch_add(c.size(), std::memory_order_relaxed);
-      passes.fetch_add(1, std::memory_order_relaxed);
-      nanos.fetch_add(static_cast<std::uint64_t>(secs * 1e9),
-                      std::memory_order_relaxed);
+    alloc_->with_live(batch, [&](const std::vector<alloc::Chunk*>& live) {
+      // Batched re-arm: one coalesced protect_batch instead of one
+      // mprotect per chunk in each worker; precopy_chunk still re-arms a
+      // chunk a fault or notify disarmed since (see arm_chunks).
+      const bool batched = batch_rearm_ && live.size() > 1;
+      if (batched) alloc_->arm_chunks(live);
+      run_sharded(live, [&, batched](alloc::Chunk& c,
+                                     BandwidthLimiter* stream) {
+        if (!c.dirty_local()) return;  // raced with the coordinated step
+        const double secs = alloc_->precopy_chunk(c, epoch, stream, batched);
+        bytes.fetch_add(c.size(), std::memory_order_relaxed);
+        passes.fetch_add(1, std::memory_order_relaxed);
+        nanos.fetch_add(static_cast<std::uint64_t>(secs * 1e9),
+                        std::memory_order_relaxed);
+      });
     });
   }
   // Per-worker tallies merge into the registry once, after the join.
@@ -442,8 +446,14 @@ CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
     // while the admission set fills; the restore itself then runs WITHOUT
     // the mutex -- that concurrency is the whole point.
     std::lock_guard<std::mutex> lock(ckpt_mu_);
+    rep.epoch = epoch;
     for (alloc::Chunk* c : alloc_->chunks()) {
-      if (c->persistent()) work.push_back(c);
+      if (!c->persistent()) continue;
+      work.push_back(c);
+      const vmem::ChunkRecord& rec = c->record();
+      if (epoch == 0 && rec.has_committed()) {
+        rep.epoch = std::max(rep.epoch, rec.epoch[rec.committed]);
+      }
     }
     {
       std::lock_guard<std::mutex> rlock(restore_mu_);
@@ -526,7 +536,7 @@ CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
   rep.seconds = sw.elapsed();
   log_debug("restore_streaming: epoch=%llu chunks=%d rolled_back=%d "
             "deferred_commits=%llu status=%s",
-            static_cast<unsigned long long>(epoch), rep.chunks,
+            static_cast<unsigned long long>(rep.epoch), rep.chunks,
             rep.chunks_rolled_back,
             static_cast<unsigned long long>(rep.commits_deferred),
             to_string(rep.status));

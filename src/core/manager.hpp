@@ -61,6 +61,7 @@ class CheckpointManager {
   /// Outcome of one streaming restore (see restore_streaming).
   struct StreamingRestoreReport {
     RestoreStatus status = RestoreStatus::kOk;  // worst per-chunk status
+    std::uint64_t epoch = 0;  // the requested epoch, or what 0 resolved to
     double seconds = 0;
     int chunks = 0;
     /// Chunks whose target epoch failed verification and were restored
@@ -76,15 +77,21 @@ class CheckpointManager {
   /// the application keeps computing and committing. nvchkptall admits
   /// commits for chunks already restored and defers the rest, so the
   /// restart stops being a barrier: a chunk becomes commit-eligible the
-  /// moment its own payload is back. `epoch` 0 restores each chunk's
-  /// newest committed version; a nonzero epoch restores that retained
-  /// epoch (ring mode), pinning every source slot up front so neither the
-  /// GC nor a concurrent commit can reclaim it mid-restore. If a chunk's
-  /// target fails verification the restore walks back to the newest older
-  /// retained epoch that still verifies. The application must not touch a
-  /// chunk until it has been restored (the admission rule covers commits,
-  /// not application loads).
+  /// moment its own payload is back. `epoch` 0 means the newest epoch,
+  /// resolved once under the commit mutex while the chunks register: each
+  /// chunk restores its newest committed version, which the admission
+  /// rule keeps from moving until it is restored. A nonzero epoch
+  /// restores that retained epoch (ring mode), pinning every source slot
+  /// up front so neither the GC nor a concurrent commit can reclaim it
+  /// mid-restore. If a chunk's target fails verification the restore
+  /// walks back to the newest older retained epoch that still verifies.
+  /// The application must not touch a chunk until it has been restored
+  /// (the admission rule covers commits, not application loads).
   StreamingRestoreReport restore_streaming(std::uint64_t epoch = 0);
+
+  /// True while a streaming restore is in flight: its chunks are
+  /// registered and nvchkptall defers the ones not yet restored.
+  bool restoring() const { return restoring_.load(std::memory_order_acquire); }
 
   alloc::ChunkAllocator& allocator() { return *alloc_; }
   const CheckpointConfig& config() const { return cfg_; }

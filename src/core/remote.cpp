@@ -275,71 +275,64 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
 
   // --- codec stage (fused into the send the way CRC fused into the copy
   // pass): pick a codec, encode once into the frame buffer; retries
-  // re-ship the same frame bytes. kRaw mode skips all of it and keeps the
-  // legacy unframed put byte-for-byte.
+  // re-ship the same frame bytes. kRaw mode ships a raw frame.
   const CodecMode mode = codec_mode_[mgr_idx];
   const std::size_t raw_n = c.size();
-  const bool framed = mode != CodecMode::kRaw && mode != CodecMode::kUnset;
-  const std::byte* wire = staging_.data();
-  std::size_t wire_n = raw_n;
-  auto used = compress::Codec::kRaw;
+  auto want = compress::Codec::kRaw;
   std::uint64_t base_epoch = 0;  // nonzero => we hold a temp pin on it
-  double encode_s = 0;
-  if (framed) {
-    // A degraded/isolated path or an explicit raw re-ship request encodes
-    // nothing: a stale remote cut recovers fastest with self-contained
-    // frames no delta base can invalidate.
-    const bool raw_only = force_raw_.load(std::memory_order_acquire) ||
-                          health(mgr_idx) != RemoteHealth::kHealthy;
-    auto want = compress::Codec::kRaw;
-    bool have_base = false;
-    if (!raw_only) {
-      // Delta base candidate: the newest retained epoch behind the one
-      // being shipped. Pinned before the read and held (on success) until
-      // the remote frame referencing it is itself superseded, so ring GC
-      // can never reclaim a base a shipped frame still needs.
-      auto& a = mgr.allocator();
-      if (a.ring_depth() > 1) {
-        for (std::uint64_t e : a.retained_epochs(c)) {
-          if (e < epoch) {
-            base_epoch = e;
-            break;
-          }
+  bool have_base = false;
+  // Raw mode, a degraded/isolated path and an explicit raw re-ship
+  // request all frame raw: a stale remote cut recovers fastest with
+  // self-contained frames no delta base can invalidate.
+  const bool raw_only = mode == CodecMode::kRaw ||
+                        force_raw_.load(std::memory_order_acquire) ||
+                        health(mgr_idx) != RemoteHealth::kHealthy;
+  if (!raw_only) {
+    // Delta base candidate: the newest retained epoch behind the one
+    // being shipped. Pinned before the read and held (on success) until
+    // the remote frame referencing it is itself superseded, so ring GC
+    // can never reclaim a base a shipped frame still needs.
+    auto& a = mgr.allocator();
+    if (a.ring_depth() > 1) {
+      for (std::uint64_t e : a.retained_epochs(c)) {
+        if (e < epoch) {
+          base_epoch = e;
+          break;
         }
       }
-      if (base_epoch) {
-        if (base_buf_.size() < raw_n) base_buf_.resize(raw_n);
-        a.pin_epoch(c, base_epoch);
-        if (a.read_retained(c, base_epoch, base_buf_.data())) {
-          have_base = true;
-        } else {
-          a.unpin_epoch(c, base_epoch);
-          base_epoch = 0;
-        }
+    }
+    if (base_epoch) {
+      if (base_buf_.size() < raw_n) base_buf_.resize(raw_n);
+      a.pin_epoch(c, base_epoch);
+      if (a.read_retained(c, base_epoch, base_buf_.data())) {
+        have_base = true;
+      } else {
+        a.unpin_epoch(c, base_epoch);
+        base_epoch = 0;
       }
-      want = tuner_.choose(mode, c.entropy_hint(),
-                           mgr.prediction().predicted(c.id()), raw_n,
-                           have_base);
     }
-    const Stopwatch enc_sw;
-    const auto fr = encoder_.encode(want, staging_.data(), raw_n,
-                                    have_base ? base_buf_.data() : nullptr,
-                                    base_epoch);
-    encode_s = enc_sw.elapsed();
-    used = fr.codec;
-    wire = encoder_.frame();
-    wire_n = fr.frame_size;
-    if (used != compress::Codec::kDelta && base_epoch) {
-      // The tuner passed on delta (or the encoder fell back to raw
-      // framing): the candidate base is not referenced after all.
-      mgr.allocator().unpin_epoch(c, base_epoch);
-      base_epoch = 0;
-    }
-    m_.codec_bytes_in->add(raw_n);
-    m_.codec_bytes_out->add(wire_n);
-    m_.codec_choice[static_cast<int>(used)]->add(1);
-    m_.codec_encode_seconds->add(encode_s);
+    want = tuner_.choose(mode, c.entropy_hint(),
+                         mgr.prediction().predicted(c.id()), raw_n,
+                         have_base);
   }
+  const Stopwatch enc_sw;
+  const auto fr = encoder_.encode(want, staging_.data(), raw_n,
+                                  have_base ? base_buf_.data() : nullptr,
+                                  base_epoch);
+  const double encode_s = enc_sw.elapsed();
+  const auto used = fr.codec;
+  const std::byte* wire = encoder_.frame();
+  const std::size_t wire_n = fr.frame_size;
+  if (used != compress::Codec::kDelta && base_epoch) {
+    // The tuner passed on delta (or the encoder fell back to raw
+    // framing): the candidate base is not referenced after all.
+    mgr.allocator().unpin_epoch(c, base_epoch);
+    base_epoch = 0;
+  }
+  m_.codec_bytes_in->add(raw_n);
+  m_.codec_bytes_out->add(wire_n);
+  m_.codec_choice[static_cast<int>(used)]->add(1);
+  m_.codec_encode_seconds->add(encode_s);
 
   // Pace *before* the busy window: waiting for pace credit is idle time,
   // not helper work (Table V measures the helper core's utilization).
@@ -383,26 +376,18 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
       telemetry::Span span(count_as_precopy ? "remote_precopy_put"
                                             : "remote_coordinated_put",
                            "ckpt.remote");
-      if (framed) {
-        // Slots sized to the frame *capacity* so codec-dependent frame
-        // sizes never force a remote slot realloc across epochs.
-        put = remote_.put_framed(mgr.config().rank, c.id(), wire, wire_n,
-                                 compress::max_frame_size(raw_n), epoch);
-      } else {
-        put = remote_.put(mgr.config().rank, c.id(), staging_.data(),
-                          raw_n, epoch, /*commit=*/false);
-      }
+      put = remote_.put(mgr.config().rank, c.id(), wire, wire_n,
+                        compress::max_frame_size(raw_n), epoch,
+                        /*commit=*/false);
     }
     m_.busy_seconds->add(sw.elapsed());
     if (put.ok) {
       m_.bytes_sent->add(wire_n);
-      if (framed) {
-        tuner_.observe(used, raw_n, wire_n, encode_s, put.seconds);
-        // The frame now sits in the remote in-progress slot: its base pin
-        // (if delta) replaces whatever the previous inflight frame held.
-        set_inflight_base(Key{mgr_idx, c.id()}, c,
-                          used == compress::Codec::kDelta ? base_epoch : 0);
-      }
+      tuner_.observe(used, raw_n, wire_n, encode_s, put.seconds);
+      // The frame now sits in the remote in-progress slot: its base pin
+      // (if delta) replaces whatever the previous inflight frame held.
+      set_inflight_base(Key{mgr_idx, c.id()}, c,
+                        used == compress::Codec::kDelta ? base_epoch : 0);
       if (count_as_precopy) {
         m_.precopy_puts->add(1);
       } else {

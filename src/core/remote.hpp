@@ -114,7 +114,7 @@ class RemoteCheckpointer {
   void set_fault_injector(fault::FaultInjector* fi) { injector_ = fi; }
 
   /// Resolved codec mode of one manager's replication stream (config +
-  /// NVMCP_CODEC). kRaw takes the legacy unframed put path byte-for-byte.
+  /// NVMCP_CODEC). kRaw ships raw frames.
   CodecMode codec_mode(std::size_t mgr_idx) const {
     return codec_mode_[mgr_idx];
   }

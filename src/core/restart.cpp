@@ -20,46 +20,38 @@ RestartCoordinator::RestartCoordinator(CheckpointManager& mgr,
 
 bool RestartCoordinator::fetch_remote(alloc::Chunk& c) {
   if (!remote_) return false;
-  const std::uint32_t rank = mgr_->config().rank;
-  // Framed transport first: with a non-raw codec mode the committed
-  // remote slot holds a CodecHeader + encoded body, not the raw payload.
-  // A raw-mode pair has no committed frame and falls through to the
-  // legacy get below.
+  // The committed remote slot holds a frame: a CodecHeader plus the
+  // (possibly encoded) body, never the bare payload.
   std::vector<std::byte> frame(compress::max_frame_size(c.size()));
-  const std::size_t fn =
-      remote_->get_framed(rank, c.id(), frame.data(), frame.size());
-  if (fn != 0) {
-    compress::CodecHeader hdr;
-    if (!compress::peek_frame(frame.data(), fn, &hdr) ||
-        hdr.raw_size != c.size()) {
+  const std::size_t fn = remote_->get(mgr_->config().rank, c.id(),
+                                      frame.data(), frame.size());
+  compress::CodecHeader hdr;
+  if (fn == 0 || !compress::peek_frame(frame.data(), fn, &hdr) ||
+      hdr.raw_size != c.size()) {
+    return false;
+  }
+  std::vector<std::byte> base;
+  const void* base_p = nullptr;
+  if (hdr.codec == static_cast<std::uint8_t>(compress::Codec::kDelta)) {
+    // Walk back to the delta's base epoch in the local version ring.
+    // The sender pinned it against GC, but pins are runtime state: a
+    // hard crash (or a corrupted ring slot) can still lose the base,
+    // in which case the chunk legitimately falls through to
+    // rollback/parity and the helper re-ships raw.
+    base.resize(c.size());
+    if (!mgr_->allocator().read_retained(c, hdr.base_epoch, base.data())) {
       return false;
     }
-    std::vector<std::byte> base;
-    const void* base_p = nullptr;
-    if (hdr.codec == static_cast<std::uint8_t>(compress::Codec::kDelta)) {
-      // Walk back to the delta's base epoch in the local version ring.
-      // The sender pinned it against GC, but pins are runtime state: a
-      // hard crash (or a corrupted ring slot) can still lose the base,
-      // in which case the chunk legitimately falls through to
-      // rollback/parity and the helper re-ships raw.
-      base.resize(c.size());
-      if (!mgr_->allocator().read_retained(c, hdr.base_epoch,
-                                           base.data())) {
-        return false;
-      }
-      base_p = base.data();
-    }
-    const compress::DecodeStatus st =
-        compress::decode_frame(frame.data(), fn, base_p, c.data(), c.size());
-    if (st != compress::DecodeStatus::kOk) {
-      // Detected, never laundered: the frame's raw CRC (or its structure)
-      // ruled the decoded bytes out, so this source is rejected outright.
-      log_warn("remote frame for chunk %llu rejected at decode: %s",
-               static_cast<unsigned long long>(c.id()),
-               compress::to_string(st));
-      return false;
-    }
-  } else if (!remote_->get(rank, c.id(), c.data(), c.size())) {
+    base_p = base.data();
+  }
+  const compress::DecodeStatus st =
+      compress::decode_frame(frame.data(), fn, base_p, c.data(), c.size());
+  if (st != compress::DecodeStatus::kOk) {
+    // Detected, never laundered: the frame's raw CRC (or its structure)
+    // ruled the decoded bytes out, so this source is rejected outright.
+    log_warn("remote frame for chunk %llu rejected at decode: %s",
+             static_cast<unsigned long long>(c.id()),
+             compress::to_string(st));
     return false;
   }
   c.tracker().mark_dirty();  // fetched data must be re-persisted locally

@@ -71,7 +71,7 @@ std::size_t ParityCheckpointGroup::protect_epoch() {
     for (int i = 0; i < m; ++i) {
       remote_.put(parity_rank(k, i), id,
                   parity[static_cast<std::size_t>(i)].data(), len,
-                  epoch_key, /*commit=*/true);
+                  /*capacity=*/len, epoch_key, /*commit=*/true);
       sent += len;
     }
     stats_.replication_bytes_equiv += k * len;
@@ -121,7 +121,7 @@ bool ParityCheckpointGroup::recover_ranks(
     // Parity comes from the remote store.
     for (int i = 0; i < m; ++i) {
       const auto idx = static_cast<std::size_t>(static_cast<int>(k) + i);
-      if (remote_.get(parity_rank(k, i), id, shards[idx], len)) {
+      if (remote_.get(parity_rank(k, i), id, shards[idx], len) == len) {
         present[idx] = true;
       }
     }

@@ -81,6 +81,11 @@ EpochDirectory::EpochDirectory(vmem::Container& container, Options opts)
     log_info("EpochDirectory: attached, depth=%u, %zu rings",
              opts_.ring_depth, rings_.size());
   } else {
+    if (meta.record_count() != 0) {
+      throw NvmcpError(
+          "EpochDirectory: container holds two-slot records; reopen it at "
+          "depth 1");
+    }
     const std::size_t bytes = bytes_required(capacity_);
     region_off_ = container.alloc_region(bytes);
     std::memset(dev.data() + region_off_, 0, bytes);

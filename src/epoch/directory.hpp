@@ -53,7 +53,9 @@ class EpochDirectory {
   /// Opens the container's epoch region, creating it (and persisting its
   /// offset in the metadata header) on first use. Records left kInProgress
   /// by a crash are reset to kFree; persisted depths are updated to the
-  /// configured depth.
+  /// configured depth. Throws NvmcpError, writing nothing, when a region
+  /// would have to be created over existing two-slot chunk records: those
+  /// are never migrated into rings.
   EpochDirectory(vmem::Container& container, Options opts);
 
   EpochDirectory(const EpochDirectory&) = delete;

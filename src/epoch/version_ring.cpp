@@ -165,23 +165,6 @@ void VersionRing::unpin_epoch(std::uint64_t epoch) {
   if (it != pins_.end()) pins_.erase(it);
 }
 
-void VersionRing::adopt_legacy(std::uint64_t committed_off,
-                               std::uint64_t epoch, std::uint64_t checksum,
-                               std::uint64_t spare_off) {
-  std::lock_guard<std::mutex> lock(dir_->mu_);
-  for (const RingSlot& s : rec_->slots) {
-    // Any slot with history means this ring is already live (adopted
-    // earlier or ring-native); overwriting would leak its region.
-    if (s.committed() || s.off != 0) return;
-  }
-  rec_->slots[0] = RingSlot{committed_off, epoch, checksum,
-                            RingSlot::kCommitted, 0};
-  if (spare_off) {
-    rec_->slots[1] = RingSlot{spare_off, 0, 0, RingSlot::kFree, 0};
-  }
-  persist_locked();
-}
-
 std::uint64_t VersionRing::payload_bytes() const {
   return rec_->payload_bytes;  // immutable after record creation
 }

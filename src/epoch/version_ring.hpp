@@ -117,13 +117,6 @@ class VersionRing {
   void pin_epoch(std::uint64_t epoch);
   void unpin_epoch(std::uint64_t epoch);
 
-  /// Depth-change migration (two-slot session -> ring session): adopt the
-  /// chunk record's committed slot as this ring's newest retained epoch,
-  /// and its spare slot as a free ring slot, so neither region leaks nor
-  /// gets double-freed. No-op if the ring already holds committed epochs.
-  void adopt_legacy(std::uint64_t committed_off, std::uint64_t epoch,
-                    std::uint64_t checksum, std::uint64_t spare_off);
-
   std::uint64_t payload_bytes() const;
   std::uint32_t depth() const;
 

@@ -27,24 +27,24 @@ std::uint64_t RemoteStore::pair_id(std::uint32_t src_rank,
 }
 
 vmem::ChunkRecord* RemoteStore::find_or_create(std::uint64_t id,
-                                               std::size_t n) {
+                                               std::size_t capacity) {
   auto& meta = container_.metadata();
   vmem::ChunkRecord* rec = meta.find(id);
-  if (rec && rec->size != n) {
-    // Size changed (nvrealloc on the source): replace the slots. Any
-    // pending or framed state referred to the old slots.
+  if (rec && rec->size != capacity) {
+    // Capacity changed (nvrealloc on the source): replace the slots. Any
+    // pending or committed length referred to the old slots.
     container_.free_region(rec->slot_off[0], rec->size);
     container_.free_region(rec->slot_off[1], rec->size);
     meta.erase(id);
     pending_.erase(id);
-    committed_frame_.erase(id);
+    committed_len_.erase(id);
     rec = nullptr;
   }
   if (!rec) {
     rec = meta.insert(id, "remote");
-    rec->size = n;
-    rec->slot_off[0] = container_.alloc_region(n);
-    rec->slot_off[1] = container_.alloc_region(n);
+    rec->size = capacity;
+    rec->slot_off[0] = container_.alloc_region(capacity);
+    rec->slot_off[1] = container_.alloc_region(capacity);
     rec->flags |= vmem::ChunkRecord::kPersistent;
     meta.persist_record(*rec);
   }
@@ -53,8 +53,10 @@ vmem::ChunkRecord* RemoteStore::find_or_create(std::uint64_t id,
 
 PutResult RemoteStore::put(std::uint32_t src_rank, std::uint64_t chunk_id,
                            const void* data, std::size_t n,
-                           std::uint64_t epoch, bool do_commit,
-                           Interconnect* link, BandwidthLimiter* pace) {
+                           std::size_t capacity, std::uint64_t epoch,
+                           bool do_commit, Interconnect* link,
+                           BandwidthLimiter* pace) {
+  if (n == 0 || n > capacity) return PutResult{false, 0.0};
   if (injector_ && injector_->armed() && injector_->should_drop_remote_op()) {
     // Lost in transit: the in-progress slot keeps its old payload and no
     // pending checksum is recorded, so a later commit of this epoch is a
@@ -65,7 +67,7 @@ PutResult RemoteStore::put(std::uint32_t src_rank, std::uint64_t chunk_id,
   vmem::ChunkRecord* rec;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rec = find_or_create(id, n);
+    rec = find_or_create(id, capacity);
   }
   const std::uint32_t slot = rec->in_progress_slot();
   const auto* src = static_cast<const std::byte*>(data);
@@ -87,84 +89,10 @@ PutResult RemoteStore::put(std::uint32_t src_rank, std::uint64_t chunk_id,
   dev_.flush(rec->slot_off[slot], n);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_[id] = Pending{crc64(data, n), epoch};
+    pending_[id] = Pending{crc64(data, n), epoch, n};
   }
   if (do_commit) commit(src_rank, chunk_id, epoch);
   return PutResult{true, sw.elapsed()};
-}
-
-PutResult RemoteStore::put_framed(std::uint32_t src_rank,
-                                  std::uint64_t chunk_id, const void* frame,
-                                  std::size_t frame_n,
-                                  std::size_t slot_capacity,
-                                  std::uint64_t epoch, Interconnect* link,
-                                  BandwidthLimiter* pace) {
-  if (frame_n == 0 || frame_n > slot_capacity) return PutResult{false, 0.0};
-  if (injector_ && injector_->armed() && injector_->should_drop_remote_op()) {
-    return PutResult{false, 0.0};
-  }
-  const std::uint64_t id = pair_id(src_rank, chunk_id);
-  vmem::ChunkRecord* rec;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // Slots sized to the frame *capacity*, never the frame itself: frame
-    // sizes vary per epoch with the codec choice, and a realloc here would
-    // destroy the committed slot.
-    rec = find_or_create(id, slot_capacity);
-  }
-  const std::uint32_t slot = rec->in_progress_slot();
-  const auto* src = static_cast<const std::byte*>(frame);
-  const Stopwatch sw;
-  std::size_t done = 0;
-  // Only the frame bytes cross the link: an encoded chunk is paced and
-  // accounted at its encoded size, which is the whole point of the codec.
-  if (pace) sleep_until(pace->acquire(frame_n));
-  while (done < frame_n) {
-    const std::size_t len = std::min(kSegment, frame_n - done);
-    dev_.write(rec->slot_off[slot] + done, src + done, len,
-               link ? &link->limiter() : nullptr);
-    if (link) link->note_bytes(len, TrafficClass::kCheckpoint);
-    done += len;
-  }
-  dev_.flush(rec->slot_off[slot], frame_n);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_[id] = Pending{crc64(frame, frame_n), epoch, frame_n};
-  }
-  return PutResult{true, sw.elapsed()};
-}
-
-std::size_t RemoteStore::get_framed(std::uint32_t src_rank,
-                                    std::uint64_t chunk_id, void* dst,
-                                    std::size_t cap, Interconnect* link) {
-  const std::uint64_t id = pair_id(src_rank, chunk_id);
-  vmem::ChunkRecord* rec;
-  std::size_t frame_n = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    rec = container_.metadata().find(id);
-    auto it = committed_frame_.find(id);
-    if (it != committed_frame_.end()) frame_n = it->second;
-  }
-  // Not a framed pair: bail before the injector draw so legacy raw-mode
-  // restores consume exactly the drop samples they always did.
-  if (!rec || !rec->has_committed() || frame_n == 0 || frame_n > cap ||
-      frame_n > rec->size) {
-    return 0;
-  }
-  if (injector_ && injector_->armed() && injector_->should_drop_remote_op()) {
-    return 0;
-  }
-  auto* d = static_cast<std::byte*>(dst);
-  std::size_t done = 0;
-  while (done < frame_n) {
-    const std::size_t len = std::min(kSegment, frame_n - done);
-    dev_.read(rec->slot_off[rec->committed] + done, d + done, len,
-              link ? &link->limiter() : nullptr);
-    if (link) link->note_bytes(len, TrafficClass::kCheckpoint);
-    done += len;
-  }
-  return crc64(dst, frame_n) == rec->checksum[rec->committed] ? frame_n : 0;
 }
 
 void RemoteStore::commit(std::uint32_t src_rank, std::uint64_t chunk_id,
@@ -181,26 +109,25 @@ void RemoteStore::commit(std::uint32_t src_rank, std::uint64_t chunk_id,
   container_.metadata().persist_record(*rec);
   rec->committed = slot;
   container_.metadata().persist_record(*rec);
-  if (it->second.frame_len != 0) {
-    committed_frame_[id] = it->second.frame_len;
-  } else {
-    committed_frame_.erase(id);  // legacy raw put overwrote a framed pair
-  }
+  committed_len_[id] = it->second.len;
   pending_.erase(it);
 }
 
-bool RemoteStore::get(std::uint32_t src_rank, std::uint64_t chunk_id,
-                      void* dst, std::size_t n, Interconnect* link) {
+std::size_t RemoteStore::get(std::uint32_t src_rank, std::uint64_t chunk_id,
+                             void* dst, std::size_t cap, Interconnect* link) {
   if (injector_ && injector_->armed() && injector_->should_drop_remote_op()) {
-    return false;
+    return 0;
   }
   const std::uint64_t id = pair_id(src_rank, chunk_id);
   vmem::ChunkRecord* rec;
+  std::size_t n = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
     rec = container_.metadata().find(id);
+    auto it = committed_len_.find(id);
+    if (it != committed_len_.end()) n = it->second;
   }
-  if (!rec || !rec->has_committed() || rec->size != n) return false;
+  if (!rec || !rec->has_committed() || n == 0 || n > cap) return 0;
   auto* d = static_cast<std::byte*>(dst);
   std::size_t done = 0;
   while (done < n) {
@@ -210,7 +137,7 @@ bool RemoteStore::get(std::uint32_t src_rank, std::uint64_t chunk_id,
     if (link) link->note_bytes(len, TrafficClass::kCheckpoint);
     done += len;
   }
-  return crc64(dst, n) == rec->checksum[rec->committed];
+  return crc64(dst, n) == rec->checksum[rec->committed] ? n : 0;
 }
 
 std::uint64_t RemoteStore::committed_epoch(std::uint32_t src_rank,
@@ -233,25 +160,13 @@ bool RemoteStore::corrupt_committed(std::uint32_t src_rank,
   const std::uint64_t id = pair_id(src_rank, chunk_id);
   std::lock_guard<std::mutex> lock(mu_);
   vmem::ChunkRecord* rec = container_.metadata().find(id);
-  if (!rec || !rec->has_committed()) return false;
-  std::size_t len = rec->size;
-  auto it = committed_frame_.find(id);
-  if (it != committed_frame_.end()) len = it->second;
-  fi.flip_random_bit(dev_.data() + rec->slot_off[rec->committed], len);
+  auto it = committed_len_.find(id);
+  if (!rec || !rec->has_committed() || it == committed_len_.end()) {
+    return false;
+  }
+  fi.flip_random_bit(dev_.data() + rec->slot_off[rec->committed],
+                     it->second);
   return true;
-}
-
-PutResult RemoteMemory::put(std::uint32_t src_rank, std::uint64_t chunk_id,
-                            const void* data, std::size_t n,
-                            std::uint64_t epoch, bool commit,
-                            BandwidthLimiter* pace) {
-  return store_->put(src_rank, chunk_id, data, n, epoch, commit, link_,
-                     pace);
-}
-
-bool RemoteMemory::get(std::uint32_t src_rank, std::uint64_t chunk_id,
-                       void* dst, std::size_t n) {
-  return store_->get(src_rank, chunk_id, dst, n, link_);
 }
 
 }  // namespace nvmcp::net

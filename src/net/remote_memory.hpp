@@ -51,38 +51,17 @@ class RemoteStore {
   void set_fault_injector(fault::FaultInjector* fi) { injector_ = fi; }
 
   /// Write `n` bytes into the in-progress slot of (src_rank, chunk_id),
-  /// allocating record + slots on first use. `link` (may be null) paces
-  /// the transfer at interconnect speed, pipelined with the remote NVM
-  /// write bandwidth, and records it as checkpoint traffic. If `commit`,
-  /// the slot is committed with `epoch`. Returns whether the payload
-  /// arrived plus seconds spent. `pace` (optional) additionally
-  /// rate-limits the transfer; the remote checkpoint helper uses it to
-  /// spread pre-copy traffic over the remote interval instead of bursting
-  /// at link speed.
+  /// whose slots hold `capacity` bytes (allocated on first use, replaced
+  /// when the capacity changes; the helper keeps it at max_frame_size of
+  /// the payload, so codec-dependent frame sizes never realloc). Only the
+  /// `n` bytes cross `link` (may be null), paced with the remote NVM
+  /// write bandwidth and counted as checkpoint traffic; `pace` optionally
+  /// rate-limits them further. If `commit`, the slot is committed with
+  /// `epoch`. Returns whether the bytes arrived plus seconds spent.
   PutResult put(std::uint32_t src_rank, std::uint64_t chunk_id,
-                const void* data, std::size_t n, std::uint64_t epoch,
-                bool commit, Interconnect* link,
+                const void* data, std::size_t n, std::size_t capacity,
+                std::uint64_t epoch, bool commit, Interconnect* link,
                 BandwidthLimiter* pace = nullptr);
-
-  /// Framed variant (adaptive-codec transport): store `frame_n` wire
-  /// bytes -- a compress::CodecHeader plus encoded body, opaque to the
-  /// store -- in slots of `slot_capacity` bytes (the caller's
-  /// max_frame_size(payload), stable across epochs so varying frame sizes
-  /// never force a slot realloc). Only the frame bytes move over the
-  /// link, so an encoded chunk is charged at its *encoded* size. The
-  /// slot checksum covers the frame bytes; the raw-payload CRC inside the
-  /// header is the decoder's laundering guard behind it.
-  PutResult put_framed(std::uint32_t src_rank, std::uint64_t chunk_id,
-                       const void* frame, std::size_t frame_n,
-                       std::size_t slot_capacity, std::uint64_t epoch,
-                       Interconnect* link, BandwidthLimiter* pace = nullptr);
-
-  /// Read back the committed frame of a framed pair into dst (capacity
-  /// cap). Returns the frame size, or 0 when the pair is unknown,
-  /// uncommitted, not framed (legacy raw pair), too large for cap, or the
-  /// stored frame fails its checksum.
-  std::size_t get_framed(std::uint32_t src_rank, std::uint64_t chunk_id,
-                         void* dst, std::size_t cap, Interconnect* link);
 
   /// Commit whatever the in-progress slot of the pair holds as `epoch`.
   /// Used for coordinated remote checkpoints where the payload arrived in
@@ -90,10 +69,11 @@ class RemoteStore {
   void commit(std::uint32_t src_rank, std::uint64_t chunk_id,
               std::uint64_t epoch);
 
-  /// Read the committed payload back (restart path). Returns false if the
-  /// pair is unknown, uncommitted, or fails checksum verification.
-  bool get(std::uint32_t src_rank, std::uint64_t chunk_id, void* dst,
-           std::size_t n, Interconnect* link);
+  /// Read the committed bytes of a pair into dst (capacity cap), the
+  /// restart path. Returns their length, or 0 when the pair is unknown or
+  /// uncommitted, the bytes exceed cap, or they fail their checksum.
+  std::size_t get(std::uint32_t src_rank, std::uint64_t chunk_id, void* dst,
+                  std::size_t cap, Interconnect* link);
 
   /// Committed epoch for a pair, 0 if none.
   std::uint64_t committed_epoch(std::uint32_t src_rank,
@@ -102,7 +82,7 @@ class RemoteStore {
   std::size_t stored_chunks() const;
 
   /// Chaos hook: flip one random bit (drawn from `fi`'s stream) inside
-  /// the committed payload/frame of a pair, as in-transit or at-rest
+  /// the committed bytes of a pair, as in-transit or at-rest
   /// corruption would. Returns false when the pair is unknown or
   /// uncommitted. Campaigns use this to prove corrupted encoded payloads
   /// are *detected* at fetch/decode, never laundered into restored state.
@@ -111,7 +91,7 @@ class RemoteStore {
 
  private:
   static std::uint64_t pair_id(std::uint32_t src_rank, std::uint64_t chunk_id);
-  vmem::ChunkRecord* find_or_create(std::uint64_t id, std::size_t n);
+  vmem::ChunkRecord* find_or_create(std::uint64_t id, std::size_t capacity);
 
   NvmDevice dev_;
   fault::FaultInjector* injector_ = nullptr;
@@ -121,12 +101,11 @@ class RemoteStore {
   struct Pending {
     std::uint64_t checksum = 0;
     std::uint64_t epoch = 0;
-    std::size_t frame_len = 0;  // 0 = legacy unframed payload
+    std::size_t len = 0;
   };
   std::map<std::uint64_t, Pending> pending_;
-  // Frame length of each framed pair's *committed* slot (absent = the
-  // committed payload is legacy raw bytes filling the whole record size).
-  std::map<std::uint64_t, std::size_t> committed_frame_;
+  // Length of each pair's committed bytes (<= the record size).
+  std::map<std::uint64_t, std::size_t> committed_len_;
 };
 
 /// The node-side handle pairing a link with a destination store.
@@ -135,19 +114,13 @@ class RemoteMemory {
   RemoteMemory(Interconnect& link, RemoteStore& store)
       : link_(&link), store_(&store) {}
 
-  /// Remote put of a chunk payload; accounted as checkpoint traffic.
+  /// Remote put (see RemoteStore::put); accounted as checkpoint traffic.
   PutResult put(std::uint32_t src_rank, std::uint64_t chunk_id,
-                const void* data, std::size_t n, std::uint64_t epoch,
-                bool commit, BandwidthLimiter* pace = nullptr);
-
-  /// Framed remote put (see RemoteStore::put_framed); only the frame
-  /// bytes occupy the link.
-  PutResult put_framed(std::uint32_t src_rank, std::uint64_t chunk_id,
-                       const void* frame, std::size_t frame_n,
-                       std::size_t slot_capacity, std::uint64_t epoch,
-                       BandwidthLimiter* pace = nullptr) {
-    return store_->put_framed(src_rank, chunk_id, frame, frame_n,
-                              slot_capacity, epoch, link_, pace);
+                const void* data, std::size_t n, std::size_t capacity,
+                std::uint64_t epoch, bool commit,
+                BandwidthLimiter* pace = nullptr) {
+    return store_->put(src_rank, chunk_id, data, n, capacity, epoch, commit,
+                       link_, pace);
   }
 
   void commit(std::uint32_t src_rank, std::uint64_t chunk_id,
@@ -155,14 +128,11 @@ class RemoteMemory {
     store_->commit(src_rank, chunk_id, epoch);
   }
 
-  /// Remote get (restart fetch); accounted as checkpoint traffic.
-  bool get(std::uint32_t src_rank, std::uint64_t chunk_id, void* dst,
-           std::size_t n);
-
-  /// Framed remote get; 0 when the pair holds no (valid) committed frame.
-  std::size_t get_framed(std::uint32_t src_rank, std::uint64_t chunk_id,
-                         void* dst, std::size_t cap) {
-    return store_->get_framed(src_rank, chunk_id, dst, cap, link_);
+  /// Remote get (restart fetch, see RemoteStore::get); accounted as
+  /// checkpoint traffic.
+  std::size_t get(std::uint32_t src_rank, std::uint64_t chunk_id, void* dst,
+                  std::size_t cap) {
+    return store_->get(src_rank, chunk_id, dst, cap, link_);
   }
 
   /// Application communication phase: occupy the link with `bytes` of

@@ -344,21 +344,10 @@ void ProtectionManager::notify_write(int handle) {
   if (!snap) return;
   for (Range* r : *snap) {
     if (r->handle != handle) continue;
-    if (r->mode == TrackMode::kWriteLog) {
-      // Untracked write: logged coverage is no longer complete, so the
-      // next collection must fall back to a whole-chunk copy. Counter
-      // first, then flags -- same contract as the fault handler.
-      r->tracker->writes_logged.fetch_add(1, std::memory_order_acq_rel);
-      if (r->sink) {
-        r->sink->whole_dirty.store(true, std::memory_order_release);
-      }
-      bool expected = true;
-      if (r->armed.compare_exchange_strong(expected, false,
-                                           std::memory_order_acq_rel)) {
-        r->tracker->mark_dirty();
-      }
-      return;
-    }
+    // Untracked write under a write log: logged coverage is no longer
+    // complete, so the next collection must fall back to a whole-chunk
+    // copy.
+    if (r->sink) r->sink->whole_dirty.store(true, std::memory_order_release);
     bool expected = true;
     if (r->armed.compare_exchange_strong(expected, false,
                                          std::memory_order_acq_rel)) {
@@ -367,6 +356,10 @@ void ProtectionManager::notify_write(int handle) {
         mprotect_calls_.fetch_add(1, std::memory_order_relaxed);
       }
       if (r->pages) r->pages->set_range(0, r->pages->size());
+      // Counter after the disarm and before the flags, in every mode --
+      // the fault handler's contract: pre-copy's clear-and-recheck reads
+      // it to catch a notify that disarmed the range behind its arm.
+      r->tracker->writes_logged.fetch_add(1, std::memory_order_acq_rel);
       r->tracker->mark_dirty();
     }
     return;
@@ -459,13 +452,25 @@ bool ProtectionManager::handle_fault(void* addr) {
     if (r->lazy_state.compare_exchange_strong(
             expected, static_cast<int>(LazyState::kCopying),
             std::memory_order_acq_rel)) {
+      // Fill a scratch mapping, then move it over the range in one step:
+      // opening the range before the copy lands would let a thread that
+      // touches another page read stale bytes without faulting.
       mprotect_calls_.fetch_add(1, std::memory_order_relaxed);
-      if (::mprotect(r->start, r->len, PROT_READ | PROT_WRITE) != 0) {
+      void* fresh = ::mmap(nullptr, r->len, PROT_READ | PROT_WRITE,
+                           MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (fresh != MAP_FAILED) {
+        std::memcpy(fresh, r->lazy_src, r->lazy_len);
+        if (::mremap(fresh, r->len, r->len, MREMAP_MAYMOVE | MREMAP_FIXED,
+                     r->start) == MAP_FAILED) {
+          ::munmap(fresh, r->len);
+          fresh = MAP_FAILED;
+        }
+      }
+      if (fresh == MAP_FAILED) {
         r->lazy_state.store(static_cast<int>(LazyState::kFailed),
                             std::memory_order_release);
         return false;
       }
-      std::memcpy(r->start, r->lazy_src, r->lazy_len);
       const bool ok = crc64(r->start, r->lazy_len) == r->lazy_crc;
       r->armed.store(false, std::memory_order_release);
       r->tracker->faults.fetch_add(1, std::memory_order_acq_rel);

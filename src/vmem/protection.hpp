@@ -49,13 +49,20 @@ struct WriteTracker {
   std::atomic<std::uint64_t> faults{0};
   /// Lifetime nanoseconds spent in this chunk's protection faults.
   std::atomic<std::uint64_t> fault_ns{0};
-  /// kWriteLog: lifetime logged-write count. Bumped before the dirty
-  /// flags, so faults + writes_logged plays the fault counter's role in
-  /// the pre-copy clear-and-recheck dance.
+  /// Lifetime logged writes (kWriteLog appends) plus notify_write calls
+  /// that disarmed the range (every mode). Bumped before the dirty flags,
+  /// so write_events() plays the fault counter's role in the pre-copy
+  /// clear-and-recheck dance.
   std::atomic<std::uint64_t> writes_logged{0};
   /// kWriteLog: lifetime logged bytes / dropped (overflowed) appends.
   std::atomic<std::uint64_t> log_bytes{0};
   std::atomic<std::uint64_t> log_drops{0};
+
+  /// Faults plus writes_logged: moves whenever a store is recorded.
+  std::uint64_t write_events() const {
+    return faults.load(std::memory_order_acquire) +
+           writes_logged.load(std::memory_order_acquire);
+  }
 
   void mark_dirty() {
     dirty_local.store(true, std::memory_order_release);

@@ -1,8 +1,7 @@
 // Adaptive transport codec: xor_delta, frame format, CodecTuner policy,
-// and the fused remote pipeline -- raw-mode byte identity with the legacy
-// unframed transport, LZ and delta restores (including the ring walk-back
-// to a delta base), and rollback to a retained epoch that was shipped
-// delta-encoded.
+// and the fused remote pipeline -- raw-mode frames and their hard restore,
+// LZ and delta restores (including the ring walk-back to a delta base),
+// and rollback to a retained epoch that was shipped delta-encoded.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -299,42 +298,62 @@ struct Rig {
   std::unique_ptr<core::RemoteCheckpointer> helper;
 };
 
-TEST(CodecPipeline, RawModeMatchesLegacyTransportByteForByte) {
-  // The acceptance bar for NVMCP_CODEC=raw: the buddy store's *device
-  // image* after a helper coordination equals the image produced by the
-  // legacy unframed put+commit sequence -- same slots, same bytes, same
-  // metadata. Two identical rigs, one shipped each way.
-  Rig a(core::CodecMode::kRaw);
-  Rig b(core::CodecMode::kRaw);
+TEST(CodecPipeline, RawModeShipsRawFramesThatHardRestoreExactly) {
+  // NVMCP_CODEC=raw ships raw frames: every put counts as a raw choice,
+  // each frame is header + payload, and a hard restart into a fresh stack
+  // decodes every chunk byte-exactly.
+  Rig rig(core::CodecMode::kRaw);
   const std::size_t sizes[] = {64 * KiB, 96 * KiB, 32 * KiB};
-  for (int r : {0, 1}) {
-    Rig& rig = r == 0 ? a : b;
-    for (int i = 0; i < 3; ++i) {
-      auto* c = rig.allocator->nvalloc("img_" + std::to_string(i), sizes[i],
-                                       true);
-      rig.fill(*c, 40 + static_cast<std::uint64_t>(i), i % 2 == 0);
-    }
-    rig.mgr->nvchkptall();
+  std::vector<alloc::Chunk*> chunks;
+  for (int i = 0; i < 3; ++i) {
+    chunks.push_back(rig.allocator->nvalloc("img_" + std::to_string(i),
+                                            sizes[i], true));
+    rig.fill(*chunks[i], 40 + static_cast<std::uint64_t>(i), i % 2 == 0);
   }
-  // Rig A: the codec-aware helper in raw mode.
-  const auto out = a.helper->coordinate_now();
-  EXPECT_FALSE(out.degraded);
-  // Rig B: the legacy transport, chunk by chunk in the same order.
-  std::vector<std::byte> buf;
-  for (alloc::Chunk* c : b.allocator->chunks()) {
-    buf.resize(c->size());
-    ASSERT_TRUE(b.allocator->read_committed(*c, buf.data()));
-    ASSERT_TRUE(b.remote->put(b.mgr->config().rank, c->id(), buf.data(),
-                              buf.size(), b.mgr->committed_epoch(),
-                              /*commit=*/true));
+  rig.mgr->nvchkptall();
+  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
+  auto& m = rig.helper->metrics();
+  EXPECT_EQ(m.counter("remote.coordinated_puts").value() +
+                m.counter("remote.precopy_puts").value(),
+            3u);
+  EXPECT_EQ(m.counter("codec.choice.raw").value(), 3u);
+  EXPECT_EQ(m.counter("codec.bytes_out").value(),
+            m.counter("codec.bytes_in").value() +
+                3 * compress::kCodecHeaderSize);
+
+  // A stored raw frame verifies itself: a bit flipped in its body is
+  // rejected at decode by the header's raw CRC.
+  std::vector<std::byte> frame(compress::max_frame_size(sizes[0]));
+  const std::size_t fn = rig.remote->get(
+      rig.mgr->config().rank, chunks[0]->id(), frame.data(), frame.size());
+  ASSERT_EQ(fn, frame.size());
+  frame[compress::kCodecHeaderSize + 100] ^= std::byte{0x04};
+  std::vector<std::byte> out(sizes[0]);
+  EXPECT_EQ(compress::decode_frame(frame.data(), fn, nullptr, out.data(),
+                                   out.size()),
+            compress::DecodeStatus::kCrcMismatch);
+
+  // Hard failure: a fresh stack (device, allocator, manager; same rank).
+  NvmConfig cfg;
+  cfg.capacity = 64 * MiB;
+  cfg.throttle = false;
+  NvmDevice dev(cfg);
+  vmem::Container container(dev);
+  alloc::ChunkAllocator allocator(container);
+  core::CheckpointManager mgr(allocator, rig.mgr->config());
+  for (int i = 0; i < 3; ++i) {
+    allocator.nvalloc("img_" + std::to_string(i), sizes[i], true);
   }
-  ASSERT_EQ(a.store->device().capacity(), b.store->device().capacity());
-  EXPECT_EQ(std::memcmp(a.store->device().data(), b.store->device().data(),
-                        a.store->device().capacity()),
-            0)
-      << "raw mode must be byte-for-byte the legacy remote image";
-  // And raw mode never pays codec overhead: no frames, no codec bytes.
-  EXPECT_EQ(a.helper->metrics().counter("codec.bytes_in").value(), 0u);
+  core::RestartCoordinator rc(mgr, rig.remote.get());
+  const auto rep = rc.restart_after(core::FailureKind::kHard);
+  EXPECT_EQ(rep.status, RestoreStatus::kOkFromRemote);
+  EXPECT_EQ(rep.chunks_remote, 3);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(std::memcmp(allocator.find(chunks[i]->id())->data(),
+                          chunks[i]->data(), sizes[i]),
+              0)
+        << "chunk " << i;
+  }
 }
 
 TEST(CodecPipeline, LzModeShrinksLinkBytesAndRestoresExactly) {

@@ -1,6 +1,6 @@
 // Epoch subsystem: version-ring retention/rollback, directory attach and
 // crash-reset, env-knob resolution, saturation-driven GC, pinning, the
-// legacy-slot adoption on depth change, and depth-1 equivalence with the
+// refusal of cross-layout reopens, and depth-1 equivalence with the
 // paper's two-slot scheme.
 #include <gtest/gtest.h>
 
@@ -8,11 +8,15 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <set>
 #include <vector>
 
 #include "alloc/nvmalloc.hpp"
+#include "common/checksum.hpp"
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "epoch/directory.hpp"
 #include "epoch/version_ring.hpp"
@@ -58,10 +62,12 @@ struct Stack {
   std::unique_ptr<vmem::Container> cont;
   std::unique_ptr<alloc::ChunkAllocator> alloc;
 
-  explicit Stack(int ring_depth, std::size_t capacity = 32 * MiB) {
+  explicit Stack(int ring_depth, std::size_t capacity = 32 * MiB,
+                 const std::string& backing_file = {}) {
     NvmConfig cfg;
     cfg.capacity = capacity;
     cfg.throttle = false;
+    cfg.backing_file = backing_file;
     dev = std::make_unique<NvmDevice>(cfg);
     cont = std::make_unique<vmem::Container>(*dev);
     alloc::ChunkAllocator::Options opts;
@@ -230,48 +236,50 @@ TEST(EpochDirectory, AttachResetsInProgressSlots) {
   fs::remove(path);
 }
 
-TEST(EpochDirectory, DepthChangeAdoptsLegacyCommittedSlot) {
+std::uint64_t file_crc(const std::filesystem::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  const std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                                std::istreambuf_iterator<char>());
+  return crc64(bytes.data(), bytes.size());
+}
+
+TEST(EpochDirectory, CrossLayoutReopenIsRefusedAndWritesNothing) {
+  // The two-slot layout (depth 1) and the ring layout (depth > 1) never
+  // read each other: reopening at the other layout throws before a byte
+  // of the device changes, and the original depth still restores.
   namespace fs = std::filesystem;
-  const fs::path path = fs::temp_directory_path() /
-                        ("nvmcp_epoch_adopt_" +
-                         std::to_string(::getpid()) + ".nvm");
-  fs::remove(path);
-  NvmConfig cfg;
-  cfg.capacity = 16 * MiB;
-  cfg.throttle = false;
-  cfg.backing_file = path.string();
-  const std::uint64_t id = alloc::genid("migrator");
-  {
-    // Session 1 runs the paper's two-slot scheme.
-    NvmDevice dev(cfg);
-    vmem::Container cont(dev);
-    alloc::ChunkAllocator allocator(cont);
-    alloc::Chunk* c = allocator.nvalloc(id, 64 * KiB, true);
-    fill_pattern(c->data(), c->size(), 7);
-    allocator.checkpoint_chunk(*c, 3);
+  for (const int depth : {1, 4}) {
+    SCOPED_TRACE("written at depth " + std::to_string(depth));
+    const fs::path path =
+        fs::temp_directory_path() /
+        ("nvmcp_epoch_layout_" + std::to_string(::getpid()) + "_" +
+         std::to_string(depth) + ".nvm");
+    fs::remove(path);
+    const std::uint64_t seed = 100 * static_cast<std::uint64_t>(depth);
+    {
+      Stack s(depth, 16 * MiB, path);
+      alloc::Chunk* c = s.alloc->nvalloc("layout", 64 * KiB, true);
+      for (std::uint64_t e = 1; e <= 3; ++e) {
+        fill_pattern(c->data(), c->size(), seed + e);
+        s.alloc->checkpoint_chunk(*c, e);
+      }
+    }
+    const std::uint64_t before = file_crc(path);
+    EXPECT_THROW(Stack(depth == 1 ? 4 : 1, 16 * MiB, path), NvmcpError);
+    EXPECT_EQ(file_crc(path), before) << "a refused reopen wrote the device";
+    // The original depth still restores, and so does a ring -> ring depth
+    // change, older retained epochs included.
+    for (const int again : {depth, depth == 1 ? 1 : 2}) {
+      Stack s(again, 16 * MiB, path);
+      alloc::Chunk* c = s.alloc->nvalloc("layout", 64 * KiB, true);
+      EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
+      EXPECT_TRUE(check_pattern(c->data(), c->size(), seed + 3));
+      if (again == 1) continue;
+      EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 2), RestoreStatus::kOkStale);
+      EXPECT_TRUE(check_pattern(c->data(), c->size(), seed + 2));
+    }
+    fs::remove(path);
   }
-  {
-    // Session 2 upgrades to a depth-4 ring: the legacy committed slot is
-    // adopted as the ring's newest retained epoch (no copy, no leak) and
-    // subsequent commits stack new epochs on top of it.
-    NvmDevice dev(cfg);
-    vmem::Container cont(dev);
-    alloc::ChunkAllocator::Options opts;
-    opts.ring_depth = 4;
-    alloc::ChunkAllocator allocator(cont, opts);
-    alloc::Chunk* c = allocator.nvalloc(id, 64 * KiB, true);
-    EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
-    EXPECT_TRUE(check_pattern(c->data(), c->size(), 7));
-    fill_pattern(c->data(), c->size(), 8);
-    allocator.checkpoint_chunk(*c, 4);
-    const auto epochs = allocator.retained_epochs(*c);
-    ASSERT_EQ(epochs.size(), 2u);
-    EXPECT_EQ(epochs[0], 4u);
-    EXPECT_EQ(epochs[1], 3u);
-    EXPECT_EQ(allocator.restore_chunk_epoch(*c, 3), RestoreStatus::kOkStale);
-    EXPECT_TRUE(check_pattern(c->data(), c->size(), 7));
-  }
-  fs::remove(path);
 }
 
 TEST(EpochGc, ReclaimsOldestFirstDownToTheFloorNeverTheNewest) {

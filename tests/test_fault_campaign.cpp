@@ -522,11 +522,13 @@ struct CodecChaosRig {
   std::unique_ptr<core::RemoteCheckpointer> helper;
 };
 
-TEST(CodecChaos, BitFlipInEncodedFrameIsDetectedNeverLaundered) {
-  // Flip one bit inside the committed *encoded* frame on the buddy store.
-  // With the local slot also dead, the restore must report the loss --
-  // decoding the damaged frame into "restored" state would be laundering.
-  CodecChaosRig rig(core::CodecMode::kLz, /*ring_depth=*/1);
+// Flip one bit inside the committed frame on the buddy store, encoded or
+// raw. With the local slot also dead, the restore must report the loss --
+// decoding the damaged frame into "restored" state would be laundering.
+void expect_frame_bit_flip_detected(core::CodecMode mode,
+                                    const char* choice_counter) {
+  SCOPED_TRACE(choice_counter);
+  CodecChaosRig rig(mode, /*ring_depth=*/1);
   auto* c = rig.allocator->nvalloc("flip", 64 * KiB, true);
   // Runs + seeded noise: compressible enough that the frame really is LZ.
   std::memset(c->data(), 0x2a, c->size() / 2);
@@ -537,7 +539,7 @@ TEST(CodecChaos, BitFlipInEncodedFrameIsDetectedNeverLaundered) {
   std::memcpy(golden.data(), c->data(), c->size());
   rig.mgr->nvchkptall();
   ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-  ASSERT_GE(rig.helper->metrics().counter("codec.choice.lz").value(), 1u);
+  ASSERT_GE(rig.helper->metrics().counter(choice_counter).value(), 1u);
 
   FaultInjector fi;
   ASSERT_TRUE(rig.store->corrupt_committed(0, c->id(), fi));
@@ -565,6 +567,11 @@ TEST(CodecChaos, BitFlipInEncodedFrameIsDetectedNeverLaundered) {
   const core::RestartReport rep2 = rc.restart_after(core::FailureKind::kSoft);
   EXPECT_EQ(rep2.status, RestoreStatus::kOkFromRemote);
   EXPECT_EQ(std::memcmp(c->data(), golden.data(), golden.size()), 0);
+}
+
+TEST(CodecChaos, BitFlipInEncodedFrameIsDetectedNeverLaundered) {
+  expect_frame_bit_flip_detected(core::CodecMode::kLz, "codec.choice.lz");
+  expect_frame_bit_flip_detected(core::CodecMode::kRaw, "codec.choice.raw");
 }
 
 TEST(CodecChaos, LostDeltaBaseFallsBackThenRawReshipRecovers) {

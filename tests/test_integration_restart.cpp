@@ -165,11 +165,16 @@ TEST(IntegrationRestart, CorruptLocalFallsBackToRemote) {
   fill_pattern(c->data(), c->size(), 77);
   mgr.nvchkptall();
 
-  // Ship the committed version to the buddy node and commit it there.
+  // Ship the committed version to the buddy node as a raw frame and
+  // commit it there.
   std::vector<std::byte> staged(c->size());
   ASSERT_TRUE(allocator.read_committed(*c, staged.data()));
-  remote.put(ccfg.rank, c->id(), staged.data(), staged.size(),
-             mgr.committed_epoch(), /*commit=*/true);
+  compress::FrameEncoder enc;
+  const auto fr = enc.encode(compress::Codec::kRaw, staged.data(),
+                             staged.size(), nullptr, 0);
+  remote.put(ccfg.rank, c->id(), enc.frame(), fr.frame_size,
+             compress::max_frame_size(staged.size()), mgr.committed_epoch(),
+             /*commit=*/true);
 
   // Local bit rot in *both* slots.
   const auto& rec = c->record();

@@ -31,20 +31,21 @@ TEST(MadBench, RamdiskPathDoesKernelSynchronization) {
 
 TEST(MadBench, SlowdownGrowsWithDataSize) {
   // The paper's key trend: the ramdisk gap widens with checkpoint size
-  // (46% at 300 MB/core). Verify monotone-ish growth at test scale.
+  // (46% at 300 MB/core). The kernel work behind it -- syscalls and
+  // ramdisk lock acquisitions -- grows with the data; asserted on those
+  // modeled counters, not on a wall-clock ratio.
   MadBenchConfig small;
   small.data_bytes = 4 * MiB;
   small.writers = 2;
   small.repetitions = 5;
   MadBenchConfig big = small;
   big.data_bytes = 32 * MiB;
-  const double s = run_madbench(small).ramdisk_slowdown;
-  const double b = run_madbench(big).ramdisk_slowdown;
-  // Both positive; the big case should not be dramatically better (wide
-  // tolerance: single-core timing noise dominates at the small size).
-  EXPECT_GT(s, 0.0);
-  EXPECT_GT(b, 0.0);
-  EXPECT_GT(b, 0.25 * s);
+  const MadBenchResult s = run_madbench(small);
+  const MadBenchResult b = run_madbench(big);
+  EXPECT_GT(s.ramdisk_slowdown, 0.0);
+  EXPECT_GT(b.ramdisk_slowdown, 0.0);
+  EXPECT_GT(b.ramdisk_syscalls, s.ramdisk_syscalls);
+  EXPECT_GT(b.ramdisk_lock_acquisitions, s.ramdisk_lock_acquisitions);
 }
 
 TEST(MadBench, SingleWriterStillShowsOverhead) {

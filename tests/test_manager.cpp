@@ -120,6 +120,9 @@ TEST_F(ManagerTest, CpcEnginePrecopiesInBackground) {
   // CPC needs no learning phase: the engine should pick the chunk up.
   const Stopwatch sw;
   while (a->dirty_local() && sw.elapsed() < 2.0) precise_sleep(1e-3);
+  // The engine clears the flag as its copy starts, under the commit mutex:
+  // taking the mutex waits for that copy to finish.
+  { const std::lock_guard<std::mutex> lock(mgr->commit_mutex()); }
   EXPECT_FALSE(a->dirty_local());
   EXPECT_EQ(a->precopied_epoch(), 1u);
 
@@ -730,6 +733,8 @@ TEST(StreamingRestore, CommitsAreDeferredWhileChunksStillStreamIn) {
   s.mgr->nvchkptall();
   for (auto* c : chunks) fill_seeded(*c, 999);
 
+  const std::uint64_t seeded_epoch = s.mgr->committed_epoch();
+
   CheckpointManager::StreamingRestoreReport rep;
   std::atomic<bool> done{false};
   std::thread restorer([&] {
@@ -737,13 +742,19 @@ TEST(StreamingRestore, CommitsAreDeferredWhileChunksStillStreamIn) {
     done.store(true, std::memory_order_release);
   });
   // The application keeps taking coordinated checkpoints throughout the
-  // restore; rounds that meet a still-pending chunk must defer it.
+  // restore; rounds that meet a still-pending chunk must defer it. It
+  // starts once the restore has registered its chunks: a round before
+  // that would commit the seed-999 bytes as the newest epoch.
+  while (!s.mgr->restoring() && !done.load(std::memory_order_acquire)) {
+    std::this_thread::yield();
+  }
   while (!done.load(std::memory_order_acquire)) {
     s.mgr->nvchkptall();
   }
   restorer.join();
 
   EXPECT_EQ(rep.status, RestoreStatus::kOk);
+  EXPECT_EQ(rep.epoch, seeded_epoch);
   EXPECT_EQ(rep.chunks, 8);
   EXPECT_GT(rep.commits_deferred, 0u);
   EXPECT_EQ(s.mgr->metrics().counter("ckpt.chunks_deferred_restoring")

@@ -41,7 +41,12 @@ class RestartCoordinatorTest : public ::testing::Test {
     if (ship_remote) {
       std::vector<std::byte> buf(c->size());
       EXPECT_TRUE(allocator_->read_committed(*c, buf.data()));
-      remote_->put(2, c->id(), buf.data(), buf.size(),
+      // Seed the buddy the way the remote helper does: one raw frame.
+      compress::FrameEncoder enc;
+      const auto fr = enc.encode(compress::Codec::kRaw, buf.data(),
+                                 buf.size(), nullptr, 0);
+      remote_->put(2, c->id(), enc.frame(), fr.frame_size,
+                   compress::max_frame_size(buf.size()),
                    mgr_->committed_epoch(), /*commit=*/true);
     }
     return c;

@@ -134,9 +134,13 @@ TEST(Stress, RemoteHelperVsLocalCommits) {
   // The final remote cut: every chunk fetches, verifies, and reports the
   // same epoch (the coordination's consistent snapshot property).
   std::uint64_t cut_epoch = 0;
+  std::vector<std::byte> frame(compress::max_frame_size(32 * KiB));
   std::vector<std::byte> buf(32 * KiB);
   for (alloc::Chunk* c : chunks) {
-    EXPECT_TRUE(remote.get(0, c->id(), buf.data(), c->size()));
+    const std::size_t fn = remote.get(0, c->id(), frame.data(), frame.size());
+    EXPECT_EQ(compress::decode_frame(frame.data(), fn, nullptr, buf.data(),
+                                     c->size()),
+              compress::DecodeStatus::kOk);
     const std::uint64_t e = store.committed_epoch(0, c->id());
     EXPECT_GT(e, 0u);
     if (cut_epoch == 0) cut_epoch = e;
@@ -329,6 +333,56 @@ TEST(Stress, RingGcVsCommitChurn) {
   EXPECT_TRUE(std::find(epochs.begin(), epochs.end(), kPinEpoch) ==
               epochs.end());
   EXPECT_GT(mgr.metrics().counter("epoch.gc.slots_reclaimed").value(), 0u);
+}
+
+/// A writer stores into a kSoftware chunk and notifies while the main
+/// thread pre-copies (batched re-arm) and commits that chunk in a loop,
+/// each round letting a notify land between the arm and the chunk's
+/// clear-and-recheck. That must never leave the chunk clean *and*
+/// disarmed: one quiesced commit must then leave the slot equal to DRAM.
+TEST(Stress, StoreRacingPrecopyArmIsNeverLost) {
+  NvmConfig cfg;
+  cfg.capacity = 8 * MiB;
+  cfg.throttle = false;
+  NvmDevice dev(cfg);
+  vmem::Container container(dev);
+  alloc::ChunkAllocator::Options opts;
+  opts.track_mode = vmem::TrackMode::kSoftware;
+  alloc::ChunkAllocator allocator(container, opts);
+  alloc::Chunk* c = allocator.nvalloc("armed", 4 * KiB, true);
+  auto* words = static_cast<std::uint64_t*>(c->data());
+  const std::size_t nwords = c->size() / 8;
+
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> stores{0};
+  std::thread writer([&] {
+    for (std::uint64_t v = 1; !stop.load(std::memory_order_acquire); ++v) {
+      words[v % nwords] = v;
+      c->notify_write();
+      stores.fetch_add(1, std::memory_order_release);
+    }
+  });
+  const auto await_store = [&] {  // >= 1 full store + notify from now
+    const std::uint64_t seen = stores.load(std::memory_order_acquire);
+    while (stores.load(std::memory_order_acquire) < seen + 2) {
+      std::this_thread::yield();
+    }
+  };
+  for (std::uint64_t epoch = 1; epoch <= 200; ++epoch) {
+    allocator.arm_chunks({c});
+    await_store();
+    allocator.precopy_chunk(*c, epoch, nullptr, /*skip_arm=*/true);
+    allocator.commit_chunk(*c, epoch);
+  }
+  await_store();  // lands after the last copy
+  stop.store(true, std::memory_order_release);
+  writer.join();
+
+  if (c->dirty_local()) allocator.checkpoint_chunk(*c, 201);
+  std::vector<std::byte> slot(c->size());
+  ASSERT_TRUE(allocator.read_committed(*c, slot.data()));
+  EXPECT_EQ(std::memcmp(slot.data(), c->data(), c->size()), 0)
+      << "a store that raced pre-copy arming was lost";
 }
 
 }  // namespace

@@ -98,8 +98,12 @@ ChunkRecord* MetadataRegion::insert(std::uint64_t id, std::string_view name) {
     fresh.id = id;
     fresh.flags = ChunkRecord::kValid;
     fresh.committed = ChunkRecord::kNoneCommitted;
-    const std::size_t copy = std::min(name.size(), sizeof(fresh.name) - 1);
-    std::memcpy(fresh.name, name.data(), copy);
+    // An unnamed chunk's view may have a null data(); memcpy forbids that
+    // even for zero bytes.
+    if (!name.empty()) {
+      const std::size_t copy = std::min(name.size(), sizeof(fresh.name) - 1);
+      std::memcpy(fresh.name, name.data(), copy);
+    }
     recs[i] = fresh;
     persist_record(recs[i]);
     return &recs[i];

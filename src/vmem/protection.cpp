@@ -379,9 +379,6 @@ std::size_t ProtectionManager::retired_range_count() const {
 void ProtectionManager::arm_lazy_restore(int handle, const std::byte* src,
                                          std::size_t len,
                                          std::uint64_t crc) {
-  // Force CRC table initialization now: first use must not happen inside
-  // the signal handler (static-local init guards are not signal safe).
-  (void)crc64("", 0);
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& r : ranges_) {
     if (r->handle != handle) continue;

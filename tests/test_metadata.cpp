@@ -4,6 +4,7 @@
 
 #include <cstring>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 #include "vmem/metadata.hpp"
@@ -82,6 +83,16 @@ TEST(Metadata, LongNameTruncatedSafely) {
   const std::string longname(100, 'x');
   ChunkRecord* rec = meta.insert(9, longname);
   EXPECT_LT(std::strlen(rec->name), sizeof(rec->name));
+}
+
+TEST(Metadata, UnnamedInsertLeavesNameEmpty) {
+  // A default string_view has a null data(); UBSan builds abort if that
+  // reaches memcpy.
+  NvmDevice dev(cfg());
+  MetadataRegion meta = MetadataRegion::create(dev, kNvmPageSize, 4);
+  ChunkRecord* rec = meta.insert(5, std::string_view{});
+  EXPECT_STREQ(rec->name, "");
+  EXPECT_EQ(meta.find(5), rec);
 }
 
 TEST(Metadata, InProgressSlotAlternation) {

@@ -184,14 +184,17 @@ DriverResult run_workload(const DriverConfig& cfg) {
     for (auto& t : threads) t.join();
   }
   const double wall_secs = wall.elapsed();
+  DriverResult out;
+  out.app_end_link_seconds = link.timeline_seconds();
 
   for (auto& ctx : ranks) ctx.manager->stop();
   if (remote_ckpt) {
+    const Stopwatch seal_sw;
     remote_ckpt->coordinate_now();
+    out.final_seal_seconds = seal_sw.elapsed();
     remote_ckpt->stop();
   }
 
-  DriverResult out;
   out.wall_seconds = wall_secs;
   out.ideal_seconds = ideal_runtime(cfg);
   out.efficiency = out.ideal_seconds / wall_secs;

@@ -69,6 +69,11 @@ struct DriverResult {
   double peak_ckpt_link_rate = 0;
   std::vector<double> ckpt_link_timeline;  // bytes per bucket
   double link_timeline_bucket = 0;
+  /// Link-timeline time at which every rank had finished: buckets from
+  /// here on carry the final remote seal, not application execution.
+  double app_end_link_seconds = 0;
+  /// Wall time of the final coordinate_now() that seals the remote cut.
+  double final_seal_seconds = 0;
 
   NvmDeviceStats nvm;  // summed over ranks
 

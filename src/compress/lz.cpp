@@ -56,7 +56,9 @@ std::size_t lz_compress(const void* src_v, std::size_t n, void* dst_v,
                                      : static_cast<unsigned>(ml_token))
                    : 0u));
     if (lit_len >= 15) write_runlen(op, lit_len - 15);
-    std::memcpy(op, lit_start, lit_len);
+    // An empty run may start at a null source (empty input): skip the
+    // copy rather than hand memcpy a null pointer.
+    if (lit_len) std::memcpy(op, lit_start, lit_len);
     op += lit_len;
     if (match_len) {
       *op++ = static_cast<std::uint8_t>(offset & 0xff);

@@ -75,6 +75,10 @@ RemoteCheckpointer::RemoteCheckpointer(
   m_.degraded_rounds = &metrics_.counter("remote.degraded_rounds");
   m_.isolations = &metrics_.counter("remote.health.isolations");
   m_.recoveries = &metrics_.counter("remote.health.recoveries");
+  m_.deferred_sends = &metrics_.counter("remote.deferred_sends");
+  m_.phase2_resends = &metrics_.counter("remote.phase2_resends");
+  m_.phase2_hold_seconds =
+      &metrics_.histogram("remote.phase2_hold_seconds", 0.0, 1.0, 1000);
   m_.busy_seconds = &metrics_.gauge("remote.busy_seconds");
   m_.wall_seconds = &metrics_.gauge("remote.wall_seconds");
   m_.last_round_seconds = &metrics_.gauge("remote.last_round_seconds");
@@ -117,7 +121,13 @@ void RemoteCheckpointer::start() {
 void RemoteCheckpointer::stop() {
   // The wall gauge must reflect the helper lifetime even if stop() races
   // with (or repeats after) another stop, so it is set unconditionally.
-  if (running_.exchange(false)) cv_.notify_all();
+  // running_ flips under cv_mu_ so a pace wait cannot miss the wake-up.
+  bool was_running;
+  {
+    std::lock_guard<std::mutex> lock(cv_mu_);
+    was_running = running_.exchange(false);
+  }
+  if (was_running) cv_.notify_all();
   if (helper_.joinable()) helper_.join();
   m_.wall_seconds->set(wall_.elapsed());
 }
@@ -329,25 +339,32 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
     mgr.allocator().unpin_epoch(c, base_epoch);
     base_epoch = 0;
   }
-  m_.codec_bytes_in->add(raw_n);
-  m_.codec_bytes_out->add(wire_n);
-  m_.codec_choice[static_cast<int>(used)]->add(1);
-  m_.codec_encode_seconds->add(encode_s);
 
   // Pace *before* the busy window: waiting for pace credit is idle time,
   // not helper work (Table V measures the helper core's utilization).
   // Charged at the *wire* size -- an encoded chunk earns back the link
-  // time its compression saved.
-  if (paced && !pace_.unlimited()) {
-    sleep_until(pace_.acquire(wire_n));
+  // time its compression saved. A waiting coordinate_now() ends the wait:
+  // an eager send then steps aside without putting (its frame is stale
+  // once the caller's round commits, and the round needs send_mu_), and a
+  // timer round's send goes ahead unpaced.
+  if (paced && !pace_wait(wire_n) && count_as_precopy) {
+    if (base_epoch) mgr.allocator().unpin_epoch(c, base_epoch);
+    m_.deferred_sends->add(1);
+    return SendResult{SendStatus::kDeferred};
   }
+  m_.codec_bytes_in->add(raw_n);
+  m_.codec_bytes_out->add(wire_n);
+  m_.codec_choice[static_cast<int>(used)]->add(1);
+  m_.codec_encode_seconds->add(encode_s);
 
   SendResult res;
   const Stopwatch deadline_sw;
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     if (attempt > 0) {
       // Retrying: the attempt count is the primary (deterministic) bound;
-      // the deadline and the round's backoff budget cap wall time.
+      // the deadline and the round's backoff budget cap wall time. The
+      // deadline only gates re-attempts: a put that is slow because it
+      // yields the link to application traffic has not failed.
       if (deadline_sw.elapsed() >= retry_.put_deadline) break;
       if (backoff_budget && *backoff_budget <= 0) break;
       double pause = std::min(
@@ -411,6 +428,16 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
   return res;
 }
 
+bool RemoteCheckpointer::pace_wait(std::size_t bytes) {
+  if (pace_.unlimited()) return true;
+  const auto cut_short = [this] {
+    return waiters_ > 0 || !running_.load(std::memory_order_acquire);
+  };
+  std::unique_lock<std::mutex> lock(cv_mu_);
+  if (cut_short()) return false;  // reserve no credit that nobody waits out
+  return !cv_.wait_until(lock, pace_.acquire(bytes), cut_short);
+}
+
 void RemoteCheckpointer::helper_loop() {
   while (running_.load(std::memory_order_acquire)) {
     {
@@ -436,7 +463,7 @@ void RemoteCheckpointer::helper_loop() {
     }
     const double elapsed = now_seconds() - round_start;
     if (elapsed >= cfg_.interval) {
-      coordinate_now();
+      coordinate(/*requested=*/false);
       continue;
     }
 
@@ -444,8 +471,10 @@ void RemoteCheckpointer::helper_loop() {
 
     // Eager pre-copy: ship chunks whose local committed epoch moved past
     // what the remote in-progress slot holds. Single attempt per chunk --
-    // the scan loop itself is the retry mechanism here.
-    for (std::size_t m = 0; m < managers_.size(); ++m) {
+    // the scan loop itself is the retry mechanism here. A deferred send
+    // means a caller waits on a round: the scan resumes next period.
+    bool deferred = false;
+    for (std::size_t m = 0; m < managers_.size() && !deferred; ++m) {
       if (!running_.load(std::memory_order_acquire)) return;
       for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
         if (!c->persistent()) continue;
@@ -463,6 +492,10 @@ void RemoteCheckpointer::helper_loop() {
         const SendResult sent =
             send_chunk(m, *c, /*count_as_precopy=*/true, /*paced=*/true,
                        /*max_attempts=*/1, /*backoff_budget=*/nullptr);
+        if (sent.status == SendStatus::kDeferred) {
+          deferred = true;
+          break;
+        }
         if (sent.ok()) {
           std::lock_guard<std::mutex> lock(round_mu_);
           sent_epoch_[key] = sent.epoch;
@@ -473,6 +506,24 @@ void RemoteCheckpointer::helper_loop() {
 }
 
 CoordinationOutcome RemoteCheckpointer::coordinate_now() {
+  // Announce the caller before queueing on round_mu_, so every pace wait
+  // in flight ends now rather than after its credit.
+  {
+    std::lock_guard<std::mutex> lock(cv_mu_);
+    ++waiters_;
+  }
+  cv_.notify_all();
+  struct Leave {
+    RemoteCheckpointer* self;
+    ~Leave() {
+      std::lock_guard<std::mutex> lock(self->cv_mu_);
+      --self->waiters_;
+    }
+  } leave{this};
+  return coordinate(/*requested=*/true);
+}
+
+CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
   std::lock_guard<std::mutex> round_lock(round_mu_);
   CoordinationOutcome out;
 
@@ -522,12 +573,13 @@ CoordinationOutcome RemoteCheckpointer::coordinate_now() {
       const std::uint64_t local_epoch = rec.epoch[rec.committed];
       auto it = sent_epoch_.find(key);
       if (it != sent_epoch_.end() && it->second == local_epoch) continue;
-      // Pre-copy policies smooth even the coordination top-up (it is
-      // asynchronous to the application); kNone bursts by definition.
-      const SendResult sent =
-          send_chunk(m, *c, /*count_as_precopy=*/false,
-                     /*paced=*/cfg_.policy != PrecopyPolicy::kNone,
-                     retry_.max_attempts, &budget);
+      // A timer round under a pre-copy policy smooths its top-up (no one
+      // waits on it); a requested round ships at link speed, and kNone
+      // bursts by definition.
+      const SendResult sent = send_chunk(
+          m, *c, /*count_as_precopy=*/false,
+          /*paced=*/!requested && cfg_.policy != PrecopyPolicy::kNone,
+          retry_.max_attempts, &budget);
       out.retries += std::max(0, sent.attempts - 1);
       if (sent.ok()) {
         sent_epoch_[key] = sent.epoch;
@@ -550,6 +602,8 @@ CoordinationOutcome RemoteCheckpointer::coordinate_now() {
   for (CheckpointManager* mgr : managers_) {
     locks.emplace_back(mgr->commit_mutex());
   }
+  const Stopwatch hold_sw;
+  int resends = 0;  // chunks re-put under the commit mutexes
   for (std::size_t m = 0; m < managers_.size(); ++m) {
     CheckpointManager& mgr = *managers_[m];
     for (alloc::Chunk* c : mgr.allocator().chunks()) {
@@ -560,6 +614,7 @@ CoordinationOutcome RemoteCheckpointer::coordinate_now() {
       const std::uint64_t local_epoch = rec.epoch[rec.committed];
       auto it = sent_epoch_.find(key);
       if (it == sent_epoch_.end() || it->second != local_epoch) {
+        ++resends;
         const SendResult sent =
             send_chunk(m, *c, /*count_as_precopy=*/false, /*paced=*/false,
                        retry_.phase2_attempts, &budget);
@@ -591,6 +646,8 @@ CoordinationOutcome RemoteCheckpointer::coordinate_now() {
     }
   }
   locks.clear();
+  m_.phase2_hold_seconds->observe(hold_sw.elapsed());
+  m_.phase2_resends->add(static_cast<std::uint64_t>(resends));
 
   out.degraded = !stale_.empty();
   out.stale_chunks = static_cast<int>(stale_.size());

@@ -9,6 +9,13 @@
 // (Fig 10) and cutting the overhead a coordinated burst imposes on
 // communicating applications (Fig 9).
 //
+// Pacing meters only the helper's unattended work: eager pre-copy and the
+// helper's own timer-fired rounds send at a rate learned from the previous
+// round. A caller of coordinate_now() is waiting for durability, so its
+// round ships unpaced and ends every pace wait in flight; application
+// traffic keeps strict priority on the shared link (net::Interconnect),
+// so an unpaced round uses only idle link capacity.
+//
 // Consistency: eager pre-copy puts fill the remote in-progress slots only.
 // A coordination round tops up stale chunks and then, holding every
 // manager's commit mutex (so no local commit can interleave), re-verifies
@@ -82,9 +89,12 @@ class RemoteCheckpointer {
   void stop();
 
   /// Run one coordination round synchronously (also used by drivers to
-  /// seal the final remote checkpoint). Returns what the round achieved;
-  /// callers that ignore the outcome can still observe it later through
-  /// last_coordination() / stale() / the metric registry.
+  /// seal the final remote checkpoint). The round ships at link speed: a
+  /// waiting caller is never paced, and an eager pre-copy send waiting for
+  /// pace credit steps aside so the round takes the helper at once.
+  /// Returns what the round achieved; callers that ignore the outcome can
+  /// still observe it later through last_coordination() / stale() / the
+  /// metric registry.
   CoordinationOutcome coordinate_now();
 
   /// Outcome of the most recent coordination round.
@@ -143,6 +153,8 @@ class RemoteCheckpointer {
     kLocalReadFailed,   // committed local read failed verification
     kStalled,           // every attempt hit a helper stall/kill window
     kDropped,           // every attempt was lost in transit
+    kDeferred,          // an eager send stepped aside for a waiting
+                        // coordinate_now(); nothing was put
   };
   struct SendResult {
     SendStatus status = SendStatus::kDropped;
@@ -152,16 +164,26 @@ class RemoteCheckpointer {
   };
 
   void helper_loop();
+  /// One coordination round. `requested` is true for coordinate_now(),
+  /// whose caller waits on the result (phase 1 unpaced), and false for the
+  /// helper's timer-fired rounds (phase 1 paced under pre-copy policies).
+  CoordinationOutcome coordinate(bool requested);
   /// Send the committed payload of a chunk to the remote in-progress slot,
   /// retrying transport failures up to `max_attempts` times under the
   /// policy's backoff/deadline. `backoff_budget` (may be null) is the
   /// round's remaining retry-sleep allowance; sleeps draw it down and no
   /// retry sleeps once it is spent. `paced` spreads the transfer at the
   /// learned rate (pre-copy smoothing); the commit pass sends unpaced
-  /// because it runs under the commit mutexes.
+  /// because it runs under the commit mutexes. When a paced wait is cut
+  /// short, an eager send (`count_as_precopy`) returns kDeferred and a
+  /// round's send goes ahead unpaced.
   SendResult send_chunk(std::size_t mgr_idx, alloc::Chunk& c,
                         bool count_as_precopy, bool paced, int max_attempts,
                         double* backoff_budget);
+  /// Wait for `bytes` of pace credit. Returns false, without waiting out
+  /// the credit, once a caller waits in coordinate_now() or the helper
+  /// stops. Called under send_mu_; takes cv_mu_.
+  bool pace_wait(std::size_t bytes);
   bool precopy_gate_open(double round_elapsed) const;
 
   // Health-state transitions (take health_mu_).
@@ -177,13 +199,18 @@ class RemoteCheckpointer {
 
   std::thread helper_;
   std::atomic<bool> running_{false};
+  // cv_ wakes the helper's scan wait and every pace wait; both end early
+  // on stop() and pace waits also end once waiters_ > 0.
   std::condition_variable cv_;
   std::mutex cv_mu_;
+  int waiters_ = 0;  // coordinate_now() calls in flight; guarded by cv_mu_
 
-  /// Pacing for eager pre-copy sends. Unlimited during the first remote
+  /// Pacing for the helper's unattended sends: eager pre-copy and the
+  /// phase 1 of timer-fired rounds. Unlimited during the first remote
   /// interval (the paper's learning phase, visible as an initial peak in
   /// Fig 10); afterwards set so one interval's data spreads across ~80%
-  /// of the interval, which is what cuts the peak link usage.
+  /// of the interval, which is what cuts the peak link usage. A waiting
+  /// coordinate_now() caller is never paced.
   BandwidthLimiter pace_{0.0};
   std::uint64_t bytes_at_round_start_ = 0;
 
@@ -200,7 +227,9 @@ class RemoteCheckpointer {
   // send_mu_ serializes sends from the background pre-copy loop and an
   // external coordinate_now(), and guards staging_/base_buf_, the frame
   // encoder, the codec tuner and the jitter stream.
-  // Lock order: round_mu_ -> commit mutexes -> send_mu_ -> pin_mu_.
+  // Lock order: round_mu_ -> commit mutexes -> send_mu_ -> cv_mu_, and
+  // send_mu_ -> pin_mu_. coordinate_now() takes cv_mu_ alone, before
+  // round_mu_, to announce itself.
   std::mutex send_mu_;
   std::vector<std::byte> staging_;
   std::vector<std::byte> base_buf_;  // delta base payload (read_retained)
@@ -259,6 +288,9 @@ class RemoteCheckpointer {
     telemetry::Counter* degraded_rounds;
     telemetry::Counter* isolations;
     telemetry::Counter* recoveries;
+    telemetry::Counter* deferred_sends;
+    telemetry::Counter* phase2_resends;
+    telemetry::HistogramMetric* phase2_hold_seconds;
     telemetry::Gauge* busy_seconds;
     telemetry::Gauge* wall_seconds;
     telemetry::Gauge* last_round_seconds;

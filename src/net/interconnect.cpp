@@ -20,9 +20,12 @@ double Interconnect::transfer(std::size_t bytes, TrafficClass cls) {
 
 double Interconnect::transfer_copy(void* dst, const void* src,
                                    std::size_t bytes, TrafficClass cls) {
-  telemetry::Span span(cls == TrafficClass::kApplication ? "link_app_xfer"
-                                                         : "link_ckpt_xfer",
-                       "net");
+  const bool app = cls == TrafficClass::kApplication;
+  if (app) {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++app_inflight_;
+  }
+  telemetry::Span span(app ? "link_app_xfer" : "link_ckpt_xfer", "net");
   const Stopwatch sw;
   auto* d = static_cast<std::byte*>(dst);
   const auto* s = static_cast<const std::byte*>(src);
@@ -30,6 +33,7 @@ double Interconnect::transfer_copy(void* dst, const void* src,
   while (off < bytes) {
     const std::size_t len =
         std::min(ThrottledCopier::kBlockSize, bytes - off);
+    if (!app) await_app_idle();
     if (d && s) std::memcpy(d + off, s + off, len);
     sleep_until(limiter_.acquire(len));
     if (injector_ && injector_->armed()) {
@@ -48,13 +52,19 @@ double Interconnect::transfer_copy(void* dst, const void* src,
   const double secs = sw.elapsed();
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (cls == TrafficClass::kApplication) {
+    if (app) {
       stats_.app_seconds += secs;
+      if (--app_inflight_ == 0) app_idle_.notify_all();
     } else {
       stats_.checkpoint_seconds += secs;
     }
   }
   return secs;
+}
+
+void Interconnect::await_app_idle() {
+  std::unique_lock<std::mutex> lock(mu_);
+  app_idle_.wait(lock, [this] { return app_inflight_ == 0; });
 }
 
 void Interconnect::record(std::size_t bytes, TrafficClass cls, double) {
@@ -72,6 +82,11 @@ void Interconnect::record(std::size_t bytes, TrafficClass cls, double) {
 LinkStats Interconnect::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
+}
+
+double Interconnect::timeline_seconds() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return epoch_.elapsed();
 }
 
 double Interconnect::peak_checkpoint_rate() const {

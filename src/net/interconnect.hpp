@@ -10,9 +10,17 @@
 // ("communication noise caused by interconnect contention between a
 // communication intensive application and asynchronous checkpoint data
 // movement").
+//
+// Application traffic has strict priority: a checkpoint-class block starts
+// only while no application transfer is in flight. The priority is
+// non-preemptive -- an application transfer waits for at most the one
+// checkpoint block (ThrottledCopier::kBlockSize) already on the link --
+// and the link stays work-conserving, so checkpoint traffic uses all the
+// capacity the application leaves idle.
 #pragma once
 
 #include <atomic>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -48,8 +56,9 @@ class Interconnect {
   Interconnect& operator=(const Interconnect&) = delete;
 
   /// Block until `bytes` have traversed the link (sharing bandwidth with
-  /// concurrent callers). Records the transfer on the utilization timeline
-  /// under its traffic class. Returns seconds spent.
+  /// concurrent callers; checkpoint-class blocks yield to application
+  /// transfers). Records the transfer on the utilization timeline under
+  /// its traffic class. Returns seconds spent.
   double transfer(std::size_t bytes, TrafficClass cls);
 
   /// Transfer while also moving real payload between buffers (used by the
@@ -61,6 +70,10 @@ class Interconnect {
   void set_bandwidth(double bytes_per_sec) { limiter_.set_rate(bytes_per_sec); }
 
   LinkStats stats() const;
+
+  /// Seconds since the timelines' time base (construction or the last
+  /// reset_accounting()): the time coordinate of the timeline buckets.
+  double timeline_seconds() const;
 
   /// Checkpoint-traffic timeline: bytes per bucket of application time.
   const TimeSeries& checkpoint_timeline() const { return ckpt_timeline_; }
@@ -78,12 +91,18 @@ class Interconnect {
   void set_fault_injector(fault::FaultInjector* fi) { injector_ = fi; }
 
   /// Direct access for callers that pipeline the link against another
-  /// limiter (e.g. RDMA into remote NVM): acquire on the limiter, then
-  /// note the bytes so timelines and totals stay accurate.
+  /// limiter (e.g. RDMA into remote NVM): for checkpoint traffic, call
+  /// await_app_idle() before each block of at most
+  /// ThrottledCopier::kBlockSize, acquire on the limiter, then note the
+  /// bytes so timelines and totals stay accurate.
   BandwidthLimiter& limiter() { return limiter_; }
   void note_bytes(std::size_t bytes, TrafficClass cls) {
     record(bytes, cls, 0.0);
   }
+
+  /// Block while any application transfer is in flight (the priority
+  /// rule above); checkpoint-class callers invoke it before each block.
+  void await_app_idle();
 
  private:
   void record(std::size_t bytes, TrafficClass cls, double secs);
@@ -92,6 +111,8 @@ class Interconnect {
   fault::FaultInjector* injector_ = nullptr;
 
   mutable std::mutex mu_;
+  std::condition_variable app_idle_;  // signalled when app_inflight_ -> 0
+  int app_inflight_ = 0;              // application transfers in flight
   LinkStats stats_;
   TimeSeries ckpt_timeline_;
   TimeSeries app_timeline_;

@@ -9,7 +9,10 @@
 namespace nvmcp::net {
 namespace {
 
-constexpr std::size_t kSegment = 1 * MiB;
+// One link block per segment: a checkpoint put or fetch yields to
+// application traffic between segments (Interconnect::await_app_idle), so
+// an application transfer waits for at most one segment.
+constexpr std::size_t kSegment = ThrottledCopier::kBlockSize;
 
 }  // namespace
 
@@ -79,6 +82,7 @@ PutResult RemoteStore::put(std::uint32_t src_rank, std::uint64_t chunk_id,
   if (pace) sleep_until(pace->acquire(n));
   while (done < n) {
     const std::size_t len = std::min(kSegment, n - done);
+    if (link) link->await_app_idle();
     // Pipeline: the device write path is additionally paced by the link
     // limiter, so the segment moves at min(link bw, NVM write bw).
     dev_.write(rec->slot_off[slot] + done, src + done, len,
@@ -132,6 +136,7 @@ std::size_t RemoteStore::get(std::uint32_t src_rank, std::uint64_t chunk_id,
   std::size_t done = 0;
   while (done < n) {
     const std::size_t len = std::min(kSegment, n - done);
+    if (link) link->await_app_idle();
     dev_.read(rec->slot_off[rec->committed] + done, d + done, len,
               link ? &link->limiter() : nullptr);
     if (link) link->note_bytes(len, TrafficClass::kCheckpoint);

@@ -48,6 +48,21 @@ TEST(Interconnect, ConcurrentFlowsShareBandwidth) {
   EXPECT_GT(sw.elapsed(), 0.08);
 }
 
+// Application traffic has strict priority: once an application transfer
+// starts, a checkpoint flow finishes at most the one block it has on the
+// link and then waits for the application transfer to end.
+TEST(Interconnect, ApplicationTrafficPreemptsQueuedCheckpointBlocks) {
+  Interconnect link(10.0 * MiB, 0.05);
+  std::thread ckpt([&] { link.transfer(4 * MiB, TrafficClass::kCheckpoint); });
+  precise_sleep(0.05);
+  const std::uint64_t before = link.stats().checkpoint_bytes;
+  link.transfer(1 * MiB, TrafficClass::kApplication);
+  const std::uint64_t during = link.stats().checkpoint_bytes - before;
+  ckpt.join();
+  EXPECT_LE(during, ThrottledCopier::kBlockSize);
+  EXPECT_EQ(link.stats().checkpoint_bytes, 4 * MiB);
+}
+
 TEST(Interconnect, TimelineSpreadsLongTransfers) {
   Interconnect link(10.0 * MiB, 0.05);
   link.transfer(2 * MiB, TrafficClass::kCheckpoint);  // ~0.2 s

@@ -90,6 +90,13 @@ TEST_F(RemoteCkptTest, CoordinationShipsAllCommittedChunks) {
   EXPECT_GE(s.bytes_sent, 2 * 128 * KiB);
   EXPECT_EQ(s.precopy_puts, 0u);
   EXPECT_GT(s.coordinated_puts, 0u);
+  // No local commit landed mid-round: phase 1 shipped everything, so the
+  // commit pass re-put nothing while holding the commit mutexes.
+  EXPECT_EQ(helper.metrics().counter("remote.phase2_resends").value(), 0u);
+  const telemetry::HistogramMetric* hold =
+      helper.metrics().find_histogram("remote.phase2_hold_seconds");
+  ASSERT_NE(hold, nullptr);
+  EXPECT_EQ(hold->count(), 1u);
 }
 
 TEST_F(RemoteCkptTest, UncommittedChunksAreNotShipped) {
@@ -206,6 +213,68 @@ TEST_F(RemoteCkptTest, HelperUtilizationTracked) {
   EXPECT_LE(s.helper_utilization(), 1.0 + 1e-9);
 }
 
+// Pacing meters only unattended helper work. These tests set a pace that
+// spreads the 576 KiB learning round over 24 s (0.8 x a 30 s interval),
+// then leave an eager pre-copy send of the 512 KiB chunk waiting ~21 s for
+// its credit under send_mu_, and commit a new epoch of a second chunk.
+// (The second commit leaves the chunk in flight alone: recommitting it
+// would race the helper's unlocked ChunkRecord read, ROADMAP's known
+// record-read race that Stress.RemoteHelperVsLocalCommits exercises. The
+// helper's scan reaches the big chunk first, in allocation order, and
+// waits there, so it reads the small chunk's record only afterwards.)
+class PacedPrecopyTest : public RemoteCkptTest {
+ protected:
+  PacedPrecopyTest()
+      : helper_({managers_[0].get()}, *remote_mem_, paced_config()) {
+    big_ = allocators_[0]->nvalloc("paced", 512 * KiB, true);
+    small_ = allocators_[0]->nvalloc("other", 64 * KiB, true);
+    fill(*big_, 1);
+    fill(*small_, 2);
+    managers_[0]->nvchkptall();  // epoch 1: both chunks
+    helper_.coordinate_now();    // learning round: sets the pace
+    fill(*big_, 3);
+    managers_[0]->nvchkptall();  // epoch 2: the big chunk
+    helper_.start();  // its eager pre-copy waits for pace credit
+    precise_sleep(0.05);
+    fill(*small_, 4);
+    managers_[0]->nvchkptall();  // epoch 3: the small chunk
+  }
+
+  static RemoteConfig paced_config() {
+    RemoteConfig rcfg;
+    rcfg.policy = PrecopyPolicy::kCpc;
+    rcfg.interval = 30.0;
+    rcfg.scan_period = 1e-3;
+    return rcfg;
+  }
+
+  RemoteCheckpointer helper_;
+  alloc::Chunk* big_ = nullptr;
+  alloc::Chunk* small_ = nullptr;
+};
+
+// A requested cut ships at link speed: the eager send asleep on pace
+// credit steps aside instead of holding the helper for ~21 s, and the
+// cut's own residual is not paced.
+TEST_F(PacedPrecopyTest, CutDoesNotWaitForPacedPrecopy) {
+  const Stopwatch sw;
+  const CoordinationOutcome out = helper_.coordinate_now();
+  const double secs = sw.elapsed();
+  EXPECT_LT(secs, 1.0);
+  EXPECT_FALSE(out.degraded);
+  EXPECT_EQ(store_->committed_epoch(0, big_->id()), 2u);
+  EXPECT_EQ(store_->committed_epoch(0, small_->id()), 3u);
+  EXPECT_GE(helper_.metrics().counter("remote.deferred_sends").value(), 1u);
+  helper_.stop();
+}
+
+// stop() ends a pace wait in flight instead of sleeping out its credit.
+TEST_F(PacedPrecopyTest, StopDoesNotWaitForPaceCredit) {
+  const Stopwatch sw;
+  helper_.stop();
+  EXPECT_LT(sw.elapsed(), 1.0);
+}
+
 // A RemoteConfig with a small, deterministic retry policy for fault tests.
 RemoteConfig fault_test_config() {
   RemoteConfig rcfg;
@@ -298,6 +367,8 @@ TEST_F(RemoteCkptTest, StalledHelperRoundIsDegradedThenConverges) {
   EXPECT_TRUE(bad.degraded);
   EXPECT_EQ(bad.stale_chunks, 1);
   EXPECT_EQ(store_->committed_epoch(0, c->id()), 0u);
+  // Phase 1 never delivered the chunk, so the commit pass re-put it.
+  EXPECT_EQ(helper.metrics().counter("remote.phase2_resends").value(), 1u);
 
   inj.set_helper_stalled(false);
   const CoordinationOutcome good = helper.coordinate_now();

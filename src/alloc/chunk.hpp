@@ -129,15 +129,10 @@ class Chunk {
   static constexpr std::uint32_t kEntropyUnknown = ~0u;
   std::atomic<std::uint32_t> entropy_millibits_{kEntropyUnknown};
 
-  // Page-level tracking mode only: per-NVM-slot pending page sets (a page
-  // is pending for a slot until its contents have been copied into that
-  // slot). One byte per page; guarded by the manager's checkpoint mutex.
-  // Two slots in the legacy two-slot scheme, kMaxRingSlots with a ring.
-  std::vector<std::vector<std::uint8_t>> slot_pages_pending_;
-
-  // kWriteLog only: per-NVM-slot pending dirty byte ranges (a logged range
-  // stays pending for a slot until copied into it). Guarded by the
-  // manager's checkpoint mutex. Sized like slot_pages_pending_.
+  // kMprotectPage and kWriteLog only: per-NVM-slot pending dirty byte
+  // ranges (a faulted page run or logged write stays pending for a slot
+  // until copied into it). Guarded by the manager's checkpoint mutex. Two
+  // slots in the legacy two-slot scheme, kMaxRingSlots with a ring.
   std::vector<std::vector<vmem::DirtyRange>> slot_ranges_pending_;
 
   // Multi-version mode only (allocator ring_depth > 1): this chunk's

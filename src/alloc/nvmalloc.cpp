@@ -32,6 +32,13 @@ double resolve_max_coverage(double configured) {
   return env::get_double("NVMCP_DIRTY_LOG_MAX_COVERAGE", 0.5, 0.0, 1.0);
 }
 
+/// Modes whose tracker hands the copier dirty byte ranges (page runs or
+/// logged writes), so commits keep per-slot pending range lists.
+bool tracks_ranges(vmem::TrackMode mode) {
+  return mode == vmem::TrackMode::kMprotectPage ||
+         mode == vmem::TrackMode::kWriteLog;
+}
+
 }  // namespace
 
 std::uint64_t genid(std::string_view varname) {
@@ -218,26 +225,13 @@ std::size_t ChunkAllocator::pending_slot_count() const {
 }
 
 void ChunkAllocator::reset_pending_lists(Chunk& c) {
-  const std::size_t nslots = pending_slot_count();
-  if (c.mode_ == vmem::TrackMode::kMprotectPage) {
-    const std::size_t track_len = c.owns_dram_ ? c.dram_capacity_ : c.size_;
-    const std::size_t pages =
-        track_len / vmem::ProtectionManager::host_page_size();
-    c.slot_pages_pending_.assign(nslots,
-                                 std::vector<std::uint8_t>(pages, 1));
-  } else if (c.mode_ == vmem::TrackMode::kWriteLog) {
-    c.slot_ranges_pending_.assign(
-        nslots, std::vector<vmem::DirtyRange>{{0, c.size_}});
-  }
+  if (!tracks_ranges(c.mode_)) return;
+  c.slot_ranges_pending_.assign(pending_slot_count(),
+                                std::vector<vmem::DirtyRange>{{0, c.size_}});
 }
 
 void ChunkAllocator::reset_pending_slot(Chunk& c, std::uint32_t slot) {
-  if (c.mode_ == vmem::TrackMode::kMprotectPage) {
-    auto& pages = c.slot_pages_pending_[slot];
-    std::fill(pages.begin(), pages.end(), 1);
-  } else if (c.mode_ == vmem::TrackMode::kWriteLog) {
-    c.slot_ranges_pending_[slot] = {{0, c.size_}};
-  }
+  if (tracks_ranges(c.mode_)) c.slot_ranges_pending_[slot] = {{0, c.size_}};
 }
 
 Chunk* ChunkAllocator::nvrealloc(std::uint64_t id, std::size_t new_size) {
@@ -490,11 +484,9 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
       c.ring_slot_off_ = acq.off;
       if (acq.fresh) {
         reset_pending_slot(c, acq.index);
-      } else if (acq.had_committed &&
-                 (c.mode_ == vmem::TrackMode::kMprotectPage ||
-                  c.mode_ == vmem::TrackMode::kWriteLog)) {
+      } else if (acq.had_committed && tracks_ranges(c.mode_)) {
         // Reusing a slot that still holds an older committed epoch: the
-        // incremental paths below fold the slot's clean bytes into the
+        // incremental range copy folds the slot's clean bytes into the
         // new checksum, which would launder any in-place corruption of
         // those bytes into a committed-consistent state. Verify the slot
         // against the checksum it was committed with and downgrade to a
@@ -515,9 +507,7 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
   }
   std::uint64_t sum = crc64_init();
   double secs;
-  if (c.mode_ == vmem::TrackMode::kMprotectPage) {
-    secs = copy_dirty_pages_locked(c, slot, dst_off, stream, &sum);
-  } else if (c.mode_ == vmem::TrackMode::kWriteLog) {
+  if (tracks_ranges(c.mode_)) {
     secs = copy_dirty_ranges_locked(c, slot, dst_off, stream, &sum);
   } else {
     secs = dev.write(dst_off, c.dram_, c.size_, stream, &sum);
@@ -526,62 +516,14 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
   c.pending_checksum_ = crc64_final(sum);
   c.precopied_epoch_ = epoch;
   // Codec probe, fused into the copy pass like the CRC: a strided sample
-  // of the payload just copied feeds the remote helper's codec tuner. The
-  // budget caps the probe at ~16 KiB regardless of chunk size, so this
-  // costs microseconds against a device copy.
+  // of the payload just copied feeds the remote helper's codec tuner. Like
+  // the CRC it reads the slot, not DRAM, which the application may be
+  // storing into. The budget caps the probe at ~16 KiB regardless of
+  // chunk size, so this costs microseconds against a device copy.
   c.entropy_millibits_.store(
       static_cast<std::uint32_t>(
-          compress::entropy_probe(c.dram_, c.size_) * 1000.0),
+          compress::entropy_probe(dev.data() + dst_off, c.size_) * 1000.0),
       std::memory_order_relaxed);
-  return secs;
-}
-
-double ChunkAllocator::copy_dirty_pages_locked(Chunk& c, std::uint32_t slot,
-                                               std::uint64_t dst_off,
-                                               BandwidthLimiter* stream,
-                                               std::uint64_t* crc_state) {
-  auto& prot = vmem::ProtectionManager::instance();
-  auto& dev = container_->device();
-  const std::size_t page = vmem::ProtectionManager::host_page_size();
-
-  // Pages dirtied since the last collection become pending for EVERY
-  // slot: each slot independently needs the new contents before the next
-  // commit into it is complete.
-  for (const std::size_t p : prot.collect_dirty_pages(c.prot_handle_)) {
-    for (auto& pages : c.slot_pages_pending_) pages[p] = 1;
-  }
-
-  // Walk the payload in offset order, alternating runs of pending and
-  // clean pages: pending runs are written (CRC fused into the copy),
-  // clean runs only feed the CRC — the whole-chunk checksum covers every
-  // byte while only dirty pages move.
-  auto& pending = c.slot_pages_pending_[slot];
-  double secs = 0;
-  std::size_t p = 0;
-  while (p < pending.size()) {
-    const bool run_pending = pending[p] != 0;
-    std::size_t q = p;
-    while (q < pending.size() && (pending[q] != 0) == run_pending) ++q;
-    const std::size_t off = p * page;
-    if (off < c.size_) {
-      const std::size_t len = std::min(q * page, c.size_) - off;
-      if (run_pending) {
-        secs += dev.write(dst_off + off, c.dram_ + off, len, stream,
-                          crc_state);
-      } else if (crc_state) {
-        // Clean runs feed the CRC from the slot's own bytes, not from
-        // DRAM: a store racing this walk could change DRAM after the run
-        // was classified clean, and the checksum must describe the slot
-        // content the commit will publish.
-        *crc_state =
-            crc64_update(*crc_state, dev.data() + dst_off + off, len);
-      }
-    }
-    if (run_pending) {
-      for (std::size_t i = p; i < q; ++i) pending[i] = 0;
-    }
-    p = q;
-  }
   return secs;
 }
 
@@ -592,9 +534,9 @@ double ChunkAllocator::copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
   auto& prot = vmem::ProtectionManager::instance();
   auto& dev = container_->device();
 
-  // Ranges logged since the last collection become pending for EVERY
-  // slot: each slot independently needs the new contents before the next
-  // commit into it is complete (same invariant as the page-level path).
+  // Ranges dirtied since the last collection (logged writes, or faulted
+  // page runs) become pending for EVERY slot: each slot independently
+  // needs the new contents before the next commit into it is complete.
   auto collected = prot.collect_dirty_ranges(c.prot_handle_);
   if (collected.whole) {
     for (auto& ranges : c.slot_ranges_pending_) ranges = {{0, c.size_}};
@@ -623,9 +565,11 @@ double ChunkAllocator::copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
     return dev.write(dst_off, c.dram_, c.size_, stream, crc_state);
   }
 
-  // Walk the payload in offset order, alternating logged dirty ranges
-  // (written, CRC fused) and clean gaps (CRC fed from the slot's own
-  // bytes -- the checksum must describe what the commit will publish).
+  // Walk the payload in offset order, alternating dirty ranges (written,
+  // CRC fused) and clean gaps. Clean gaps feed the CRC from the slot's
+  // own bytes, not from DRAM: a store racing this walk could change DRAM
+  // after the gap was classified clean, and the checksum must describe
+  // the slot content the commit will publish.
   double secs = 0;
   std::uint64_t pos = 0;
   for (const vmem::DirtyRange& r : pending) {
@@ -756,6 +700,21 @@ RestoreStatus ChunkAllocator::restore_chunk_epoch(Chunk& c,
   }
   c.tracker_.mark_dirty();  // restored data is not yet re-checkpointed
   return RestoreStatus::kOkStale;
+}
+
+std::uint64_t ChunkAllocator::restore_older_epoch(Chunk& c,
+                                                  std::uint64_t epoch) {
+  const std::vector<std::uint64_t> epochs = retained_epochs(c);
+  // With epoch 0 the walk starts below the newest committed version
+  // (epochs[0]), the one that just failed verification.
+  const std::uint64_t below =
+      epoch != 0 ? epoch : (epochs.empty() ? 0 : epochs[0]);
+  for (const std::uint64_t e : epochs) {
+    if (e >= below) continue;
+    const RestoreStatus st = restore_chunk_epoch(c, e);
+    if (st == RestoreStatus::kOk || st == RestoreStatus::kOkStale) return e;
+  }
+  return 0;
 }
 
 std::vector<std::uint64_t> ChunkAllocator::retained_epochs(

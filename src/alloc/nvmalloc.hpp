@@ -15,7 +15,10 @@
 // Checkpoint primitives (used by core::CheckpointManager to implement
 // nvchkptall / nvchkptid and the pre-copy engines):
 //   precopy_chunk()           -> DRAM -> in-progress NVM slot, flushed, no
-//                                commit; tolerates concurrent re-dirtying
+//                                commit; tolerates concurrent re-dirtying.
+//                                Copies the whole chunk, or under
+//                                kMprotectPage/kWriteLog only the dirty
+//                                byte ranges the tracker collected
 //   commit_chunk()            -> flip the committed-slot pointer for a
 //                                chunk whose in-progress slot holds epoch
 //                                data (crash-safe ordering)
@@ -55,11 +58,12 @@ class ChunkAllocator {
     vmem::TrackMode track_mode = vmem::TrackMode::kMprotect;
     /// Verify checksums when restoring.
     bool verify_checksums = true;
-    /// kWriteLog: merge logged ranges whose gap is <= this many bytes
-    /// before copying (-1: NVMCP_DIRTY_LOG_MERGE_GAP, default 512).
+    /// kWriteLog and kMprotectPage: merge dirty ranges (logged writes or
+    /// faulted page runs) whose gap is <= this many bytes before copying
+    /// (-1: NVMCP_DIRTY_LOG_MERGE_GAP, default 512).
     long dirty_log_merge_gap = -1;
-    /// kWriteLog: fall back to a whole-chunk copy when merged logged
-    /// coverage exceeds this fraction of the chunk (-1:
+    /// kWriteLog and kMprotectPage: fall back to a whole-chunk copy when
+    /// merged dirty coverage exceeds this fraction of the chunk (-1:
     /// NVMCP_DIRTY_LOG_MAX_COVERAGE, default 0.5).
     double dirty_log_max_coverage = -1;
     /// Committed epochs retained per chunk (0: NVMCP_EPOCH_RING_DEPTH,
@@ -202,6 +206,11 @@ class ChunkAllocator {
   /// committed epoch followed by the older epochs retained in its ring.
   std::vector<std::uint64_t> retained_epochs(const Chunk& c) const;
 
+  /// Rollback walk: restore the newest retained epoch older than `epoch`
+  /// (0: older than the newest committed one) whose slot still verifies.
+  /// Returns that epoch, or 0 when none does.
+  std::uint64_t restore_older_epoch(Chunk& c, std::uint64_t epoch);
+
   /// Read the payload of any retained epoch into caller memory without
   /// touching the chunk's DRAM buffer (delta-codec base reads: the remote
   /// sender XORs against it, restore decode re-reads it). Epoch 0 or the
@@ -225,18 +234,11 @@ class ChunkAllocator {
   std::size_t pending_slot_count() const;
   void reset_pending_lists(Chunk& c);
   void reset_pending_slot(Chunk& c, std::uint32_t slot);
-  /// Page-level tracking mode: copy only the pages pending for pending
-  /// list `slot` into the device region at `dst_off`, folding every
-  /// payload byte (copied or clean) into `crc_state` so the whole-chunk
-  /// checksum comes out of the same pass.
-  double copy_dirty_pages_locked(Chunk& c, std::uint32_t slot,
-                                 std::uint64_t dst_off,
-                                 BandwidthLimiter* stream,
-                                 std::uint64_t* crc_state);
-  /// kWriteLog: copy only the logged dirty byte ranges pending for `slot`
-  /// (merged, clamped, with whole-chunk fallback past the coverage
-  /// threshold), folding every payload byte into `crc_state` like the
-  /// page-level path.
+  /// kMprotectPage and kWriteLog: copy only the dirty byte ranges pending
+  /// for pending list `slot` (merged, clamped, with whole-chunk fallback
+  /// past the coverage threshold) into the device region at `dst_off`,
+  /// folding every payload byte (copied or clean) into `crc_state` so the
+  /// whole-chunk checksum comes out of the same pass.
   double copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
                                   std::uint64_t dst_off,
                                   BandwidthLimiter* stream,

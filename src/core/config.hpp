@@ -67,12 +67,13 @@ struct CheckpointConfig {
   /// (useful when only the shared device limit should apply).
   double nvm_bw_per_core = 400.0 * MiB;
 
-  /// Copier threads for the coordinated commit (nvchkptall), restore_all
-  /// and the background pre-copy scan. Each worker drives its own
-  /// NVMBW_core stream limiter (the paper's concurrent-copier model,
-  /// Fig 4) while the device-global limiter still caps the aggregate.
-  /// 0 = resolve from the NVMCP_COPY_THREADS environment variable,
-  /// defaulting to 1 (serial); an explicit value ignores the environment.
+  /// Copier workers for the coordinated commit (nvchkptall), restore_all
+  /// and the background pre-copy scan: the calling thread plus
+  /// copy_threads - 1 pool threads. Each worker drives its own NVMBW_core
+  /// stream limiter (the paper's concurrent-copier model, Fig 4) while
+  /// the device-global limiter still caps the aggregate. 0 = resolve from
+  /// the NVMCP_COPY_THREADS environment variable, defaulting to 1 (the
+  /// caller alone); an explicit value ignores the environment.
   std::size_t copy_threads = 0;
 
   /// Cadence of the background pre-copy scan loop.

@@ -35,6 +35,16 @@ std::vector<std::vector<alloc::Chunk*>> shard_by_size(
   return out;
 }
 
+/// Fold `st` into an atomic worst-so-far status (RestoreStatus values are
+/// ordered by severity).
+void fold_worst(std::atomic<int>& worst, RestoreStatus st) {
+  const int v = static_cast<int>(st);
+  int cur = worst.load(std::memory_order_relaxed);
+  while (v > cur &&
+         !worst.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
+  }
+}
+
 }  // namespace
 
 std::size_t resolve_copy_threads(std::size_t configured) {
@@ -60,17 +70,17 @@ CodecMode resolve_codec_mode(CodecMode configured) {
 
 CheckpointManager::CheckpointManager(alloc::ChunkAllocator& allocator,
                                      CheckpointConfig cfg)
-    : alloc_(&allocator), cfg_(cfg), stream_(cfg.nvm_bw_per_core),
-      prediction_(cfg.learn_alpha),
+    : alloc_(&allocator), cfg_(cfg), prediction_(cfg.learn_alpha),
       copy_threads_(resolve_copy_threads(cfg.copy_threads)),
       batch_rearm_(resolve_batch_rearm(cfg.batch_rearm)) {
+  // Worker 0 is whichever thread calls in; the pool runs the others.
   if (copy_threads_ > 1) {
-    pool_ = std::make_unique<ThreadPool>(copy_threads_);
-    worker_streams_.reserve(copy_threads_);
-    for (std::size_t i = 0; i < copy_threads_; ++i) {
-      worker_streams_.push_back(
-          std::make_unique<BandwidthLimiter>(cfg.nvm_bw_per_core));
-    }
+    pool_ = std::make_unique<ThreadPool>(copy_threads_ - 1);
+  }
+  worker_streams_.reserve(copy_threads_);
+  for (std::size_t i = 0; i < copy_threads_; ++i) {
+    worker_streams_.push_back(
+        std::make_unique<BandwidthLimiter>(cfg.nvm_bw_per_core));
   }
   // An arena-owned (shared) directory means the arena owns GC policy too:
   // a per-tenant manager must not run a device-wide reclamation thread.
@@ -134,19 +144,20 @@ void CheckpointManager::run_sharded(
     const std::function<void(alloc::Chunk&, BandwidthLimiter*)>& op) {
   const auto shards = shard_by_size(work, copy_threads_);
   std::vector<std::future<void>> futs;
-  futs.reserve(shards.size());
-  for (std::size_t w = 0; w < shards.size(); ++w) {
+  for (std::size_t w = 1; w < shards.size(); ++w) {
     if (shards[w].empty()) continue;
-    BandwidthLimiter* stream =
-        shared_stream_ ? shared_stream_ : worker_streams_[w].get();
-    const std::vector<alloc::Chunk*>& shard = shards[w];
-    futs.push_back(pool_->submit([&op, &shard, stream] {
-      for (alloc::Chunk* c : shard) op(*c, stream);
+    futs.push_back(pool_->submit([&op, &shard = shards[w], s = stream(w)] {
+      for (alloc::Chunk* c : shard) op(*c, s);
     }));
   }
-  // Join every worker before surfacing a failure so no task outlives the
-  // shard vectors (or the lock the caller holds).
   std::exception_ptr first;
+  try {
+    for (alloc::Chunk* c : shards[0]) op(*c, stream(0));
+  } catch (...) {
+    first = std::current_exception();
+  }
+  // Join every pool task before surfacing a failure so no task outlives
+  // the shard vectors (or the lock the caller holds).
   for (auto& f : futs) {
     try {
       f.get();
@@ -172,7 +183,7 @@ bool CheckpointManager::threshold_reached() const {
   if (learned_interval_ <= 0) return false;  // still in the learning phase
   // Under a tenant trunk the DCPC threshold adapts to the *granted* rate:
   // less bandwidth means copies take longer, so pre-copy starts earlier.
-  double rate = shared_stream_ ? shared_stream_->rate() : stream_.rate();
+  double rate = stream(0)->rate();
   if (rate <= 0) {
     rate = alloc_->container().device().config().spec.write_bandwidth;
   }
@@ -196,7 +207,6 @@ void CheckpointManager::precopy_loop() {
                          cfg_.local_policy == PrecopyPolicy::kDcpcp;
     if (delayed && !threshold_reached()) continue;
 
-    const std::uint64_t epoch = next_epoch();
     // The application may nvdelete chunks while this thread works from
     // its snapshot: every touch of a chunk goes through with_live.
     std::vector<alloc::Chunk*> eligible;
@@ -218,64 +228,50 @@ void CheckpointManager::precopy_loop() {
       }
     });
 
-    if (copy_threads_ > 1 && eligible.size() > 1) {
-      // Sharded scan: up to copy_threads_ chunks move concurrently per
-      // batch, each on its own NVMBW_core stream. The checkpoint mutex is
-      // held per batch (not for the whole scan) so the coordinated step
-      // can still preempt between batches, as it could between chunks.
-      for (std::size_t i = 0; i < eligible.size(); i += copy_threads_) {
-        if (!running_.load(std::memory_order_acquire)) return;
-        const std::size_t end =
-            std::min(eligible.size(), i + copy_threads_);
-        precopy_batch({eligible.begin() + static_cast<std::ptrdiff_t>(i),
-                       eligible.begin() + static_cast<std::ptrdiff_t>(end)},
-                      epoch);
-      }
-      continue;
-    }
-
-    for (alloc::Chunk* c : eligible) {
+    // Up to copy_threads_ chunks move concurrently per batch, each on its
+    // own NVMBW_core stream. The checkpoint mutex is held per batch (not
+    // for the whole scan) so the coordinated step can still preempt
+    // between batches.
+    for (std::size_t i = 0; i < eligible.size(); i += copy_threads_) {
       if (!running_.load(std::memory_order_acquire)) return;
-      std::lock_guard<std::mutex> lock(ckpt_mu_);
-      alloc_->with_live({c}, [&](const auto& live) {
-        // Deleted, or raced with the coordinated step.
-        if (live.empty() || !c->dirty_local()) return;
-        telemetry::Span span("precopy_chunk", "ckpt.local");
-        m_.precopy_seconds->add(
-            alloc_->precopy_chunk(*c, epoch, serial_stream()));
-        m_.bytes_precopied->add(c->size());
-        m_.precopy_passes->add(1);
-      });
+      const std::size_t end = std::min(eligible.size(), i + copy_threads_);
+      precopy_batch({eligible.begin() + static_cast<std::ptrdiff_t>(i),
+                     eligible.begin() + static_cast<std::ptrdiff_t>(end)});
     }
   }
 }
 
 void CheckpointManager::precopy_batch(
-    const std::vector<alloc::Chunk*>& batch, std::uint64_t epoch) {
+    const std::vector<alloc::Chunk*>& batch) {
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<std::uint64_t> passes{0};
   std::atomic<std::uint64_t> nanos{0};
-  {
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    telemetry::Span span("precopy_batch", "ckpt.local");
-    alloc_->with_live(batch, [&](const std::vector<alloc::Chunk*>& live) {
-      // Batched re-arm: one coalesced protect_batch instead of one
-      // mprotect per chunk in each worker; precopy_chunk still re-arms a
-      // chunk a fault or notify disarmed since (see arm_chunks).
-      const bool batched = batch_rearm_ && live.size() > 1;
-      if (batched) alloc_->arm_chunks(live);
-      run_sharded(live, [&, batched](alloc::Chunk& c,
-                                     BandwidthLimiter* stream) {
-        if (!c.dirty_local()) return;  // raced with the coordinated step
-        const double secs = alloc_->precopy_chunk(c, epoch, stream, batched);
-        bytes.fetch_add(c.size(), std::memory_order_relaxed);
-        passes.fetch_add(1, std::memory_order_relaxed);
-        nanos.fetch_add(static_cast<std::uint64_t>(secs * 1e9),
-                        std::memory_order_relaxed);
-      });
+  std::lock_guard<std::mutex> lock(ckpt_mu_);
+  telemetry::Span span("precopy_batch", "ckpt.local");
+  // The epoch is read under the commit mutex, not at scan time: a
+  // coordinated step between the scan and this batch advances it, and a
+  // copy tagged with the stale epoch would clear the dirty flag without
+  // ever being committed -- the next step would skip the chunk as
+  // unmodified and lose its stores.
+  const std::uint64_t epoch = next_epoch();
+  alloc_->with_live(batch, [&](const std::vector<alloc::Chunk*>& live) {
+    // Batched re-arm: one coalesced protect_batch instead of one mprotect
+    // per chunk in each worker; precopy_chunk still re-arms a chunk a
+    // fault or notify disarmed since (see arm_chunks).
+    const bool batched = batch_rearm_ && live.size() > 1;
+    if (batched) alloc_->arm_chunks(live);
+    run_sharded(live, [&, batched](alloc::Chunk& c, BandwidthLimiter* s) {
+      if (!c.dirty_local()) return;  // raced with the coordinated step
+      const double secs = alloc_->precopy_chunk(c, epoch, s, batched);
+      bytes.fetch_add(c.size(), std::memory_order_relaxed);
+      passes.fetch_add(1, std::memory_order_relaxed);
+      nanos.fetch_add(static_cast<std::uint64_t>(secs * 1e9),
+                      std::memory_order_relaxed);
     });
-  }
-  // Per-worker tallies merge into the registry once, after the join.
+  });
+  // Per-worker tallies merge into the registry once, after the join and
+  // before the mutex is released: a caller that takes the commit mutex
+  // sees every finished batch counted.
   m_.bytes_precopied->add(bytes.load(std::memory_order_relaxed));
   m_.precopy_seconds->add(
       static_cast<double>(nanos.load(std::memory_order_relaxed)) * 1e-9);
@@ -340,21 +336,14 @@ double CheckpointManager::nvchkptall() {
   const bool batched = batch_rearm_ && residual.size() > 1;
   if (batched) alloc_->arm_chunks(residual);
 
-  if (copy_threads_ > 1 && residual.size() > 1) {
-    // Sharded commit: each worker copies+commits its own chunks on its
-    // own NVMBW_core stream. Workers never share a chunk, every commit
-    // touches only that chunk's record, and ckpt_mu_ is held across the
-    // join, so the crash-ordering of each per-chunk commit is unchanged
-    // from the serial path.
-    run_sharded(residual, [this, epoch, batched](alloc::Chunk& c,
-                                                 BandwidthLimiter* stream) {
-      alloc_->checkpoint_chunk(c, epoch, stream, batched);
-    });
-  } else {
-    for (alloc::Chunk* c : residual) {
-      alloc_->checkpoint_chunk(*c, epoch, serial_stream(), batched);
-    }
-  }
+  // Sharded commit: each worker copies+commits its own chunks on its own
+  // NVMBW_core stream. Workers never share a chunk, every commit touches
+  // only that chunk's record, and ckpt_mu_ is held across the join, so
+  // each per-chunk commit keeps its crash ordering.
+  run_sharded(residual, [this, epoch, batched](alloc::Chunk& c,
+                                               BandwidthLimiter* s) {
+    alloc_->checkpoint_chunk(c, epoch, s, batched);
+  });
 
   next_epoch_.fetch_add(1, std::memory_order_acq_rel);
   const double blocking = sw.elapsed();
@@ -395,7 +384,7 @@ double CheckpointManager::nvchkptid(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   telemetry::Span span("nvchkptid", "ckpt.local");
   const std::uint64_t epoch = next_epoch();
-  const double secs = alloc_->checkpoint_chunk(*c, epoch, serial_stream());
+  const double secs = alloc_->checkpoint_chunk(*c, epoch, stream(0));
   m_.bytes_coordinated->add(c->size());
   return secs;
 }
@@ -407,28 +396,14 @@ RestoreStatus CheckpointManager::restore_all() {
   for (alloc::Chunk* c : alloc_->chunks()) {
     if (c->persistent()) work.push_back(c);
   }
-  if (copy_threads_ > 1 && work.size() > 1) {
-    // Sharded restore: NVM reads are fast (Table I) but still metered by
-    // the device-global limiter, so concurrent readers overlap their
-    // throttle sleeps. The worst status is folded with an atomic max
-    // (RestoreStatus values are ordered by severity).
-    std::atomic<int> worst{static_cast<int>(RestoreStatus::kOk)};
-    run_sharded(work, [this, &worst](alloc::Chunk& c, BandwidthLimiter*) {
-      const int st = static_cast<int>(alloc_->restore_chunk(c));
-      int cur = worst.load(std::memory_order_relaxed);
-      while (st > cur &&
-             !worst.compare_exchange_weak(cur, st,
-                                          std::memory_order_relaxed)) {
-      }
-    });
-    return static_cast<RestoreStatus>(worst.load(std::memory_order_relaxed));
-  }
-  RestoreStatus worst = RestoreStatus::kOk;
-  for (alloc::Chunk* c : work) {
-    const RestoreStatus st = alloc_->restore_chunk(*c);
-    if (static_cast<int>(st) > static_cast<int>(worst)) worst = st;
-  }
-  return worst;
+  // Sharded restore: NVM reads are fast (Table I) but still metered by
+  // the device-global limiter, so concurrent readers overlap their
+  // throttle sleeps.
+  std::atomic<int> worst{static_cast<int>(RestoreStatus::kOk)};
+  run_sharded(work, [this, &worst](alloc::Chunk& c, BandwidthLimiter*) {
+    fold_worst(worst, alloc_->restore_chunk(c));
+  });
+  return static_cast<RestoreStatus>(worst.load(std::memory_order_relaxed));
 }
 
 bool CheckpointManager::restore_deferred(std::uint64_t id) const {
@@ -476,25 +451,15 @@ CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
   std::atomic<int> rolled_back{0};
   auto restore_one = [&](alloc::Chunk& c) {
     RestoreStatus st = alloc_->restore_chunk_epoch(c, epoch);
-    if (st == RestoreStatus::kChecksumMismatch ||
-        st == RestoreStatus::kNoData) {
-      // Target epoch bad or gone: walk back to the newest older retained
-      // epoch that still verifies.
-      for (const std::uint64_t e : alloc_->retained_epochs(c)) {
-        if (epoch != 0 && e >= epoch) continue;
-        const RestoreStatus alt = alloc_->restore_chunk_epoch(c, e);
-        if (alt == RestoreStatus::kOk || alt == RestoreStatus::kOkStale) {
-          st = RestoreStatus::kOkStale;
-          rolled_back.fetch_add(1, std::memory_order_relaxed);
-          break;
-        }
-      }
+    if ((st == RestoreStatus::kChecksumMismatch ||
+         st == RestoreStatus::kNoData) &&
+        alloc_->restore_older_epoch(c, epoch) != 0) {
+      // Target epoch bad or gone: restored the newest older retained
+      // epoch that still verifies instead.
+      st = RestoreStatus::kOkStale;
+      rolled_back.fetch_add(1, std::memory_order_relaxed);
     }
-    int cur = worst.load(std::memory_order_relaxed);
-    const int sti = static_cast<int>(st);
-    while (sti > cur && !worst.compare_exchange_weak(
-                            cur, sti, std::memory_order_relaxed)) {
-    }
+    fold_worst(worst, st);
     // Admit commits for this chunk from the next round on -- even when
     // its restore failed: leaving it deferred forever would silently
     // exclude it from every future checkpoint.
@@ -502,25 +467,26 @@ CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
     restore_pending_.erase(c.id());
   };
 
-  // Dedicated worker threads rather than the shared copier pool: commit
-  // rounds shard over that pool, and restore shards queued ahead of them
-  // would serialize the very commits this path exists to admit.
-  const std::size_t nworkers =
-      std::max<std::size_t>(1, std::min(copy_threads_, work.size()));
-  if (nworkers > 1) {
-    const auto shards = shard_by_size(work, nworkers);
-    std::vector<std::thread> workers;
-    workers.reserve(shards.size());
-    for (const auto& shard : shards) {
-      if (shard.empty()) continue;
-      workers.emplace_back([&restore_one, &shard] {
-        for (alloc::Chunk* c : shard) restore_one(*c);
-      });
-    }
-    for (auto& w : workers) w.join();
-  } else {
-    for (alloc::Chunk* c : work) restore_one(*c);
+  // Shard 0 on the caller, the rest on dedicated threads rather than the
+  // shared copier pool: commit rounds shard over that pool, and restore
+  // shards queued ahead of them would serialize the very commits this
+  // path exists to admit.
+  const auto shards = shard_by_size(work, copy_threads_);
+  std::vector<std::thread> workers;
+  for (std::size_t w = 1; w < shards.size(); ++w) {
+    if (shards[w].empty()) continue;
+    workers.emplace_back([&restore_one, &shard = shards[w]] {
+      for (alloc::Chunk* c : shard) restore_one(*c);
+    });
   }
+  std::exception_ptr failed;
+  try {
+    for (alloc::Chunk* c : shards[0]) restore_one(*c);
+  } catch (...) {
+    failed = std::current_exception();
+  }
+  for (auto& w : workers) w.join();
+  if (failed) std::rethrow_exception(failed);
 
   if (epoch != 0) {
     for (alloc::Chunk* c : work) alloc_->unpin_epoch(*c, epoch);

@@ -11,6 +11,11 @@
 // The manager learns the checkpoint interval I and data size D after the
 // first coordinated checkpoint and continuously adapts the DCPC threshold
 // T_p = I - margin * (D / NVMBW_core).
+//
+// Every copy (commit, pre-copy, restore) takes one path at every worker
+// count: chunks shard size-balanced over copy_threads() workers, worker 0
+// being the calling thread and the rest a pool, each on its own
+// NVMBW_core stream (Fig 4's per-core copiers).
 #pragma once
 
 #include <atomic>
@@ -72,19 +77,20 @@ class CheckpointManager {
     std::uint64_t commits_deferred = 0;
   };
 
-  /// Streaming restart: restore persistent chunks one by one on dedicated
-  /// worker threads (copy_threads() of them, size-balanced shards) while
-  /// the application keeps computing and committing. nvchkptall admits
-  /// commits for chunks already restored and defers the rest, so the
-  /// restart stops being a barrier: a chunk becomes commit-eligible the
-  /// moment its own payload is back. `epoch` 0 means the newest epoch,
-  /// resolved once under the commit mutex while the chunks register: each
-  /// chunk restores its newest committed version, which the admission
-  /// rule keeps from moving until it is restored. A nonzero epoch
-  /// restores that retained epoch (ring mode), pinning every source slot
-  /// up front so neither the GC nor a concurrent commit can reclaim it
-  /// mid-restore. If a chunk's target fails verification the restore
-  /// walks back to the newest older retained epoch that still verifies.
+  /// Streaming restart: restore persistent chunks in copy_threads()
+  /// size-balanced shards, shard 0 on the calling thread and the rest on
+  /// dedicated threads, while the application keeps computing and
+  /// committing. nvchkptall admits commits for chunks already restored
+  /// and defers the rest, so the restart stops being a barrier: a chunk
+  /// becomes commit-eligible the moment its own payload is back. `epoch`
+  /// 0 means the newest epoch, resolved once under the commit mutex while
+  /// the chunks register: each chunk restores its newest committed
+  /// version, which the admission rule keeps from moving until it is
+  /// restored. A nonzero epoch restores that retained epoch (ring mode),
+  /// pinning every source slot up front so neither the GC nor a
+  /// concurrent commit can reclaim it mid-restore. If a chunk's target
+  /// fails verification the restore walks back to the newest older
+  /// retained epoch that still verifies.
   /// The application must not touch a chunk until it has been restored
   /// (the admission rule covers commits, not application loads).
   StreamingRestoreReport restore_streaming(std::uint64_t epoch = 0);
@@ -120,12 +126,8 @@ class CheckpointManager {
   /// commit pass so remote rounds see a stable cut.
   std::mutex& commit_mutex() { return ckpt_mu_; }
 
-  /// Per-rank NVM write stream limiter (NVMBW_core). Shared between the
-  /// pre-copy engine and the coordinated step of this rank.
-  BandwidthLimiter& stream_limiter() { return stream_; }
-
   /// Multi-tenant arena mode: route every copy stream of this manager
-  /// (the serial path, every sharded worker, and the pre-copy engine)
+  /// (every copier worker, for commits, pre-copy and nvchkptid alike)
   /// through one shared trunk limiter owned by the tenant's stream group
   /// instead of the private per-worker NVMBW_core streams. Concurrent
   /// workers acquiring one limiter share it fairly, so the tenant's
@@ -134,11 +136,11 @@ class CheckpointManager {
   /// the new grant effective immediately. Call before start(); nullptr
   /// restores the private streams.
   void set_shared_stream(BandwidthLimiter* trunk) { shared_stream_ = trunk; }
-  BandwidthLimiter* shared_stream() const { return shared_stream_; }
 
-  /// Resolved copier-thread count (config knob or NVMCP_COPY_THREADS).
-  /// 1 = the serial legacy data path; >1 = sharded commit/restore/pre-copy
-  /// across an internal pool, one NVMBW_core stream per worker.
+  /// Resolved copier-thread count (config knob or NVMCP_COPY_THREADS):
+  /// commit, restore and pre-copy shard their chunks over this many
+  /// workers, the calling thread plus copy_threads() - 1 pool threads,
+  /// one NVMBW_core stream per worker.
   std::size_t copy_threads() const { return copy_threads_; }
 
   /// Background version-ring GC, or nullptr when the allocator runs at
@@ -150,39 +152,36 @@ class CheckpointManager {
  private:
   void precopy_loop();
   bool threshold_reached() const;
-  void end_interval_bookkeeping(double blocking_secs,
-                                std::uint64_t bytes_this_ckpt);
   /// Sum per-chunk tracker counters (faults, fault time, log bytes/drops)
   /// plus the process-global mprotect count into the vmem.* gauges.
   void refresh_vmem_metrics() const;
 
   /// Run `op(chunk, worker_stream)` over `work`, sharded size-balanced
-  /// (largest-first) across the copier pool; joins every worker before
-  /// returning and rethrows the first worker exception. Requires
-  /// copy_threads_ > 1. Caller holds ckpt_mu_.
+  /// (largest-first) into copy_threads_ shards: shard 0 runs on the
+  /// calling thread, the others on the pool. Joins every pool task before
+  /// returning and rethrows the first exception. Caller holds ckpt_mu_.
   void run_sharded(
       const std::vector<alloc::Chunk*>& work,
       const std::function<void(alloc::Chunk&, BandwidthLimiter*)>& op);
-  /// Pre-copy one batch (<= copy_threads_ chunks) under ckpt_mu_,
-  /// merging byte/pass/seconds tallies into the telemetry counters.
-  void precopy_batch(const std::vector<alloc::Chunk*>& batch,
-                     std::uint64_t epoch);
+  /// Pre-copy one batch (<= copy_threads_ chunks) for the upcoming epoch
+  /// under ckpt_mu_, merging byte/pass/seconds tallies into the telemetry
+  /// counters before the mutex is released.
+  void precopy_batch(const std::vector<alloc::Chunk*>& batch);
 
-  /// stream_ unless a tenant trunk is installed.
-  BandwidthLimiter* serial_stream() {
-    return shared_stream_ ? shared_stream_ : &stream_;
+  /// Worker w's NVMBW_core stream, unless a tenant trunk is installed.
+  BandwidthLimiter* stream(std::size_t w) const {
+    return shared_stream_ ? shared_stream_ : worker_streams_[w].get();
   }
 
   alloc::ChunkAllocator* alloc_;
   CheckpointConfig cfg_;
-  BandwidthLimiter stream_;
   BandwidthLimiter* shared_stream_ = nullptr;  // non-owning tenant trunk
   PredictionTable prediction_;
 
-  // Parallel data path: resolved worker count, lazily absent pool (only
-  // built for copy_threads_ > 1) and one per-worker NVMBW_core stream so
-  // concurrent copiers model the paper's per-core bandwidth while the
-  // device-global limiter caps the aggregate.
+  // Data path: resolved worker count, the pool behind workers 1.. (absent
+  // at one worker) and one NVMBW_core stream per worker so concurrent
+  // copiers model the paper's per-core bandwidth while the device-global
+  // limiter caps the aggregate.
   std::size_t copy_threads_ = 1;
   std::unique_ptr<ThreadPool> pool_;
   std::vector<std::unique_ptr<BandwidthLimiter>> worker_streams_;

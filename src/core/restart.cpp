@@ -58,20 +58,6 @@ bool RestartCoordinator::fetch_remote(alloc::Chunk& c) {
   return true;
 }
 
-std::uint64_t RestartCoordinator::rollback_chunk(alloc::Chunk& c) {
-  auto& allocator = mgr_->allocator();
-  const auto epochs = allocator.retained_epochs(c);
-  // epochs[0] is the newest committed version -- the one that just failed
-  // verification -- so the walk starts at the next-older retained epoch.
-  for (std::size_t i = 1; i < epochs.size(); ++i) {
-    const RestoreStatus st = allocator.restore_chunk_epoch(c, epochs[i]);
-    if (st == RestoreStatus::kOk || st == RestoreStatus::kOkStale) {
-      return epochs[i];
-    }
-  }
-  return 0;
-}
-
 bool RestartCoordinator::try_parity_rebuild(
     RestartReport& rep, std::vector<alloc::Chunk*>& failed,
     RestoreStatus& worst) {
@@ -122,10 +108,11 @@ RestartReport RestartCoordinator::restart_soft() {
       st = RestoreStatus::kOkFromRemote;
       ++rep.chunks_remote;
       rep.bytes_remote += c->size();
-    } else if (const std::uint64_t rb = rollback_chunk(*c)) {
+    } else if (const std::uint64_t rb = allocator.restore_older_epoch(*c, 0)) {
       // Newest epoch corrupt and no remote copy: an older retained epoch
-      // beats losing the chunk. The cut may now mix epochs across chunks;
-      // rollback_epoch flags that for the caller to judge.
+      // (ring mode; depth 1 has none) beats losing the chunk. The cut may
+      // now mix epochs across chunks; rollback_epoch flags that for the
+      // caller to judge.
       st = RestoreStatus::kOkStale;
       ++rep.chunks_rolled_back;
       rep.bytes_rolled_back += c->size();

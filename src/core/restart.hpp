@@ -87,12 +87,6 @@ class RestartCoordinator {
   RestartReport restart_soft();
   RestartReport restart_hard();
   bool fetch_remote(alloc::Chunk& c);
-  /// Ring-mode fallback when the newest epoch is corrupt and the remote
-  /// path failed: walk the chunk's retained epochs newest-first and
-  /// restore the first older one that verifies. Returns the epoch
-  /// restored, or 0 if none verified (depth-1 chunks have no older
-  /// epochs and always return 0).
-  std::uint64_t rollback_chunk(alloc::Chunk& c);
   /// Fire the parity_rebuild hook for `failed` chunks; on success they
   /// are re-counted as parity-recovered and the list is cleared.
   bool try_parity_rebuild(RestartReport& rep,

@@ -2,8 +2,8 @@
 // cap across tenants by priority + weighted fair share.
 //
 // Each tenant owns one StreamGroup — a single trunk BandwidthLimiter that
-// every copy stream of the tenant's CheckpointManager (serial path,
-// sharded workers, pre-copy engine) acquires from. This replaces the
+// every copy stream of the tenant's CheckpointManager (every copier
+// worker, for commits, pre-copy and nvchkptid alike) acquires from. This replaces the
 // single-tenant pattern of one private NVMBW_core stream per copy worker:
 // concurrent workers acquiring one limiter share it fairly, so the trunk
 // rate IS the tenant's aggregate grant. Grants are recomputed whenever a

@@ -305,27 +305,22 @@ WriteLogRegistry::Collected ProtectionManager::collect_dirty_ranges(
     int handle) {
   std::lock_guard<std::mutex> lock(mu_);
   Range* r = find_locked(handle);
-  if (!r->sink) return {};
-  return WriteLogRegistry::instance().collect(r->sink.get());
-}
-
-std::vector<std::size_t> ProtectionManager::collect_dirty_pages(int handle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const auto& r : ranges_) {
-    if (r->handle != handle) continue;
-    std::vector<std::size_t> out;
-    if (r->pages) {
-      // Clear each bit as it is collected (atomically per bit): a page
-      // dirtied concurrently either makes this batch or stays set for the
-      // next one -- never lost.
-      r->pages->for_each_set(0, r->pages->size(), [&](std::size_t i) {
-        out.push_back(i);
-        r->pages->clear(i);
-      });
+  if (r->sink) return WriteLogRegistry::instance().collect(r->sink.get());
+  WriteLogRegistry::Collected out;
+  if (!r->pages) return out;
+  // Clear each bit as it is collected (atomically per bit): a page dirtied
+  // concurrently either makes this batch or stays set for the next one --
+  // never lost. Adjacent pages coalesce into one run.
+  const std::size_t page = host_page_size();
+  r->pages->for_each_set(0, r->pages->size(), [&](std::size_t i) {
+    r->pages->clear(i);
+    if (!out.ranges.empty() && out.ranges.back().end() == i * page) {
+      out.ranges.back().len += page;
+    } else {
+      out.ranges.push_back({i * page, page});
     }
-    return out;
-  }
-  throw NvmcpError("ProtectionManager: unknown handle");
+  });
+  return out;
 }
 
 bool ProtectionManager::is_protected(int handle) const {

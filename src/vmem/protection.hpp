@@ -77,7 +77,9 @@ struct WriteTracker {
 ///                  marked individually. This is the approach the paper
 ///                  argues against ("handling a page protection fault can
 ///                  take 6-12 usec, and 3 sec for 1 GB of data") -- kept so
-///                  the ablation bench can reproduce that comparison.
+///                  the ablation bench can reproduce that comparison. The
+///                  faulted pages reach the copier as coalesced byte
+///                  ranges, the same input the write log produces.
 /// kSoftware      - explicit notify_write() from the application/driver.
 /// kWriteLog      - per-thread append-only dirty logs: the application
 ///                  (or chunk hook) calls log_write(off, len) after each
@@ -136,13 +138,11 @@ class ProtectionManager {
   /// lifetime, suitable for caching in the chunk). nullptr in other modes.
   DirtyLogSink* log_sink(int handle);
 
-  /// kWriteLog: drain the per-thread logs and hand back this range's
-  /// accumulated dirty byte ranges (+ whole-chunk overflow flag).
+  /// Hand back the byte ranges dirtied since the last collection. kWriteLog
+  /// drains the per-thread logs into this range's accumulated ranges
+  /// (+ whole-chunk overflow flag); kMprotectPage drains the faulted pages
+  /// as coalesced page-aligned runs. Empty for other modes.
   WriteLogRegistry::Collected collect_dirty_ranges(int handle);
-
-  /// Page-level mode: drain the set of pages (indices within the range)
-  /// dirtied since they were last collected. Empty for other modes.
-  std::vector<std::size_t> collect_dirty_pages(int handle);
 
   // --- lazy restore ------------------------------------------------------
   /// Outcome of a lazy restore armed on a range.
@@ -200,7 +200,7 @@ class ProtectionManager {
     TrackMode mode = TrackMode::kSoftware;
     std::atomic<bool> armed{false};
     int handle = -1;
-    /// Page-level mode only: per-page dirty bits since last protect().
+    /// Page-level mode only: per-page dirty bits since last collected.
     std::unique_ptr<AtomicBitmap> pages;
     /// kWriteLog only: destination of logged writes for this range.
     std::unique_ptr<DirtyLogSink> sink;

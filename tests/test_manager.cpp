@@ -294,6 +294,9 @@ void fill_chunk(alloc::Chunk& c, std::uint64_t seed) {
 /// run so serial and sharded runs can be compared field by field.
 struct CommitObservation {
   std::uint64_t bytes_coordinated = 0;
+  std::uint64_t bytes_precopied = 0;
+  std::uint64_t precopy_passes = 0;
+  std::uint64_t committed_from_precopy = 0;
   std::uint64_t local_checkpoints = 0;
   std::uint64_t committed_epoch = 0;
   std::vector<std::uint64_t> checksums;  // committed slot, per chunk
@@ -302,7 +305,7 @@ struct CommitObservation {
 };
 
 CommitObservation run_and_observe(std::size_t copy_threads) {
-  Stack s = make_stack(PrecopyPolicy::kNone, copy_threads);
+  Stack s = make_stack(PrecopyPolicy::kCpc, copy_threads);
   EXPECT_EQ(s.mgr->copy_threads(), copy_threads);
   // Two checkpoints with a partial re-dirty in between, so the second
   // commit exercises recopy, skip and (non-persistent) ignore together.
@@ -314,10 +317,32 @@ CommitObservation run_and_observe(std::size_t copy_threads) {
     fill_chunk(*s.chunks[i], 200 + i);
   }
   s.mgr->nvchkptall();
+  // Then one background pre-copy round over the other half (precopy_batch
+  // at this worker count), so the third commit only flips pointers.
+  for (std::size_t i = 1; i < s.chunks.size(); i += 2) {
+    fill_chunk(*s.chunks[i], 300 + i);
+  }
+  s.mgr->start();
+  const Stopwatch sw;
+  auto any_dirty = [&] {
+    for (const alloc::Chunk* c : s.chunks) {
+      if (c->persistent() && c->dirty_local()) return true;
+    }
+    return false;
+  };
+  while (any_dirty() && sw.elapsed() < 5.0) precise_sleep(1e-3);
+  // The engine clears a chunk's flag as its copy starts, under the commit
+  // mutex: taking the mutex waits for the last batch to finish.
+  { const std::lock_guard<std::mutex> lock(s.mgr->commit_mutex()); }
+  s.mgr->stop();
+  s.mgr->nvchkptall();
 
   CommitObservation ob;
   const CheckpointStats st = s.mgr->stats();
   ob.bytes_coordinated = st.bytes_coordinated;
+  ob.bytes_precopied = st.bytes_precopied;
+  ob.precopy_passes = st.precopy_passes;
+  ob.committed_from_precopy = st.chunks_committed_from_precopy;
   ob.local_checkpoints = st.local_checkpoints;
   ob.committed_epoch = s.mgr->committed_epoch();
   for (alloc::Chunk* c : s.chunks) {
@@ -340,14 +365,21 @@ CommitObservation run_and_observe(std::size_t copy_threads) {
   return ob;
 }
 
-// The tentpole's equivalence criterion: sharding the commit across 4
-// workers must change nothing observable — same coordinated bytes, same
-// per-chunk committed checksums and epochs, same restored payloads.
+// Sharding the commit and the pre-copy across 4 workers must change
+// nothing observable against one worker: same coordinated and pre-copied
+// bytes, same per-chunk committed checksums and epochs, same restored
+// payloads.
 TEST_F(ManagerTest, ParallelCommitMatchesSerialByteForByte) {
   const CommitObservation serial = run_and_observe(1);
   const CommitObservation sharded = run_and_observe(4);
 
+  // The pre-copy round covered the three persistent odd-index chunks.
+  EXPECT_EQ(serial.precopy_passes, 3u);
+  EXPECT_EQ(serial.committed_from_precopy, 3u);
   EXPECT_EQ(serial.bytes_coordinated, sharded.bytes_coordinated);
+  EXPECT_EQ(serial.bytes_precopied, sharded.bytes_precopied);
+  EXPECT_EQ(serial.precopy_passes, sharded.precopy_passes);
+  EXPECT_EQ(serial.committed_from_precopy, sharded.committed_from_precopy);
   EXPECT_EQ(serial.local_checkpoints, sharded.local_checkpoints);
   EXPECT_EQ(serial.committed_epoch, sharded.committed_epoch);
   ASSERT_EQ(serial.checksums.size(), sharded.checksums.size());
@@ -692,9 +724,13 @@ TEST(StreamingRestore, WalksBackWhenTheTargetEpochFailsVerification) {
 
   fill_seeded(*a, 999);
   fill_seeded(*b, 999);
+  const std::uint64_t reads0 = s.dev->stats().read_calls;
   const auto rep = s.mgr->restore_streaming();
   EXPECT_EQ(rep.status, RestoreStatus::kOkStale);
   EXPECT_EQ(rep.chunks_rolled_back, 1);
+  // a reads its corrupt newest slot once, then walks straight to the
+  // epoch below it (2 reads); b reads its newest slot (1 read).
+  EXPECT_EQ(s.dev->stats().read_calls - reads0, 2u + 1u);
   // a fell back to its newest older epoch that still verifies; b is intact
   // at the newest.
   EXPECT_TRUE(matches_seed(*a, 10 + 2));

@@ -1,6 +1,7 @@
 // Page-level write tracking (the ablation the paper argues against):
-// per-page faults, per-slot pending sets, incremental page copies, and
-// correctness of checkpoints built from page deltas.
+// per-page faults, dirty pages collected as coalesced byte ranges,
+// incremental range copies with the coverage fallback, and correctness of
+// checkpoints built from page deltas.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -30,13 +31,23 @@ TEST(PageTracking, EachPageFaultsIndividually) {
   p[0 * page] = std::byte{1};
   p[3 * page] = std::byte{1};
   p[3 * page + 100] = std::byte{1};  // same page: no extra fault
+  p[4 * page + 8] = std::byte{1};    // next page: its own fault
   p[7 * page] = std::byte{1};
 
-  EXPECT_EQ(tracker.faults.load(), 3u);
-  const auto dirty = mgr.collect_dirty_pages(h);
-  EXPECT_EQ(dirty, (std::vector<std::size_t>{0, 3, 7}));
+  EXPECT_EQ(tracker.faults.load(), 4u);
+  // Dirty pages come back as byte ranges, adjacent pages coalesced:
+  // pages [0,1), [3,5) and [7,8).
+  const auto dirty = mgr.collect_dirty_ranges(h);
+  EXPECT_FALSE(dirty.whole);
+  ASSERT_EQ(dirty.ranges.size(), 3u);
+  EXPECT_EQ(dirty.ranges[0].off, 0 * page);
+  EXPECT_EQ(dirty.ranges[0].len, 1 * page);
+  EXPECT_EQ(dirty.ranges[1].off, 3 * page);
+  EXPECT_EQ(dirty.ranges[1].len, 2 * page);
+  EXPECT_EQ(dirty.ranges[2].off, 7 * page);
+  EXPECT_EQ(dirty.ranges[2].len, 1 * page);
   // Drained: second collection is empty.
-  EXPECT_TRUE(mgr.collect_dirty_pages(h).empty());
+  EXPECT_TRUE(mgr.collect_dirty_ranges(h).ranges.empty());
 
   mgr.unprotect(h);
   mgr.unregister_range(h);
@@ -126,6 +137,34 @@ TEST_F(PagedAllocTest, SecondCheckpointCopiesOnlyDirtyPages) {
   EXPECT_LT(delta, 3 * page) << "one dirty page should move ~one page";
 
   // And the restored image is still exact.
+  std::vector<std::byte> snapshot(c->size());
+  std::memcpy(snapshot.data(), c->data(), c->size());
+  fill(*c, 9);
+  EXPECT_EQ(allocator_->restore_chunk(*c), RestoreStatus::kOk);
+  EXPECT_EQ(0, std::memcmp(c->data(), snapshot.data(), c->size()));
+}
+
+TEST_F(PagedAllocTest, DenseDirtyPagesCommitInOneDeviceWrite) {
+  const std::size_t page = vmem::ProtectionManager::host_page_size();
+  alloc::Chunk* c = allocator_->nvalloc("dense", 16 * page, true);
+  fill(*c, 1);
+  allocator_->checkpoint_chunk(*c, 1);  // slot A: full initial copy
+  allocator_->checkpoint_chunk(*c, 2);  // slot B: full initial copy
+
+  // Dirty 10 of 16 pages, non-adjacent runs included: past the coverage
+  // threshold (half the chunk) one whole-chunk write beats six range
+  // writes.
+  auto* p = static_cast<std::byte*>(c->data());
+  for (const std::size_t pg : {0, 1, 2, 4, 5, 7, 9, 10, 12, 15}) {
+    p[pg * page + 17] = static_cast<std::byte>(pg + 1);
+  }
+  const NvmDeviceStats before = dev_->stats();
+  allocator_->checkpoint_chunk(*c, 3);
+  const NvmDeviceStats after = dev_->stats();
+  EXPECT_EQ(after.write_calls - before.write_calls, 1u);
+  // The whole payload moved (plus the record's in-place metadata bytes).
+  EXPECT_GE(after.bytes_written - before.bytes_written, c->size());
+
   std::vector<std::byte> snapshot(c->size());
   std::memcpy(snapshot.data(), c->data(), c->size());
   fill(*c, 9);

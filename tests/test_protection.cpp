@@ -338,13 +338,16 @@ TEST(Protection, ConcurrentWritersVsBatchRearmConserveRecords) {
   const std::uint64_t drops0 = reg.total_drops();
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerWriter = 5000;
+  // Each writer wraps around its own quarter of the buffer, so no two
+  // writers ever store to the same byte.
+  const std::uint64_t stripe = buf.size() / kWriters;
   std::atomic<bool> go{false};
   std::vector<std::thread> writers;
   for (int w = 0; w < kWriters; ++w) {
     writers.emplace_back([&, w] {
       while (!go.load(std::memory_order_acquire)) {}
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
-        const std::uint64_t off = ((w * kPerWriter + i) * 8) % buf.size();
+        const std::uint64_t off = w * stripe + (i * 8) % stripe;
         buf[off] = std::byte{static_cast<unsigned char>(i)};
         reg.append(sink, off, 8);
       }

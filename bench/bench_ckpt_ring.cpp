@@ -2,12 +2,13 @@
 // rollback-to-older-epoch byte verification, saturation-driven GC
 // reclamation, and the Graph500 frontier-burst workload end-to-end.
 //
-// The two-slot scheme keeps one committed version per chunk; the ring
-// retains the last N. This bench answers the questions that retention
-// raises: what does depth cost on the commit path (it re-points slot
-// bookkeeping, it must not add copies), does rollback to a retained epoch
-// actually reproduce the old bytes, and does the GC pull a saturated
-// device back down without ever touching the newest version.
+// Depth 1, the paper's two-slot alternation, keeps one committed version
+// per chunk (plus the previous one until the next commit reuses its
+// slot); depth N retains the last N. This bench answers the questions
+// that retention raises: what does depth cost on the commit path (it
+// re-points slot bookkeeping, it must not add copies), does rollback to a
+// retained epoch actually reproduce the old bytes, and does the GC pull a
+// saturated device back down without ever touching the newest version.
 //
 // Output: console table + bench_ckpt_ring.csv + a RunReport JSON.
 //

@@ -2,8 +2,8 @@
 // cross-tenant crash containment on one shared NVM device.
 //
 // The tenant arena partitions a device-global bandwidth cap by priority +
-// weighted fair share (work-conserving), meters every tenant's version-
-// slot footprint against its capacity quota, and bounds concurrently
+// weighted fair share (work-conserving), meters every tenant's ring-slot
+// footprint against its capacity quota, and bounds concurrently
 // running coordinated rounds with an admission controller. This bench
 // measures what those mechanisms buy: a latency-sensitive tenant's commit
 // throughput with and without a saturating bulk neighbour, quota
@@ -17,7 +17,8 @@
 //              the high-priority tenant keeps >= 70% of its solo commit
 //              throughput (the scheduler's 16:1 share should land ~94%).
 //   2. quota:  no tenant's charged footprint ever exceeds its limit, and
-//              a depth-1 allocation pushing past the quota throws.
+//              at depth 1 a commit that finds no ring slot within the
+//              quota is refused while the neighbour commits untouched.
 //   3. chaos:  tenant A hard-crashes mid-commit while B commits and C
 //              streams a restore; B and C byte-verify, A recovers via the
 //              restart walk with no undetected loss.
@@ -102,10 +103,14 @@ double run_rounds(TenantCtx& t, int rounds, std::uint64_t salt,
   return static_cast<double>(admitted) * kChunks * kChunkBytes / blocking;
 }
 
-/// Gate 2b (depth-1 arena): the upfront two-slot charge must throw when
-/// an allocation pushes a tenant past its quota -- and leave the
-/// neighbour tenant untouched.
-bool check_quota_throw(std::string* detail) {
+/// Gate 2b (depth-1 arena): quota is charged per ring slot when a commit
+/// acquires it. Two 1 MiB chunks under a 3 MiB quota hold two epochs each
+/// only with four slots, so the second round must refuse the commit that
+/// finds no slot within the quota (the "quota exhausted" throw from
+/// VersionRing::acquire_for_commit) without the quota ever peaking past
+/// its limit -- and the unmetered neighbour must allocate, commit and
+/// read back untouched.
+bool check_quota_refusal(std::string* detail) {
   tenant::TenantArena::Options aopts;
   aopts.device.capacity = 64 * MiB;
   aopts.device.throttle = false;
@@ -115,7 +120,7 @@ bool check_quota_throw(std::string* detail) {
 
   tenant::TenantSpec ts;
   ts.name = "capped";
-  ts.quota_bytes = 3 * 2 * (1 * MiB);  // room for exactly three 1 MiB chunks
+  ts.quota_bytes = 3 * (1 * MiB);
   ts.track_mode = vmem::TrackMode::kSoftware;
   ts.ckpt.local_policy = core::PrecopyPolicy::kNone;
   tenant::TenantHandle& capped = arena.create_tenant(ts);
@@ -125,24 +130,38 @@ bool check_quota_throw(std::string* detail) {
   tn.quota_bytes = 0;
   tenant::TenantHandle& neighbour = arena.create_tenant(tn);
 
-  for (int i = 0; i < 3; ++i) {
-    capped.nvalloc("ok" + std::to_string(i), 1 * MiB, true);
+  std::vector<alloc::Chunk*> cs;
+  for (int i = 0; i < 2; ++i) {
+    cs.push_back(capped.nvalloc("ok" + std::to_string(i), 1 * MiB, true));
   }
-  bool threw = false;
-  try {
-    capped.nvalloc("overflow", 1 * MiB, true);
-  } catch (const NvmcpError&) {
-    threw = true;
+  std::string refusal;
+  for (std::uint64_t round = 0; round < 2 && refusal.empty(); ++round) {
+    for (std::size_t i = 0; i < cs.size(); ++i) refill(*cs[i], 10 * round + i);
+    try {
+      capped.checkpoint();
+    } catch (const NvmcpError& e) {
+      refusal = e.what();
+    }
   }
-  if (!threw) {
-    *detail = "over-quota nvalloc did not throw";
+  if (refusal.find("quota") == std::string::npos) {
+    *detail = refusal.empty() ? "over-quota commit was not refused"
+                              : "commit refused for another reason: " +
+                                    refusal;
     return false;
   }
-  // The neighbour's unmetered allocation must be unaffected by the
-  // capped tenant's exhaustion.
+  if (capped.quota().peak() > capped.quota().limit()) {
+    *detail = "quota peak exceeded its limit";
+    return false;
+  }
+  // The neighbour's unmetered allocation and commit must be unaffected by
+  // the capped tenant's exhaustion.
   alloc::Chunk* c = neighbour.nvalloc("big", 4 * MiB, true);
-  if (c == nullptr || capped.quota().used() > capped.quota().limit()) {
-    *detail = "neighbour allocation failed or quota overshot";
+  refill(*c, 99);
+  std::vector<std::byte> back(c->size());
+  if (!neighbour.checkpoint().admitted ||
+      !neighbour.allocator().read_committed(*c, back.data()) ||
+      std::memcmp(back.data(), c->data(), back.size()) != 0) {
+    *detail = "neighbour allocation or commit failed";
     return false;
   }
   return true;
@@ -238,20 +257,21 @@ int run(bool smoke) {
 
   // Gate 2: quota adherence. peak <= limit must hold for every tenant
   // (ring pressure resolves by self-eviction, never overshoot), and the
-  // directed depth-1 over-quota allocation must throw.
+  // directed depth-1 over-quota commit must be refused.
   const bool adhered =
       high.h->quota().peak() <= high.h->quota().limit() &&
       bulk.h->quota().peak() <= bulk.h->quota().limit() &&
       high.h->quota().used() > 0;
   std::string qdetail;
-  const bool quota_throw_ok = check_quota_throw(&qdetail);
-  const bool quota_ok = adhered && quota_throw_ok;
-  std::printf("  quota gate: peak<=limit %s, over-quota throw %s%s\n",
-              adhered ? "OK" : "FAIL", quota_throw_ok ? "OK" : "FAIL",
-              quota_throw_ok ? "" : (" (" + qdetail + ")").c_str());
+  const bool refusal_ok = check_quota_refusal(&qdetail);
+  const bool quota_ok = adhered && refusal_ok;
+  std::printf("  quota gate: peak<=limit %s, over-quota commit refused "
+              "%s%s\n",
+              adhered ? "OK" : "FAIL", refusal_ok ? "OK" : "FAIL",
+              refusal_ok ? "" : (" (" + qdetail + ")").c_str());
   Json& qg = report.section("quota_gate");
   qg["adhered"] = adhered;
-  qg["throw_ok"] = quota_throw_ok;
+  qg["refusal_ok"] = refusal_ok;
   qg["high_peak"] = static_cast<std::uint64_t>(high.h->quota().peak());
   qg["bulk_peak"] = static_cast<std::uint64_t>(bulk.h->quota().peak());
 

@@ -128,12 +128,13 @@ int main() {
   helper.stop();
   manager.stop();
 
-  // Disaster: the whole node's NVM is corrupted (both version slots of
-  // every chunk), then the job is restarted from the buddy.
+  // Disaster: the whole node's NVM is corrupted (every ring slot of every
+  // chunk), then the job is restarted from the buddy.
   for (alloc::Chunk* c : allocator.chunks()) {
-    const auto& rec = c->record();
-    device.data()[rec.slot_off[0]] ^= std::byte{0xFF};
-    device.data()[rec.slot_off[1]] ^= std::byte{0xFF};
+    for (const epoch::RingSlot& slot :
+         allocator.epoch_directory()->ring(c->id())->snapshot_slots()) {
+      if (slot.off) device.data()[slot.off] ^= std::byte{0xFF};
+    }
   }
   for (std::size_t i = 0; i < kParticles; ++i) particles.x[i] = -1;
 

@@ -1,10 +1,11 @@
 // A chunk: one checkpointed application variable.
 //
 // Shadow buffering (paper Fig 3): the application computes against a DRAM
-// working buffer; the chunk additionally owns two shadow slots in NVM (a
-// committed version and an in-progress version). The allocator/checkpoint
-// engine moves data across the DRAM->NVM boundary; the application never
-// stores to NVM directly, avoiding the 10x store-latency penalty.
+// working buffer; the chunk additionally owns a version ring of NVM slots
+// (at depth 1, the paper's committed version plus an in-progress one).
+// The allocator/checkpoint engine moves data across the DRAM->NVM
+// boundary; the application never stores to NVM directly, avoiding the
+// 10x store-latency penalty.
 #pragma once
 
 #include <atomic>
@@ -80,19 +81,9 @@ class Chunk {
 
   vmem::TrackMode track_mode() const { return mode_; }
 
-  /// Epoch of the payload sitting in the in-progress slot from a pre-copy,
-  /// 0 if none. Managed by the checkpoint engine.
+  /// Epoch of the payload sitting in the acquired ring slot from a
+  /// pre-copy, 0 if none. Managed by the checkpoint engine.
   std::uint64_t precopied_epoch() const { return precopied_epoch_; }
-
-  /// Sampled-entropy estimate of the payload in bits/byte, refreshed by
-  /// every copy pass (the codec probe fused into precopy, like the CRC).
-  /// -1 until the chunk has been copied once. A hint, not a guarantee:
-  /// concurrent stores may have changed the payload since.
-  double entropy_hint() const {
-    const std::uint32_t v =
-        entropy_millibits_.load(std::memory_order_relaxed);
-    return v == kEntropyUnknown ? -1.0 : static_cast<double>(v) / 1000.0;
-  }
 
   vmem::ChunkRecord& record() { return *record_; }
   const vmem::ChunkRecord& record() const { return *record_; }
@@ -123,21 +114,14 @@ class Chunk {
   std::uint64_t precopied_epoch_ = 0;
   std::uint64_t pending_checksum_ = 0;
 
-  /// Millibits/byte from the last copy pass's entropy probe (relaxed
-  /// atomic: written by the copier, read by the remote helper's codec
-  /// tuner on another thread).
-  static constexpr std::uint32_t kEntropyUnknown = ~0u;
-  std::atomic<std::uint32_t> entropy_millibits_{kEntropyUnknown};
-
-  // kMprotectPage and kWriteLog only: per-NVM-slot pending dirty byte
+  // kMprotectPage and kWriteLog only: per-ring-slot pending dirty byte
   // ranges (a faulted page run or logged write stays pending for a slot
-  // until copied into it). Guarded by the manager's checkpoint mutex. Two
-  // slots in the legacy two-slot scheme, kMaxRingSlots with a ring.
+  // until copied into it), one list per slot within the ring's budget of
+  // depth + 1. Guarded by the manager's checkpoint mutex.
   std::vector<std::vector<vmem::DirtyRange>> slot_ranges_pending_;
 
-  // Multi-version mode only (allocator ring_depth > 1): this chunk's
-  // version ring, plus the ring slot acquired by the last pre-copy and
-  // not yet committed (kNoRingSlot when none).
+  // This chunk's version ring, plus the ring slot acquired by the last
+  // pre-copy and not yet committed (kNoRingSlot when none).
   static constexpr std::uint32_t kNoRingSlot = ~0u;
   epoch::VersionRing* ring_ = nullptr;
   std::uint32_t ring_slot_ = kNoRingSlot;

@@ -9,7 +9,6 @@
 #include "common/checksum.hpp"
 #include "common/env.hpp"
 #include "common/log.hpp"
-#include "compress/codec.hpp"
 
 namespace nvmcp::alloc {
 namespace {
@@ -65,32 +64,18 @@ ChunkAllocator::ChunkAllocator(vmem::Container& container, Options opts)
     // tenants share the container's single epoch region.
     dir_ = opts_.shared_dir;
     ring_depth_ = dir_->ring_depth();
-  } else if (ring_depth_ > 1) {
+  } else {
     owned_dir_ = std::make_unique<epoch::EpochDirectory>(
         container, epoch::EpochDirectory::Options{ring_depth_});
     dir_ = owned_dir_.get();
-  } else if (container.metadata().header().epoch_region_off != 0) {
-    // Depth 1 is the paper's two-slot scheme: no directory, no ring
-    // records, zero extra NVM traffic. It cannot address ring slots, so a
-    // container written at depth > 1 is refused rather than migrated.
-    throw NvmcpError(
-        "nvalloc: container holds version rings; reopen it at depth > 1");
   }
 }
 
 ChunkAllocator::~ChunkAllocator() {
   std::unique_lock lock(mu_);
-  for (auto& c : chunks_) {
-    // Legacy two-slot regions are claimed per allocator lifetime: credit
-    // the quota so a reattached tenant handle re-charges them cleanly.
-    // Ring footprints stay charged — the ring (and its quota pointer)
-    // outlives this handle inside the shared directory.
-    if (opts_.quota && !c->ring_ && c->record_) {
-      if (c->record_->slot_off[0]) opts_.quota->credit(c->record_->size);
-      if (c->record_->slot_off[1]) opts_.quota->credit(c->record_->size);
-    }
-    release_chunk_locked(*c, /*free_regions=*/false);
-  }
+  // Ring footprints stay charged to their quota: the ring (and its quota
+  // pointer) outlives this handle inside the directory.
+  for (auto& c : chunks_) release_chunk_locked(*c, /*free_regions=*/false);
   chunks_.clear();
 }
 
@@ -131,43 +116,16 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
   auto& meta = container_->metadata();
   vmem::ChunkRecord* rec = meta.find(id);
   const bool fresh_record = rec == nullptr;
-  if (fresh_record) {
-    rec = meta.insert(id, name);
-  } else if (rec->size != size) {
-    // Size changed across sessions: old payload cannot be restored; replace
-    // the version slots. With a ring the record's slot offsets alias ring
-    // slots, so the drop (which frees every retained region) is the only
-    // free -- freeing slot_off too would double-free.
-    if (dir_ && dir_->ring(id)) {
-      dir_->drop_ring(id);
-    } else {
-      if (rec->slot_off[0]) container_->free_region(rec->slot_off[0],
-                                                    rec->size);
-      if (rec->slot_off[1]) container_->free_region(rec->slot_off[1],
-                                                    rec->size);
-    }
+  if (fresh_record) rec = meta.insert(id, name);
+  if (rec->size != size) {
+    // A new record, or a size changed across sessions (the old payload
+    // cannot be restored). Version slots live in the ring, which takes
+    // them (and charges the quota) at the first commit that needs them;
+    // the record's offsets alias the ring slot each commit publishes, and
+    // ensure_ring below drops a ring of the old size.
+    rec->size = size;
     rec->slot_off[0] = 0;
     rec->slot_off[1] = 0;
-    rec->committed = vmem::ChunkRecord::kNoneCommitted;
-    rec->size = 0;
-  }
-  // Depth-1 chunks claim both version slots for the life of this handle;
-  // the quota is charged up front (enforcement at acquisition), whether
-  // the regions are carved fresh below or re-claimed from a reattach.
-  // Ring-mode footprints are charged by the ring itself as slots allocate.
-  if (!dir_ && opts_.quota) opts_.quota->charge(2 * size);
-  if (rec->size == 0) {
-    rec->size = size;
-    if (dir_) {
-      // Ring mode: version slots live in the ring and are allocated
-      // lazily at first commit; the record's offsets are filled when a
-      // commit publishes, aliasing the ring slot it landed in.
-      rec->slot_off[0] = 0;
-      rec->slot_off[1] = 0;
-    } else {
-      rec->slot_off[0] = container_->alloc_region(size);
-      rec->slot_off[1] = container_->alloc_region(size);
-    }
     rec->committed = vmem::ChunkRecord::kNoneCommitted;
     if (persistent) rec->flags |= vmem::ChunkRecord::kPersistent;
     meta.persist_record(*rec);
@@ -199,7 +157,7 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
   const std::size_t track_len = c.owns_dram_ ? c.dram_capacity_ : c.size_;
   c.prot_handle_ = vmem::ProtectionManager::instance().register_range(
       c.dram_, track_len, &c.tracker_, c.mode_);
-  if (dir_) c.ring_ = dir_->ensure_ring(id, size, opts_.quota);
+  c.ring_ = dir_->ensure_ring(id, size, opts_.quota);
   if (c.mode_ == vmem::TrackMode::kWriteLog) {
     c.log_sink_ =
         vmem::ProtectionManager::instance().log_sink(c.prot_handle_);
@@ -220,18 +178,14 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
   return out;
 }
 
-std::size_t ChunkAllocator::pending_slot_count() const {
-  return dir_ ? epoch::kMaxRingSlots : 2;
-}
-
 void ChunkAllocator::reset_pending_lists(Chunk& c) {
   if (!tracks_ranges(c.mode_)) return;
-  c.slot_ranges_pending_.assign(pending_slot_count(),
+  c.slot_ranges_pending_.assign(c.ring_->slot_budget(),
                                 std::vector<vmem::DirtyRange>{{0, c.size_}});
 }
 
 void ChunkAllocator::reset_pending_slot(Chunk& c, std::uint32_t slot) {
-  if (tracks_ranges(c.mode_)) c.slot_ranges_pending_[slot] = {{0, c.size_}};
+  if (has_pending_list(c, slot)) c.slot_ranges_pending_[slot] = {{0, c.size_}};
 }
 
 Chunk* ChunkAllocator::nvrealloc(std::uint64_t id, std::size_t new_size) {
@@ -250,72 +204,39 @@ Chunk* ChunkAllocator::nvrealloc(std::uint64_t id, std::size_t new_size) {
   vmem::ChunkRecord& rec = *c->record_;
   auto& dev = container_->device();
 
-  if (dir_) {
-    // Ring mode: older retained epochs have the old size and cannot carry
-    // over; keep only the committed payload prefix, re-ring at the new
-    // size, and republish it as the sole retained epoch.
-    std::vector<std::byte> tmp;
-    std::uint64_t keep_epoch = 0;
-    const bool had_committed = rec.has_committed();
-    if (had_committed) {
-      const std::size_t keep = std::min<std::size_t>(rec.size, new_size);
-      tmp.assign(new_size, std::byte{0});
-      dev.read(rec.slot_off[rec.committed], tmp.data(), keep);
-      keep_epoch = rec.epoch[rec.committed];
-    }
-    dir_->drop_ring(id);
-    rec.slot_off[0] = 0;
-    rec.slot_off[1] = 0;
-    rec.size = new_size;
-    rec.committed = vmem::ChunkRecord::kNoneCommitted;
-    c->ring_ = dir_->ensure_ring(id, new_size, opts_.quota);
-    c->ring_slot_ = Chunk::kNoRingSlot;
-    c->ring_slot_off_ = 0;
-    if (had_committed) {
-      const auto acq = c->ring_->acquire_for_commit();
-      std::uint64_t sum = crc64_init();
-      dev.write(acq.off, tmp.data(), new_size, nullptr, &sum);
-      dev.flush(acq.off, new_size);
-      const std::uint64_t crc = crc64_final(sum);
-      c->ring_->publish(acq.index, keep_epoch, crc);
-      rec.slot_off[0] = acq.off;
-      rec.checksum[0] = crc;
-      rec.epoch[0] = keep_epoch;
-      rec.committed = 0;
-    }
-    container_->metadata().persist_record(rec);
-  } else {
-    // New version slots; preserve the committed payload prefix. The quota
-    // is charged for the new pair before the old pair is credited, so the
-    // transient double-hold is enforced too (it is real device usage).
-    if (opts_.quota) opts_.quota->charge(2 * new_size);
-    const std::size_t new_slots[2] = {container_->alloc_region(new_size),
-                                      container_->alloc_region(new_size)};
-    std::uint32_t new_committed = vmem::ChunkRecord::kNoneCommitted;
-    std::uint64_t new_checksum = 0;
-    std::uint64_t new_epoch = 0;
-    if (rec.has_committed()) {
-      const std::size_t keep = std::min<std::size_t>(rec.size, new_size);
-      std::vector<std::byte> tmp(new_size, std::byte{0});
-      dev.read(rec.slot_off[rec.committed], tmp.data(), keep);
-      std::uint64_t sum = crc64_init();
-      dev.write(new_slots[0], tmp.data(), new_size, nullptr, &sum);
-      dev.flush(new_slots[0], new_size);
-      new_committed = 0;
-      new_checksum = crc64_final(sum);
-      new_epoch = rec.epoch[rec.committed];
-    }
-    container_->free_region(rec.slot_off[0], rec.size);
-    container_->free_region(rec.slot_off[1], rec.size);
-    if (opts_.quota) opts_.quota->credit(2 * rec.size);
-    rec.slot_off[0] = new_slots[0];
-    rec.slot_off[1] = new_slots[1];
-    rec.size = new_size;
-    rec.committed = new_committed;
-    rec.checksum[0] = new_checksum;
-    rec.epoch[0] = new_epoch;
-    container_->metadata().persist_record(rec);
+  // Older retained epochs have the old size and cannot carry over: keep
+  // only the committed payload prefix, re-ring at the new size, and
+  // republish it as the sole retained epoch.
+  std::vector<std::byte> tmp;
+  std::uint64_t keep_epoch = 0;
+  const bool had_committed = rec.has_committed();
+  if (had_committed) {
+    const std::size_t keep = std::min<std::size_t>(rec.size, new_size);
+    tmp.assign(new_size, std::byte{0});
+    dev.read(rec.slot_off[rec.committed], tmp.data(), keep);
+    keep_epoch = rec.epoch[rec.committed];
   }
+  dir_->drop_ring(id);
+  rec.slot_off[0] = 0;
+  rec.slot_off[1] = 0;
+  rec.size = new_size;
+  rec.committed = vmem::ChunkRecord::kNoneCommitted;
+  c->ring_ = dir_->ensure_ring(id, new_size, opts_.quota);
+  c->ring_slot_ = Chunk::kNoRingSlot;
+  c->ring_slot_off_ = 0;
+  if (had_committed) {
+    const auto acq = c->ring_->acquire_for_commit();
+    std::uint64_t sum = crc64_init();
+    dev.write(acq.off, tmp.data(), new_size, nullptr, &sum);
+    dev.flush(acq.off, new_size);
+    const std::uint64_t crc = crc64_final(sum);
+    c->ring_->publish(acq.index, keep_epoch, crc);
+    rec.slot_off[0] = acq.off;
+    rec.checksum[0] = crc;
+    rec.epoch[0] = keep_epoch;
+    rec.committed = 0;
+  }
+  container_->metadata().persist_record(rec);
 
   // Grow the DRAM working buffer, preserving contents.
   if (c->owns_dram_) {
@@ -358,22 +279,9 @@ void ChunkAllocator::release_chunk_locked(Chunk& c, bool free_regions) {
     vmem::ProtectionManager::instance().unregister_range(c.prot_handle_);
     c.prot_handle_ = -1;
   }
-  if (free_regions) {
-    if (dir_ && dir_->ring(c.id_)) {
-      // The record's slot offsets alias ring slots; dropping the ring is
-      // the only free (anything else would double-free those regions).
-      dir_->drop_ring(c.id_);
-    } else {
-      if (c.record_->slot_off[0]) {
-        container_->free_region(c.record_->slot_off[0], c.record_->size);
-        if (opts_.quota) opts_.quota->credit(c.record_->size);
-      }
-      if (c.record_->slot_off[1]) {
-        container_->free_region(c.record_->slot_off[1], c.record_->size);
-        if (opts_.quota) opts_.quota->credit(c.record_->size);
-      }
-    }
-  }
+  // The record's slot offsets alias ring slots: dropping the ring frees
+  // every region (and credits its quota).
+  if (free_regions) dir_->drop_ring(c.id_);
   c.ring_ = nullptr;
   c.ring_slot_ = Chunk::kNoRingSlot;
   if (c.owns_dram_ && c.dram_) {
@@ -414,24 +322,6 @@ void ChunkAllocator::with_live(
   fn(live);
 }
 
-AllocStats ChunkAllocator::stats() const {
-  std::shared_lock lock(mu_);
-  AllocStats s;
-  s.chunk_count = chunks_.size();
-  for (const auto& c : chunks_) {
-    s.total_payload_bytes += c->size();
-    if (c->ring_) {
-      // Ring slots allocate lazily and the GC trims them back, so count
-      // the regions actually held rather than a fixed two per chunk.
-      s.nvm_bytes_reserved +=
-          c->ring_->allocated_slots() * round_up(c->size(), kNvmPageSize);
-    } else {
-      s.nvm_bytes_reserved += 2 * round_up(c->size(), kNvmPageSize);
-    }
-  }
-  return s;
-}
-
 std::size_t ChunkAllocator::arm_chunks(const std::vector<Chunk*>& cs) {
   std::vector<int> handles;
   handles.reserve(cs.size());
@@ -448,6 +338,35 @@ std::size_t ChunkAllocator::arm_chunks(const std::vector<Chunk*>& cs) {
 double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
                                      BandwidthLimiter* stream,
                                      bool skip_arm) {
+  // Acquire the slot first: a refused acquisition (every reusable slot
+  // pinned, or the quota exhausted) then throws with the dirty flags
+  // untouched, so the chunk is retried next round, not skipped as clean.
+  // The slot holding the acknowledged version is never the one acquired.
+  auto& dev = container_->device();
+  if (c.ring_slot_ == Chunk::kNoRingSlot) {
+    const vmem::ChunkRecord& rec = *c.record_;
+    const auto acq = c.ring_->acquire_for_commit(
+        rec.has_committed() ? rec.slot_off[rec.committed] : 0);
+    c.ring_slot_ = acq.index;
+    c.ring_slot_off_ = acq.off;
+    if (acq.fresh) {
+      reset_pending_slot(c, acq.index);
+    } else if (acq.had_committed && has_pending_list(c, acq.index)) {
+      // Reusing a slot that still holds an older committed epoch: the
+      // incremental range copy folds the slot's clean bytes into the new
+      // checksum, which would launder any in-place corruption of those
+      // bytes into a committed-consistent state. Verify the slot against
+      // the checksum it was committed with and downgrade to a whole-chunk
+      // copy if it no longer matches.
+      std::uint64_t vsum = crc64_init();
+      vsum = crc64_update(vsum, dev.data() + acq.off, c.size_);
+      if (crc64_final(vsum) != acq.prev_checksum) {
+        dir_->note_slot_corruption();
+        reset_pending_slot(c, acq.index);
+      }
+    }
+  }
+
   // Snapshot the tracker's event count, arm tracking, clear the dirty
   // flag, then verify no event raced the clear: faults, notifies and log
   // appends bump the count *before* the dirty flags, so an unchanged count
@@ -473,57 +392,17 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
   // always verifies, and the racing store merely re-marks the chunk dirty
   // via the fault counter above so its value lands next epoch. (The old
   // CRC-then-copy order had a tear window between the two passes.)
-  auto& dev = container_->device();
-  const vmem::ChunkRecord& rec = *c.record_;
-  std::uint32_t slot;
-  std::uint64_t dst_off;
-  if (c.ring_) {
-    if (c.ring_slot_ == Chunk::kNoRingSlot) {
-      const auto acq = c.ring_->acquire_for_commit();
-      c.ring_slot_ = acq.index;
-      c.ring_slot_off_ = acq.off;
-      if (acq.fresh) {
-        reset_pending_slot(c, acq.index);
-      } else if (acq.had_committed && tracks_ranges(c.mode_)) {
-        // Reusing a slot that still holds an older committed epoch: the
-        // incremental range copy folds the slot's clean bytes into the
-        // new checksum, which would launder any in-place corruption of
-        // those bytes into a committed-consistent state. Verify the slot
-        // against the checksum it was committed with and downgrade to a
-        // whole-chunk copy if it no longer matches.
-        std::uint64_t vsum = crc64_init();
-        vsum = crc64_update(vsum, dev.data() + acq.off, c.size_);
-        if (crc64_final(vsum) != acq.prev_checksum) {
-          dir_->note_slot_corruption();
-          reset_pending_slot(c, acq.index);
-        }
-      }
-    }
-    slot = c.ring_slot_;
-    dst_off = c.ring_slot_off_;
-  } else {
-    slot = rec.in_progress_slot();
-    dst_off = rec.slot_off[slot];
-  }
+  const std::uint64_t dst_off = c.ring_slot_off_;
   std::uint64_t sum = crc64_init();
   double secs;
   if (tracks_ranges(c.mode_)) {
-    secs = copy_dirty_ranges_locked(c, slot, dst_off, stream, &sum);
+    secs = copy_dirty_ranges_locked(c, c.ring_slot_, dst_off, stream, &sum);
   } else {
     secs = dev.write(dst_off, c.dram_, c.size_, stream, &sum);
   }
   dev.flush(dst_off, c.size_);
   c.pending_checksum_ = crc64_final(sum);
   c.precopied_epoch_ = epoch;
-  // Codec probe, fused into the copy pass like the CRC: a strided sample
-  // of the payload just copied feeds the remote helper's codec tuner. Like
-  // the CRC it reads the slot, not DRAM, which the application may be
-  // storing into. The budget caps the probe at ~16 KiB regardless of
-  // chunk size, so this costs microseconds against a device copy.
-  c.entropy_millibits_.store(
-      static_cast<std::uint32_t>(
-          compress::entropy_probe(dev.data() + dst_off, c.size_) * 1000.0),
-      std::memory_order_relaxed);
   return secs;
 }
 
@@ -549,6 +428,10 @@ double ChunkAllocator::copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
         ranges.push_back({r.off, len});
       }
     }
+  }
+  if (!has_pending_list(c, slot)) {
+    // The all-pinned spill slot past the ring's budget keeps no list.
+    return dev.write(dst_off, c.dram_, c.size_, stream, crc_state);
   }
 
   auto& pending = c.slot_ranges_pending_[slot];
@@ -594,21 +477,19 @@ void ChunkAllocator::commit_chunk(Chunk& c, std::uint64_t epoch) {
     throw NvmcpError("commit_chunk: in-progress slot does not hold epoch " +
                      std::to_string(epoch));
   }
+  if (c.ring_slot_ == Chunk::kNoRingSlot) {
+    throw NvmcpError("commit_chunk: no acquired ring slot");
+  }
   vmem::ChunkRecord& rec = *c.record_;
   const std::uint32_t slot = rec.in_progress_slot();
-  if (c.ring_) {
-    if (c.ring_slot_ == Chunk::kNoRingSlot) {
-      throw NvmcpError("commit_chunk: no acquired ring slot");
-    }
-    // Publish in the ring first (older epochs stay addressable either
-    // way), then alias the record's in-progress slot to the ring slot and
-    // flip: the record remains the authority on the newest version, with
-    // the same persist-then-flip crash ordering as the two-slot scheme.
-    c.ring_->publish(c.ring_slot_, epoch, c.pending_checksum_);
-    rec.slot_off[slot] = c.ring_slot_off_;
-    c.ring_slot_ = Chunk::kNoRingSlot;
-    c.ring_slot_off_ = 0;
-  }
+  // Publish in the ring first (older epochs stay addressable either way),
+  // then alias the record's in-progress slot to the ring slot and flip:
+  // the record remains the authority on the newest version, persisted
+  // before the flip.
+  c.ring_->publish(c.ring_slot_, epoch, c.pending_checksum_);
+  rec.slot_off[slot] = c.ring_slot_off_;
+  c.ring_slot_ = Chunk::kNoRingSlot;
+  c.ring_slot_off_ = 0;
   rec.checksum[slot] = c.pending_checksum_;
   rec.epoch[slot] = epoch;
   // Persist payload metadata before the commit flip (crash ordering).
@@ -681,7 +562,6 @@ RestoreStatus ChunkAllocator::restore_chunk_epoch(Chunk& c,
       (rec.has_committed() && rec.epoch[rec.committed] == epoch)) {
     return restore_chunk(c);
   }
-  if (!c.ring_) return RestoreStatus::kNoData;
   // Pin before the lookup: a slot found and then read without a pin could
   // be reclaimed by the GC or reused by a racing commit mid-read.
   c.ring_->pin_epoch(epoch);
@@ -724,14 +604,12 @@ std::vector<std::uint64_t> ChunkAllocator::retained_epochs(
   const std::uint64_t newest =
       rec.has_committed() ? rec.epoch[rec.committed] : 0;
   if (newest) out.push_back(newest);
-  if (c.ring_) {
-    // Ring epochs arrive newest-first; anything >= the record's committed
-    // epoch is either the aliased newest slot or a commit that crashed
-    // between ring publish and record flip, which the record (the newest-
-    // version authority) never acknowledged.
-    for (const std::uint64_t e : c.ring_->retained_epochs()) {
-      if (e < newest) out.push_back(e);
-    }
+  // Ring epochs arrive newest-first; anything >= the record's committed
+  // epoch is either the aliased newest slot or a commit that crashed
+  // between ring publish and record flip, which the record (the newest-
+  // version authority) never acknowledged.
+  for (const std::uint64_t e : c.ring_->retained_epochs()) {
+    if (e < newest) out.push_back(e);
   }
   return out;
 }
@@ -743,7 +621,6 @@ bool ChunkAllocator::read_retained(Chunk& c, std::uint64_t epoch,
       (rec.has_committed() && rec.epoch[rec.committed] == epoch)) {
     return read_committed(c, dst);
   }
-  if (!c.ring_) return false;
   // Pin across the read: GC or a racing commit could otherwise reclaim
   // the slot mid-copy (same discipline as restore_chunk_epoch).
   c.ring_->pin_epoch(epoch);
@@ -760,11 +637,11 @@ bool ChunkAllocator::read_retained(Chunk& c, std::uint64_t epoch,
 }
 
 void ChunkAllocator::pin_epoch(Chunk& c, std::uint64_t epoch) {
-  if (c.ring_ && epoch) c.ring_->pin_epoch(epoch);
+  if (epoch) c.ring_->pin_epoch(epoch);
 }
 
 void ChunkAllocator::unpin_epoch(Chunk& c, std::uint64_t epoch) {
-  if (c.ring_ && epoch) c.ring_->unpin_epoch(epoch);
+  if (epoch) c.ring_->unpin_epoch(epoch);
 }
 
 }  // namespace nvmcp::alloc

@@ -3,25 +3,27 @@
 //
 //   genid(varname)            -> stable 64-bit id from a variable name
 //   nvalloc(id, size, pflg)   -> allocate a chunk (DRAM working buffer +
-//                                two shadow NVM version slots); with the
-//                                persistent flag on a reopened device the
-//                                committed payload is read back (restart)
+//                                a version ring whose NVM slots are taken
+//                                at the first commit that needs them);
+//                                with the persistent flag on a reopened
+//                                device the committed payload is read back
+//                                (restart)
 //   nv2dalloc(id, d1, d2)     -> 2D array convenience wrapper
 //   nvattach(id, src, size)   -> adopt existing app-owned DRAM and give it
-//                                shadow NVM slots (software dirty tracking)
+//                                a version ring (software dirty tracking)
 //   nvrealloc(id, size)       -> grow a chunk, preserving committed data
 //   nvdelete(id)              -> drop a chunk and free its NVM regions
 //
 // Checkpoint primitives (used by core::CheckpointManager to implement
 // nvchkptall / nvchkptid and the pre-copy engines):
-//   precopy_chunk()           -> DRAM -> in-progress NVM slot, flushed, no
+//   precopy_chunk()           -> DRAM -> acquired ring slot, flushed, no
 //                                commit; tolerates concurrent re-dirtying.
 //                                Copies the whole chunk, or under
 //                                kMprotectPage/kWriteLog only the dirty
 //                                byte ranges the tracker collected
-//   commit_chunk()            -> flip the committed-slot pointer for a
-//                                chunk whose in-progress slot holds epoch
-//                                data (crash-safe ordering)
+//   commit_chunk()            -> publish the acquired ring slot and flip
+//                                the record's committed-slot pointer to it
+//                                (crash-safe ordering)
 //   restore_chunk()           -> committed NVM slot -> DRAM with checksum
 //                                verification
 #pragma once
@@ -44,12 +46,6 @@ namespace nvmcp::alloc {
 /// FNV-1a 64-bit hash of a variable name; the paper's genid().
 std::uint64_t genid(std::string_view varname);
 
-struct AllocStats {
-  std::size_t chunk_count = 0;
-  std::size_t total_payload_bytes = 0;
-  std::size_t nvm_bytes_reserved = 0;  // 2x payload (two version slots)
-};
-
 class ChunkAllocator {
  public:
   struct Options {
@@ -67,19 +63,19 @@ class ChunkAllocator {
     /// NVMCP_DIRTY_LOG_MAX_COVERAGE, default 0.5).
     double dirty_log_max_coverage = -1;
     /// Committed epochs retained per chunk (0: NVMCP_EPOCH_RING_DEPTH,
-    /// default 1). Depth 1 is the paper's two-slot scheme, byte-for-byte;
-    /// depth N > 1 keeps the last N epochs in a per-chunk version ring
-    /// addressable through the epoch directory. Reopening a container at
-    /// the other layout throws NvmcpError; ring depths may change (4 -> 2).
+    /// default 1). Every chunk keeps its versions in a per-chunk ring of
+    /// depth + 1 slots addressable through the epoch directory; depth 1
+    /// is the paper's two-slot alternation. Ring depths may change across
+    /// reopens (1 -> 4 -> 2).
     int ring_depth = 0;
     /// Multi-tenant arena mode: use this epoch directory (owned by the
     /// arena, shared by every tenant — a container has exactly one epoch
     /// region) instead of creating one. Overrides ring_depth with the
     /// directory's depth.
     epoch::EpochDirectory* shared_dir = nullptr;
-    /// Per-tenant NVM capacity quota charged for every version-slot
-    /// region this allocator (and its rings) holds; enforced at
-    /// acquisition. nullptr = unmetered (single-tenant default).
+    /// Per-tenant NVM capacity quota charged for every ring slot region
+    /// this allocator's rings hold; enforced when a commit acquires a
+    /// slot. nullptr = unmetered (single-tenant default).
     vmem::CapacityQuota* quota = nullptr;
   };
 
@@ -102,7 +98,7 @@ class ChunkAllocator {
   Chunk* nv2dalloc(std::string_view varname, std::size_t dim1,
                    std::size_t dim2, std::size_t elem, bool persistent);
 
-  /// Adopt app-owned memory: creates shadow NVM slots for [src, src+size).
+  /// Adopt app-owned memory: gives [src, src+size) a version ring.
   /// Dirty tracking is software mode (call chunk->notify_write()).
   Chunk* nvattach(std::uint64_t id, void* src, std::size_t size,
                   std::string_view name = {});
@@ -128,13 +124,12 @@ class ChunkAllocator {
                  const std::function<void(const std::vector<Chunk*>&)>& fn)
       const;
 
-  AllocStats stats() const;
   vmem::Container& container() { return *container_; }
 
   // --- checkpoint primitives -------------------------------------------
-  /// Copy the DRAM payload into the chunk's in-progress NVM slot and flush
-  /// it; records the payload checksum and `epoch` in the chunk (not yet in
-  /// the persistent record). The checksum is computed inline with the copy
+  /// Copy the DRAM payload into a ring slot acquired for the next commit
+  /// and flush it; records the payload checksum and `epoch` in the chunk
+  /// (not yet in the persistent record). The checksum is computed inline with the copy
   /// (single pass over the payload). Clears dirty_local and re-arms
   /// protection *before* copying, so a store racing with the copy re-marks
   /// the chunk dirty and the torn slot is never committed. Thread-safe for
@@ -156,9 +151,9 @@ class ChunkAllocator {
   /// issued.
   std::size_t arm_chunks(const std::vector<Chunk*>& cs);
 
-  /// Crash-safe commit of the in-progress slot holding `epoch` data:
-  /// updates checksum/epoch fields, then flips the committed index, then
-  /// persists the record. Caller guarantees the slot is not torn (chunk
+  /// Crash-safe commit of the acquired slot holding `epoch` data:
+  /// publishes it in the ring, updates the record's checksum/epoch fields,
+  /// then flips the committed index, then persists the record. Caller guarantees the slot is not torn (chunk
   /// clean since its last precopy, or copied under a paused application).
   void commit_chunk(Chunk& c, std::uint64_t epoch);
 
@@ -186,9 +181,8 @@ class ChunkAllocator {
   /// restore-from-remote). Returns false on checksum mismatch.
   bool read_committed(const Chunk& c, void* dst) const;
 
-  // --- version ring (ring_depth > 1) -----------------------------------
-  /// The epoch directory, or nullptr when ring_depth == 1 (legacy
-  /// two-slot mode runs with zero ring overhead).
+  // --- version ring ----------------------------------------------------
+  /// The epoch directory (owned, or the arena's Options::shared_dir).
   epoch::EpochDirectory* epoch_directory() { return dir_; }
   /// False when the directory is arena-owned (Options::shared_dir): the
   /// arena then owns GC policy too, so per-tenant managers must not spin
@@ -220,8 +214,7 @@ class ChunkAllocator {
   bool read_retained(Chunk& c, std::uint64_t epoch, void* dst);
 
   /// Pin/unpin a retained epoch against reclamation (streaming-restore
-  /// sources, shipped delta-frame bases). No-ops without a ring or for
-  /// epoch 0.
+  /// sources, shipped delta-frame bases). No-ops for epoch 0.
   void pin_epoch(Chunk& c, std::uint64_t epoch);
   void unpin_epoch(Chunk& c, std::uint64_t epoch);
 
@@ -229,14 +222,19 @@ class ChunkAllocator {
   Chunk* alloc_common(std::uint64_t id, std::size_t size, bool persistent,
                       std::string_view name, void* attach_src);
   void release_chunk_locked(Chunk& c, bool free_regions);
-  /// Number of per-chunk pending-list slots (2 legacy, ring capacity with
-  /// a directory) and (re)initialization to whole-chunk-pending.
-  std::size_t pending_slot_count() const;
+  /// (Re)initialize a range-tracked chunk's pending lists, one per ring
+  /// slot within the budget, to whole-chunk-pending.
   void reset_pending_lists(Chunk& c);
   void reset_pending_slot(Chunk& c, std::uint32_t slot);
+  /// Slot `slot` keeps a pending range list: the chunk is range-tracked
+  /// and the slot lies within its ring's budget.
+  static bool has_pending_list(const Chunk& c, std::uint32_t slot) {
+    return slot < c.slot_ranges_pending_.size();
+  }
   /// kMprotectPage and kWriteLog: copy only the dirty byte ranges pending
-  /// for pending list `slot` (merged, clamped, with whole-chunk fallback
-  /// past the coverage threshold) into the device region at `dst_off`,
+  /// for ring slot `slot` (merged, clamped, with whole-chunk fallback past
+  /// the coverage threshold or for a slot past the ring's budget, which
+  /// keeps no list) into the device region at `dst_off`,
   /// folding every payload byte (copied or clean) into `crc_state` so the
   /// whole-chunk checksum comes out of the same pass.
   double copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
@@ -250,7 +248,7 @@ class ChunkAllocator {
   double log_max_coverage_ = 0.5;
   std::uint32_t ring_depth_ = 1;
   std::unique_ptr<epoch::EpochDirectory> owned_dir_;
-  epoch::EpochDirectory* dir_ = nullptr;  // owned_dir_ or Options::shared_dir
+  epoch::EpochDirectory* dir_;  // owned_dir_ or Options::shared_dir
 
   mutable std::shared_mutex mu_;
   std::vector<std::unique_ptr<Chunk>> chunks_;

@@ -72,22 +72,18 @@ compress::Codec CodecTuner::choose(CodecMode mode, double entropy_bits,
   // it honest once real ratios exist). A delta's residue entropy depends
   // on churn, not payload entropy, so its estimate blends the churn
   // fraction with the observed delta ratio.
-  const double probe_ratio =
-      entropy_bits >= 0 ? std::max(0.02, entropy_bits / 8.0) : 1.0;
-  double lz_ratio = ratio_[static_cast<int>(Codec::kLz)];
-  if (entropy_bits >= 0) {
-    lz_ratio = observed_[static_cast<int>(Codec::kLz)]
-                   ? std::max(lz_ratio, probe_ratio * 0.5)
-                   : probe_ratio;
-  }
+  const double probe_ratio = std::max(0.02, entropy_bits / 8.0);
+  const double lz_ratio =
+      observed_[static_cast<int>(Codec::kLz)]
+          ? std::max(ratio_[static_cast<int>(Codec::kLz)], probe_ratio * 0.5)
+          : probe_ratio;
   double delta_ratio = ratio_[static_cast<int>(Codec::kDelta)];
   if (!observed_[static_cast<int>(Codec::kDelta)]) {
     delta_ratio = std::min(1.0, churn + 0.02);
   }
 
   // Hard gates from the probe/predictor before the cost model runs.
-  const bool lz_viable =
-      entropy_bits < 0 || entropy_bits <= opts_.entropy_max;
+  const bool lz_viable = entropy_bits <= opts_.entropy_max;
   const bool delta_viable = base_available && churn <= opts_.churn_delta_max;
 
   // Cost model: estimated seconds to get the payload onto the wire.

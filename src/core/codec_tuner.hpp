@@ -2,8 +2,8 @@
 //
 // Sits beside IntervalTuner (core/tuner.hpp) and closes the same kind of
 // loop: instead of hand-picking a codec, the sender chooses per chunk from
-//   * the sampled-entropy probe taken during the chunk's last copy pass
-//     (compress::entropy_probe, fused into precopy like the CRC),
+//   * a sampled-entropy probe (compress::entropy_probe) of the committed
+//     payload the sender has just read for the send,
 //   * the DCPCP modification predictor (expected mods/interval -> how much
 //     of the chunk changes between epochs, i.e. how small an XOR delta
 //     against the previous retained epoch would be), and
@@ -53,8 +53,8 @@ class CodecTuner {
   CodecTuner();
   explicit CodecTuner(Options opts);
 
-  /// What one send should use. `entropy_bits` is the chunk's probe result
-  /// (<0 = unknown), `predicted_mods` the DCPCP expectation (0 = unknown),
+  /// What one send should use. `entropy_bits` is the payload's probe
+  /// result, `predicted_mods` the DCPCP expectation (0 = unknown),
   /// `base_available` whether a previous retained epoch can serve as a
   /// delta base. Fixed modes (kRaw/kLz/kDelta) pass through (kDelta
   /// degrades to kLz without a base); kAdaptive runs the cost model.

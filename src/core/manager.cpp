@@ -82,21 +82,29 @@ CheckpointManager::CheckpointManager(alloc::ChunkAllocator& allocator,
     worker_streams_.push_back(
         std::make_unique<BandwidthLimiter>(cfg.nvm_bw_per_core));
   }
-  // An arena-owned (shared) directory means the arena owns GC policy too:
-  // a per-tenant manager must not run a device-wide reclamation thread.
-  if (epoch::EpochDirectory* dir =
-          alloc_->owns_directory() ? alloc_->epoch_directory() : nullptr) {
+  // Depth 1 keeps one retained epoch, which the next commit reuses: there
+  // is nothing for a GC to trim. An arena-owned (shared) directory means
+  // the arena owns GC policy too: a per-tenant manager must not run a
+  // device-wide reclamation thread.
+  if (alloc_->ring_depth() > 1 && alloc_->owns_directory()) {
     epoch::EpochGc::Options gopts;
     gopts.watermark = cfg_.epoch_gc_watermark;
     gopts.floor = cfg_.epoch_gc_floor;
     gopts.period = cfg_.epoch_gc_period;
-    gc_ = std::make_unique<epoch::EpochGc>(*dir, gopts, &metrics_);
+    gc_ = std::make_unique<epoch::EpochGc>(*alloc_->epoch_directory(), gopts,
+                                           &metrics_);
   }
+  // A ring picks the slot a commit reuses by epoch age, so epochs must
+  // keep increasing across sessions: restarting at 1 over a reopened
+  // device would make the newest committed slot look like the oldest.
+  next_epoch_.store(alloc_->epoch_directory()->newest_epoch() + 1,
+                    std::memory_order_release);
   interval_start_ = now_seconds();
   m_.local_checkpoints = &metrics_.counter("ckpt.local_checkpoints");
   m_.bytes_coordinated = &metrics_.counter("ckpt.bytes_coordinated");
   m_.bytes_precopied = &metrics_.counter("ckpt.bytes_precopied");
   m_.precopy_passes = &metrics_.counter("ckpt.precopy_passes");
+  m_.precopy_refused = &metrics_.counter("ckpt.precopy_refused");
   m_.committed_from_precopy =
       &metrics_.counter("ckpt.chunks_committed_from_precopy");
   m_.recopied_dirty = &metrics_.counter("ckpt.chunks_recopied_dirty");
@@ -246,6 +254,7 @@ void CheckpointManager::precopy_batch(
   std::atomic<std::uint64_t> bytes{0};
   std::atomic<std::uint64_t> passes{0};
   std::atomic<std::uint64_t> nanos{0};
+  std::atomic<std::uint64_t> refused{0};
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   telemetry::Span span("precopy_batch", "ckpt.local");
   // The epoch is read under the commit mutex, not at scan time: a
@@ -262,7 +271,20 @@ void CheckpointManager::precopy_batch(
     if (batched) alloc_->arm_chunks(live);
     run_sharded(live, [&, batched](alloc::Chunk& c, BandwidthLimiter* s) {
       if (!c.dirty_local()) return;  // raced with the coordinated step
-      const double secs = alloc_->precopy_chunk(c, epoch, s, batched);
+      double secs;
+      try {
+        secs = alloc_->precopy_chunk(c, epoch, s, batched);
+      } catch (const NvmcpError&) {
+        // No ring slot to be had (the tenant's quota or the device is
+        // spent, or every reusable slot is pinned). The chunk stays
+        // dirty, so the coordinated step retries it on the caller's
+        // thread; thrown on from here it would end this thread, and the
+        // process. The refusal comes before the dirty flag is cleared;
+        // setting it again covers a failure after the clear.
+        c.tracker().dirty_local.store(true, std::memory_order_release);
+        refused.fetch_add(1, std::memory_order_relaxed);
+        return;
+      }
       bytes.fetch_add(c.size(), std::memory_order_relaxed);
       passes.fetch_add(1, std::memory_order_relaxed);
       nanos.fetch_add(static_cast<std::uint64_t>(secs * 1e9),
@@ -276,6 +298,7 @@ void CheckpointManager::precopy_batch(
   m_.precopy_seconds->add(
       static_cast<double>(nanos.load(std::memory_order_relaxed)) * 1e-9);
   m_.precopy_passes->add(passes.load(std::memory_order_relaxed));
+  m_.precopy_refused->add(refused.load(std::memory_order_relaxed));
 }
 
 double CheckpointManager::nvchkptall() {
@@ -340,12 +363,25 @@ double CheckpointManager::nvchkptall() {
   // NVMBW_core stream. Workers never share a chunk, every commit touches
   // only that chunk's record, and ckpt_mu_ is held across the join, so
   // each per-chunk commit keeps its crash ordering.
-  run_sharded(residual, [this, epoch, batched](alloc::Chunk& c,
-                                               BandwidthLimiter* s) {
-    alloc_->checkpoint_chunk(c, epoch, s, batched);
+  //
+  // A chunk refused a ring slot stays dirty for the next round, and the
+  // round still commits every other chunk, so one chunk over its tenant's
+  // quota cannot hold back the chunks sharded after it. The epoch
+  // advances either way: the chunks committed this round hold it, and a
+  // retry numbered the same would leave two slots of one ring with it.
+  std::mutex refused_mu;
+  std::exception_ptr refused;
+  run_sharded(residual, [&](alloc::Chunk& c, BandwidthLimiter* s) {
+    try {
+      alloc_->checkpoint_chunk(c, epoch, s, batched);
+    } catch (const NvmcpError&) {
+      c.tracker().dirty_local.store(true, std::memory_order_release);
+      std::lock_guard<std::mutex> g(refused_mu);
+      if (!refused) refused = std::current_exception();
+    }
   });
-
   next_epoch_.fetch_add(1, std::memory_order_acq_rel);
+  if (refused) std::rethrow_exception(refused);
   const double blocking = sw.elapsed();
 
   refresh_vmem_metrics();

@@ -54,6 +54,9 @@ class CheckpointManager {
   /// Coordinated local checkpoint of all persistent chunks. The caller is
   /// the application thread, so the application is paused for exactly the
   /// duration of this call — its return value is the paper's t_lcl.
+  /// Throws NvmcpError, once the round is over, when a chunk got no ring
+  /// slot (quota, device or pins): every other chunk is committed, the
+  /// refused ones stay dirty, and the next round numbers a new epoch.
   double nvchkptall();
 
   /// Checkpoint (copy + commit) one chunk immediately.
@@ -70,7 +73,7 @@ class CheckpointManager {
     double seconds = 0;
     int chunks = 0;
     /// Chunks whose target epoch failed verification and were restored
-    /// from an older retained epoch instead (ring mode only).
+    /// from an older retained epoch instead.
     int chunks_rolled_back = 0;
     /// Commits nvchkptall deferred because their chunk was still waiting
     /// to be restored (the admission rule at work).
@@ -86,11 +89,11 @@ class CheckpointManager {
   /// 0 means the newest epoch, resolved once under the commit mutex while
   /// the chunks register: each chunk restores its newest committed
   /// version, which the admission rule keeps from moving until it is
-  /// restored. A nonzero epoch restores that retained epoch (ring mode),
-  /// pinning every source slot up front so neither the GC nor a
-  /// concurrent commit can reclaim it mid-restore. If a chunk's target
-  /// fails verification the restore walks back to the newest older
-  /// retained epoch that still verifies.
+  /// restored. A nonzero epoch restores that retained epoch, pinning
+  /// every source slot up front so neither the GC nor a concurrent commit
+  /// can reclaim it mid-restore. If a chunk's target fails verification
+  /// the restore walks back to the newest older retained epoch that still
+  /// verifies.
   /// The application must not touch a chunk until it has been restored
   /// (the admission rule covers commits, not application loads).
   StreamingRestoreReport restore_streaming(std::uint64_t epoch = 0);
@@ -113,7 +116,8 @@ class CheckpointManager {
   std::uint64_t next_epoch() const {
     return next_epoch_.load(std::memory_order_acquire);
   }
-  /// Epoch of the last completed coordinated checkpoint (0 = none yet).
+  /// Epoch of the last completed coordinated checkpoint, starting from
+  /// the newest epoch on a reopened device (0 = none yet).
   std::uint64_t committed_epoch() const {
     return next_epoch() - 1;
   }
@@ -143,10 +147,11 @@ class CheckpointManager {
   /// one NVMBW_core stream per worker.
   std::size_t copy_threads() const { return copy_threads_; }
 
-  /// Background version-ring GC, or nullptr when the allocator runs at
-  /// ring depth 1 (no ring, nothing to reclaim). Started/stopped with the
-  /// pre-copy engine when config().epoch_gc_background is set; harnesses
-  /// can call epoch_gc()->run_pass() for deterministic reclamation.
+  /// Background version-ring GC, or nullptr at ring depth 1 (the one
+  /// older slot is what the next commit reuses: nothing to reclaim) and
+  /// under an arena-owned directory. Started/stopped with the pre-copy
+  /// engine when config().epoch_gc_background is set; harnesses can call
+  /// epoch_gc()->run_pass() for deterministic reclamation.
   epoch::EpochGc* epoch_gc() { return gc_.get(); }
 
  private:
@@ -227,6 +232,7 @@ class CheckpointManager {
     telemetry::Counter* bytes_coordinated;
     telemetry::Counter* bytes_precopied;
     telemetry::Counter* precopy_passes;
+    telemetry::Counter* precopy_refused;  // pre-copies with no ring slot
     telemetry::Counter* committed_from_precopy;
     telemetry::Counter* recopied_dirty;
     telemetry::Counter* skipped_unmodified;

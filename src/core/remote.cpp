@@ -321,9 +321,14 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
         base_epoch = 0;
       }
     }
-    want = tuner_.choose(mode, c.entropy_hint(),
-                         mgr.prediction().predicted(c.id()), raw_n,
-                         have_base);
+    // Only the adaptive tuner reads the entropy probe; it samples the
+    // committed payload just read, not live DRAM.
+    const double entropy =
+        mode == CodecMode::kAdaptive
+            ? compress::entropy_probe(staging_.data(), raw_n)
+            : 0.0;
+    want = tuner_.choose(mode, entropy, mgr.prediction().predicted(c.id()),
+                         raw_n, have_base);
   }
   const Stopwatch enc_sw;
   const auto fr = encoder_.encode(want, staging_.data(), raw_n,

@@ -110,9 +110,9 @@ RestartReport RestartCoordinator::restart_soft() {
       rep.bytes_remote += c->size();
     } else if (const std::uint64_t rb = allocator.restore_older_epoch(*c, 0)) {
       // Newest epoch corrupt and no remote copy: an older retained epoch
-      // (ring mode; depth 1 has none) beats losing the chunk. The cut may
-      // now mix epochs across chunks; rollback_epoch flags that for the
-      // caller to judge.
+      // (depth 1 keeps one between commits) beats losing the chunk. The
+      // cut may now mix epochs across chunks; rollback_epoch flags that
+      // for the caller to judge.
       st = RestoreStatus::kOkStale;
       ++rep.chunks_rolled_back;
       rep.bytes_rolled_back += c->size();

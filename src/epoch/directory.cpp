@@ -82,9 +82,11 @@ EpochDirectory::EpochDirectory(vmem::Container& container, Options opts)
              opts_.ring_depth, rings_.size());
   } else {
     if (meta.record_count() != 0) {
+      // Chunk records without an epoch region: an image from before every
+      // depth kept its versions in a ring. Refused, not migrated.
       throw NvmcpError(
-          "EpochDirectory: container holds two-slot records; reopen it at "
-          "depth 1");
+          "EpochDirectory: container holds chunk records but no epoch "
+          "region (a pre-ring two-slot image); it cannot be reopened");
     }
     const std::size_t bytes = bytes_required(capacity_);
     region_off_ = container.alloc_region(bytes);
@@ -269,6 +271,17 @@ std::uint64_t EpochDirectory::retained_slots() const {
     for (const RingSlot& s : ring->rec_->slots) n += s.committed() ? 1 : 0;
   }
   return n;
+}
+
+std::uint64_t EpochDirectory::newest_epoch() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  std::uint64_t newest = 0;
+  for (const auto& [id, ring] : rings_) {
+    for (const RingSlot& s : ring->rec_->slots) {
+      if (s.committed()) newest = std::max(newest, s.epoch);
+    }
+  }
+  return newest;
 }
 
 void EpochDirectory::persist_record(const RingRecord& rec) {

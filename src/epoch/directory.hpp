@@ -24,8 +24,9 @@
 namespace nvmcp::epoch {
 
 /// NVMCP_EPOCH_RING_DEPTH: committed epochs retained per chunk.
-/// `configured` > 0 wins; otherwise the env knob, default 1 (= the
-/// two-slot scheme), clamped to [1, kMaxRingDepth].
+/// `configured` > 0 wins; otherwise the env knob, default 1 (a two-slot
+/// ring: the paper's committed + in-progress pair), clamped to
+/// [1, kMaxRingDepth].
 std::uint32_t resolve_ring_depth(int configured);
 
 /// NVMCP_EPOCH_GC_WATERMARK: device occupancy above which the GC reclaims.
@@ -54,8 +55,8 @@ class EpochDirectory {
   /// offset in the metadata header) on first use. Records left kInProgress
   /// by a crash are reset to kFree; persisted depths are updated to the
   /// configured depth. Throws NvmcpError, writing nothing, when a region
-  /// would have to be created over existing two-slot chunk records: those
-  /// are never migrated into rings.
+  /// would have to be created over existing chunk records: such a
+  /// container predates rings at every depth and is never migrated.
   EpochDirectory(vmem::Container& container, Options opts);
 
   EpochDirectory(const EpochDirectory&) = delete;
@@ -99,8 +100,13 @@ class EpochDirectory {
   /// Committed ring slots across all chunks (telemetry).
   std::uint64_t retained_slots() const;
 
+  /// Highest epoch committed in any ring (0 if none): a checkpoint
+  /// manager numbers its epochs above it, so a chunk's epochs keep
+  /// increasing across reopens.
+  std::uint64_t newest_epoch() const;
+
   /// In-place slot corruption caught by the commit path's pre-fold
-  /// checksum verification (the PR-6 laundering gap, now detected).
+  /// checksum verification of a reused slot (the reused-slot scrub).
   void note_slot_corruption() {
     slot_corruptions_.fetch_add(1, std::memory_order_relaxed);
   }

@@ -7,16 +7,16 @@
 
 namespace nvmcp::epoch {
 
-VersionRing::Acquired VersionRing::acquire_for_commit() {
+VersionRing::Acquired VersionRing::acquire_for_commit(std::uint64_t keep_off) {
   std::lock_guard<std::mutex> lock(dir_->mu_);
-  return acquire_locked();
+  return acquire_locked(keep_off);
 }
 
-VersionRing::Acquired VersionRing::acquire_locked() {
+VersionRing::Acquired VersionRing::acquire_locked(std::uint64_t keep_off) {
   // Slot budget: depth committed versions + one in-flight copy. A pinned
-  // victim can push us one slot past the budget (up to kMaxRingSlots).
-  const std::uint32_t budget =
-      std::min(rec_->depth + 1, kMaxRingSlots);
+  // victim can push us past the budget (up to kMaxRingSlots).
+  const std::uint32_t budget = slot_budget();
+  const std::uint64_t bytes = rec_->payload_bytes;
 
   Acquired out;
   // 1) An existing in-progress slot (a pre-copy being redone before its
@@ -30,18 +30,55 @@ VersionRing::Acquired VersionRing::acquire_locked() {
       return out;
     }
   }
-  // 2) A free slot within budget; allocate its payload region lazily. A
-  //    lazy allocation is the one place a ring grows its device footprint,
-  //    so it is where the tenant quota is enforced: if the charge would
-  //    exceed the budget, skip the slot and fall through to victim reuse
-  //    below — quota pressure resolves by recycling this tenant's own
-  //    oldest epoch (self-eviction), never by growing past the budget.
-  for (std::uint32_t i = 0; i < budget; ++i) {
+  // The acknowledged version is never reclaimed or reused: the slot at
+  // keep_off (the one the chunk record's committed pointer aliases), else
+  // the newest epoch. Epochs alone cannot tell it when a commit was
+  // repeated at one epoch and two slots hold it.
+  const std::uint32_t keep = kept_index_locked(keep_off);
+  // 2) Shed back to the budget. Slots past it (an all-pinned spill, or a
+  //    ring reopened from a deeper image) are freed once unpinned and not
+  //    kept, and while more than `budget` regions remain the oldest
+  //    reusable ones go too, all but one for this commit to copy into.
+  //    Cycling through them instead would keep the footprint, its quota
+  //    charge and the extra epochs for good, and a slot past the budget
+  //    has no pending range list.
+  std::uint32_t held = 0;
+  std::uint32_t reusable = 0;
+  for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
+    const RingSlot& s = rec_->slots[i];
+    if (s.off == 0) continue;
+    const bool unheld =
+        i != keep && (!s.committed() || !pinned_locked(s.epoch));
+    if (i >= budget && unheld) {
+      reclaim_slot_locked(i);
+      continue;
+    }
+    ++held;
+    if (unheld && s.committed()) ++reusable;
+  }
+  for (; held > budget && reusable > 1; --held, --reusable) {
+    reclaim_slot_locked(oldest_reusable_locked(keep));
+  }
+
+  // A free slot's payload region is allocated lazily, the one place a
+  // ring grows its device footprint, so it is where the tenant quota is
+  // enforced: a refused charge falls through to victim reuse below --
+  // quota pressure resolves by recycling this tenant's own oldest epoch
+  // (self-eviction), never by growing past the quota.
+  bool refused = false;
+  auto take = [&](std::uint32_t i) {
     RingSlot& s = rec_->slots[i];
-    if (s.state != RingSlot::kFree) continue;
     if (s.off == 0) {
-      if (quota_ && !quota_->try_charge(rec_->payload_bytes)) continue;
-      s.off = dir_->container_->alloc_region(rec_->payload_bytes);
+      if (refused || (quota_ && !quota_->try_charge(bytes))) {
+        refused = true;
+        return false;
+      }
+      try {
+        s.off = dir_->container_->alloc_region(bytes);
+      } catch (...) {
+        if (quota_) quota_->credit(bytes);  // device full: undo the charge
+        throw;
+      }
     }
     s.state = RingSlot::kInProgress;
     s.epoch = 0;
@@ -50,52 +87,40 @@ VersionRing::Acquired VersionRing::acquire_locked() {
     out.index = i;
     out.off = s.off;
     out.fresh = true;  // contents are garbage (new region or torn copy)
+    return true;
+  };
+  // 3) A free slot within budget, while the budget has room for a region.
+  for (std::uint32_t i = 0; i < budget; ++i) {
+    const RingSlot& s = rec_->slots[i];
+    if (s.state != RingSlot::kFree || (s.off == 0 && held >= budget)) {
+      continue;
+    }
+    if (take(i)) return out;
+  }
+  // 4) Reuse the oldest unpinned committed slot that is not kept.
+  const std::uint32_t victim = oldest_reusable_locked(keep);
+  if (victim != kInvalidSlot) {
+    RingSlot& s = rec_->slots[victim];
+    out.index = victim;
+    out.off = s.off;
+    out.fresh = false;
+    out.had_committed = true;
+    out.prev_checksum = s.checksum;
+    s.state = RingSlot::kInProgress;
+    persist_locked();
     return out;
   }
-  // 3) Reuse the oldest unpinned committed slot that is not the newest
-  //    epoch (the record's committed pointer aliases the newest slot).
-  const std::uint32_t newest = newest_index_locked();
-  std::uint32_t victim = kInvalidSlot;
+  // 5) Every reusable slot is pinned: spill into any free slot, past the
+  //    budget if need be, rather than stall the commit (the next acquire
+  //    after the pins are gone sheds it).
   for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
-    const RingSlot& s = rec_->slots[i];
-    if (!s.committed() || i == newest || pinned_locked(s.epoch)) continue;
-    if (victim == kInvalidSlot || s.epoch < rec_->slots[victim].epoch) {
-      victim = i;
-    }
+    if (rec_->slots[i].state == RingSlot::kFree && take(i)) return out;
   }
-  if (victim == kInvalidSlot) {
-    // Every reusable slot is pinned: spill into a spare slot past the
-    // budget rather than stall the commit (GC trims it back later).
-    for (std::uint32_t i = budget; i < kMaxRingSlots; ++i) {
-      RingSlot& s = rec_->slots[i];
-      if (s.state != RingSlot::kFree) continue;
-      if (s.off == 0) {
-        if (quota_ && !quota_->try_charge(rec_->payload_bytes)) continue;
-        s.off = dir_->container_->alloc_region(rec_->payload_bytes);
-      }
-      s.state = RingSlot::kInProgress;
-      persist_locked();
-      out.index = i;
-      out.off = s.off;
-      out.fresh = true;
-      return out;
-    }
-    if (quota_ && quota_->limit() != 0) {
-      throw NvmcpError(
-          "VersionRing: no acquirable slot (pins + quota '" +
-          quota_->name() + "' exhausted)");
-    }
-    throw NvmcpError("VersionRing: no acquirable slot (all pinned)");
+  if (quota_ && quota_->limit() != 0) {
+    throw NvmcpError("VersionRing: no acquirable slot (pins + quota '" +
+                     quota_->name() + "' exhausted)");
   }
-  RingSlot& s = rec_->slots[victim];
-  out.index = victim;
-  out.off = s.off;
-  out.fresh = false;
-  out.had_committed = true;
-  out.prev_checksum = s.checksum;
-  s.state = RingSlot::kInProgress;
-  persist_locked();
-  return out;
+  throw NvmcpError("VersionRing: no acquirable slot (all pinned)");
 }
 
 void VersionRing::publish(std::uint32_t index, std::uint64_t epoch,
@@ -106,6 +131,7 @@ void VersionRing::publish(std::uint32_t index, std::uint64_t epoch,
   s.checksum = checksum;
   s.state = RingSlot::kCommitted;
   persist_locked();
+  last_published_ = index;
 }
 
 std::vector<std::uint64_t> VersionRing::retained_epochs() const {
@@ -178,9 +204,34 @@ std::uint32_t VersionRing::newest_index_locked() const {
   for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
     const RingSlot& s = rec_->slots[i];
     if (!s.committed()) continue;
-    if (best == kInvalidSlot || s.epoch > rec_->slots[best].epoch) best = i;
+    // Of two slots holding one epoch (a chunk committed twice at it), the
+    // one published last is the version the record acknowledged.
+    if (best == kInvalidSlot || s.epoch > rec_->slots[best].epoch ||
+        (s.epoch == rec_->slots[best].epoch && i == last_published_)) {
+      best = i;
+    }
   }
   return best;
+}
+
+std::uint32_t VersionRing::kept_index_locked(std::uint64_t keep_off) const {
+  for (std::uint32_t i = 0; keep_off != 0 && i < kMaxRingSlots; ++i) {
+    const RingSlot& s = rec_->slots[i];
+    if (s.committed() && s.off == keep_off) return i;
+  }
+  return newest_index_locked();
+}
+
+std::uint32_t VersionRing::oldest_reusable_locked(std::uint32_t keep) const {
+  std::uint32_t oldest = kInvalidSlot;
+  for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
+    const RingSlot& s = rec_->slots[i];
+    if (!s.committed() || i == keep || pinned_locked(s.epoch)) continue;
+    if (oldest == kInvalidSlot || s.epoch < rec_->slots[oldest].epoch) {
+      oldest = i;
+    }
+  }
+  return oldest;
 }
 
 std::uint32_t VersionRing::oldest_reclaimable_locked(
@@ -188,16 +239,7 @@ std::uint32_t VersionRing::oldest_reclaimable_locked(
   std::size_t committed = 0;
   for (const RingSlot& s : rec_->slots) committed += s.committed() ? 1 : 0;
   if (committed <= floor) return kInvalidSlot;
-  const std::uint32_t newest = newest_index_locked();
-  std::uint32_t oldest = kInvalidSlot;
-  for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
-    const RingSlot& s = rec_->slots[i];
-    if (!s.committed() || i == newest || pinned_locked(s.epoch)) continue;
-    if (oldest == kInvalidSlot || s.epoch < rec_->slots[oldest].epoch) {
-      oldest = i;
-    }
-  }
-  return oldest;
+  return oldest_reusable_locked(newest_index_locked());
 }
 
 std::uint64_t VersionRing::reclaim_slot_locked(std::uint32_t index) {

@@ -2,7 +2,8 @@
 //
 // The paper's shadow scheme keeps exactly one committed slot per chunk, so
 // recovery is all-or-nothing. A VersionRing generalizes the two-slot
-// alternation to depth+1 slots: every commit lands in a free (or the
+// alternation to depth+1 slots (depth 1 is that alternation, and every
+// chunk's versions live in a ring): every commit lands in a free (or the
 // oldest reclaimable) slot and is published epoch+CRC, so at least the
 // last `depth` committed epochs stay addressable on the device
 // (JASS-style multi-version retention, arXiv:2301.11511). Between commits
@@ -11,8 +12,8 @@
 // reusing a committed slot is what lets incremental (page/range) commits
 // fold the slot's clean bytes instead of recopying the whole chunk. The chunk's ChunkRecord remains the
 // authority on the *newest* committed version -- its slot_off[committed]
-// aliases the ring slot of the newest epoch -- so every legacy consumer
-// (remote checkpointer, parity, lazy restore) keeps working unchanged.
+// aliases the ring slot of the newest epoch -- so every consumer that reads
+// the record (remote checkpointer, parity, lazy restore) needs no ring.
 //
 // Crash ordering per commit: acquire marks the target slot kInProgress and
 // persists the ring record *before* any payload byte moves, so a crash
@@ -20,6 +21,7 @@
 // kCommitted with epoch+CRC only after the payload is flushed.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -87,10 +89,13 @@ class VersionRing {
 
   /// Pick (and persist as kInProgress) the slot the next commit will copy
   /// into: an existing in-progress slot, else a free slot (allocating its
-  /// payload region lazily), else the oldest unpinned committed slot that
-  /// is not the newest epoch. Throws only if every slot is pinned, which a
-  /// single streaming restore cannot cause.
-  Acquired acquire_for_commit();
+  /// payload region lazily), else the oldest unpinned committed slot. The
+  /// slot at `keep_off` (the chunk record's committed slot; 0: the newest
+  /// epoch) is never reused or reclaimed. Slots past the budget, and
+  /// regions beyond it, are freed first once unpinned. Throws NvmcpError
+  /// when no slot can be had: every reusable one pinned, or the quota (or
+  /// the device) has no room for another region.
+  Acquired acquire_for_commit(std::uint64_t keep_off = 0);
 
   /// Publish slot `index` as the committed version of `epoch` (payload
   /// already flushed by the caller).
@@ -119,6 +124,11 @@ class VersionRing {
 
   std::uint64_t payload_bytes() const;
   std::uint32_t depth() const;
+  /// Slots a commit cycles through: depth committed versions plus the
+  /// in-flight copy, capped at kMaxRingSlots.
+  std::uint32_t slot_budget() const {
+    return std::min(depth() + 1, kMaxRingSlots);
+  }
 
   /// Attach a per-tenant capacity quota: every currently-allocated slot
   /// region is charged to it (throws if the existing footprint already
@@ -136,18 +146,25 @@ class VersionRing {
 
   // _locked variants assume the directory mutex is held.
   std::uint32_t newest_index_locked() const;
+  /// The slot at `keep_off` if one is committed there, else the newest.
+  std::uint32_t kept_index_locked(std::uint64_t keep_off) const;
+  /// Oldest unpinned committed slot other than `keep` (kInvalidSlot: none).
+  std::uint32_t oldest_reusable_locked(std::uint32_t keep) const;
   std::uint32_t oldest_reclaimable_locked(std::uint32_t floor) const;
   /// Free the slot's payload region and mark it kFree; returns bytes freed.
   std::uint64_t reclaim_slot_locked(std::uint32_t index);
   bool pinned_locked(std::uint64_t epoch) const;
   void persist_locked();
-  Acquired acquire_locked();
+  Acquired acquire_locked(std::uint64_t keep_off);
   void set_quota_locked(vmem::CapacityQuota* quota);
 
   EpochDirectory* dir_;
   RingRecord* rec_;
   vmem::CapacityQuota* quota_ = nullptr;  // non-owning; tenant lifetime
   std::vector<std::uint64_t> pins_;  // runtime only; may hold duplicates
+  // Runtime only: the slot published last, which breaks epoch ties in
+  // newest_index_locked (the record's flip follows every publish).
+  std::uint32_t last_published_ = kInvalidSlot;
 };
 
 }  // namespace nvmcp::epoch

@@ -49,9 +49,9 @@ void fill_pattern(std::byte* p, std::size_t n, std::uint64_t seed) {
 
 std::size_t device_capacity_for(std::size_t payload_bytes,
                                 std::size_t slots_per_chunk = 2) {
-  // `slots_per_chunk` version slots per chunk (two for the legacy scheme,
-  // ring depth + 1 in ring mode) plus metadata region; round to MiB so the
-  // arena is page-aligned whatever the chunk geometry.
+  // `slots_per_chunk` version slots per chunk (ring depth + 1) plus the
+  // metadata and epoch regions; round to MiB so the arena is page-aligned
+  // whatever the chunk geometry.
   const std::size_t raw = payload_bytes * slots_per_chunk + 8 * MiB;
   return (raw + MiB - 1) / MiB * MiB;
 }
@@ -198,7 +198,7 @@ TrialResult CampaignRunner::run_trial(std::uint64_t seed) const {
 
   // --- build the emulated node ----------------------------------------
   const std::size_t per_rank_payload = s.chunks_per_rank * s.chunk_bytes;
-  // Ring mode holds up to depth committed epochs plus one in-progress slot
+  // A ring holds up to depth committed epochs plus one in-progress slot
   // per chunk, so the arena must be sized for depth+1 payload regions.
   const std::size_t slots_per_chunk =
       static_cast<std::size_t>(std::max(2, s.ring_depth + 1));
@@ -216,7 +216,7 @@ TrialResult CampaignRunner::run_trial(std::uint64_t seed) const {
     rn.cont = std::make_unique<vmem::Container>(*rn.dev);
     alloc::ChunkAllocator::Options aopts;
     aopts.track_mode = s.track_mode;
-    // Pin the depth explicitly (spec default 1 = legacy two-slot) so env
+    // Pin the depth explicitly (spec default 1, a two-slot ring) so env
     // knobs never leak into trials and replays agree.
     aopts.ring_depth = std::max(1, s.ring_depth);
     rn.alloc = std::make_unique<alloc::ChunkAllocator>(*rn.cont, aopts);
@@ -510,49 +510,33 @@ TrialResult CampaignRunner::run_trial(std::uint64_t seed) const {
     tr.pages_scrambled = vs.dev->simulate_crash(crash_rng);
     if (s.corrupt_newest_epochs > 0) {
       // Directed scenario: the N newest retained epochs are corrupt in
-      // place, so a correct recovery must surface at epoch k-N (ring) or
-      // fall through to remote/failure (depth 1).
+      // place, so a correct recovery must surface at epoch k-N, or fall
+      // through to remote/failure when the ring retains no more than N.
       for (alloc::Chunk* c : vs.chunks) {
         const auto epochs = vs.alloc->retained_epochs(*c);
-        epoch::VersionRing* ring = nullptr;
-        if (auto* dir = vs.alloc->epoch_directory()) ring = dir->ring(c->id());
+        epoch::VersionRing* ring = vs.alloc->epoch_directory()->ring(c->id());
         const std::size_t n =
             std::min<std::size_t>(epochs.size(),
                                   static_cast<std::size_t>(
                                       s.corrupt_newest_epochs));
         for (std::size_t i = 0; i < n; ++i) {
-          const vmem::ChunkRecord& rec = c->record();
-          if (rec.has_committed() && rec.epoch[rec.committed] == epochs[i]) {
-            corrupt_region(rec.slot_off[rec.committed], c->size());
-          } else if (ring) {
-            epoch::RingSlot slot;
-            if (ring->find_epoch(epochs[i], &slot)) {
-              corrupt_region(slot.off, c->size());
-            }
+          epoch::RingSlot slot;
+          if (ring->find_epoch(epochs[i], &slot)) {
+            corrupt_region(slot.off, c->size());
           }
         }
       }
     }
   } else {
-    // Node loss: the local NVM contents are gone. Corrupt every version
-    // slot of every chunk -- both legacy slots plus, in ring mode, every
-    // allocated ring slot (wiping the arena would also destroy the vmem
-    // metadata that the still-live allocator points into).
+    // Node loss: the local NVM contents are gone. Corrupt every allocated
+    // ring slot of every chunk (the record's slot offsets alias them;
+    // wiping the arena would also destroy the vmem metadata that the
+    // still-live allocator points into).
     for (alloc::Chunk* c : vs.chunks) {
-      const vmem::ChunkRecord& rec = c->record();
-      // rec.slot_off[committed] aliases the newest ring slot, so collect
-      // offsets first: XOR-ing the same region twice would restore it.
-      std::vector<std::uint64_t> offs = {rec.slot_off[0], rec.slot_off[1]};
-      if (auto* dir = vs.alloc->epoch_directory()) {
-        if (epoch::VersionRing* ring = dir->ring(c->id())) {
-          for (const epoch::RingSlot& slot : ring->snapshot_slots()) {
-            offs.push_back(slot.off);
-          }
-        }
+      epoch::VersionRing* ring = vs.alloc->epoch_directory()->ring(c->id());
+      for (const epoch::RingSlot& slot : ring->snapshot_slots()) {
+        corrupt_region(slot.off, c->size());
       }
-      std::sort(offs.begin(), offs.end());
-      offs.erase(std::unique(offs.begin(), offs.end()), offs.end());
-      for (const std::uint64_t off : offs) corrupt_region(off, c->size());
     }
   }
   // Either way the process restarts: DRAM working buffers are lost.

@@ -99,10 +99,10 @@ struct CampaignSpec {
   /// regardless.
   std::size_t copy_threads = 0;
 
-  /// Version-ring depth for every trial allocator (1 = the legacy
-  /// two-slot scheme). Depth N > 1 retains the last N committed epochs,
-  /// so a corrupted newest epoch can roll back locally instead of relying
-  /// on the buddy store.
+  /// Version-ring depth for every trial allocator. Depth N retains the
+  /// last N committed epochs (N+1 between commits), so a corrupted newest
+  /// epoch can roll back locally instead of relying on the buddy store;
+  /// depth 1 (a two-slot ring) rolls back one epoch at most.
   int ring_depth = 1;
 
   /// Run trials without any remote protection (no replication, no

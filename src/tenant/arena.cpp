@@ -107,7 +107,7 @@ TenantHandle::CommitResult TenantHandle::checkpoint() {
 
   // Trim the tenant's own ring tail when its quota runs hot. Scoped to
   // this quota, so the trim can never touch a neighbour's epochs.
-  if (arena_->dir_ && quota_->limit() != 0) {
+  if (quota_->limit() != 0) {
     arena_->dir_->gc_pass_quota(
         quota_, epoch::resolve_gc_watermark(spec_.ckpt.epoch_gc_watermark),
         epoch::resolve_gc_floor(spec_.ckpt.epoch_gc_floor));
@@ -134,10 +134,8 @@ TenantArena::TenantArena(Options opts)
       sched_(BandwidthScheduler::Options{
           resolve_scheduler_bw(opts),
           resolve_priority_boost(opts.priority_boost)}) {
-  if (ring_depth_ > 1) {
-    dir_ = std::make_unique<epoch::EpochDirectory>(
-        container_, epoch::EpochDirectory::Options{ring_depth_});
-  }
+  dir_ = std::make_unique<epoch::EpochDirectory>(
+      container_, epoch::EpochDirectory::Options{ring_depth_});
   m_inflight_ = &metrics_.gauge("arena.inflight_rounds");
 }
 
@@ -181,10 +179,10 @@ TenantHandle& TenantArena::reattach_tenant(std::string_view name) {
     if (!t || t->name() != name) continue;
     TenantSpec spec = t->spec_;
     // Tear down the old handle first: the manager stops, the allocator
-    // releases its chunk views (crediting legacy two-slot claims). Ring
-    // footprints in the shared directory stay charged to the persistent
-    // quota, and the rebuilt allocator re-adopts them without
-    // double-charging (VersionRing::set_quota no-ops on reattach).
+    // releases its chunk views. Ring footprints in the shared directory
+    // stay charged to the persistent quota, and the rebuilt allocator
+    // re-adopts them without double-charging (VersionRing::set_quota
+    // no-ops on reattach).
     t.reset();
     t = build_tenant_locked(std::move(spec));
     return *t;

@@ -4,11 +4,11 @@
 // controller bounding arena-wide in-flight checkpoint rounds.
 //
 // Isolation model:
-//   * capacity  — every version-slot region a tenant's allocator or ring
-//     acquires is charged to its CapacityQuota; over-quota ring pressure
-//     resolves by the tenant recycling ITS OWN oldest committed epoch
-//     (self-eviction), never by evicting a neighbour's. Over-quota fresh
-//     allocation throws.
+//   * capacity  — every ring slot region a tenant's rings acquire is
+//     charged to its CapacityQuota when a commit acquires it; over-quota
+//     pressure resolves by the tenant recycling ITS OWN oldest committed
+//     epoch (self-eviction), never by evicting a neighbour's. A commit
+//     that finds no slot to recycle within the quota throws.
 //   * bandwidth — every copy stream of a tenant's manager drains one
 //     trunk limiter whose rate is the QoS scheduler's grant (priority +
 //     weighted fair share, work-conserving).
@@ -47,7 +47,7 @@ namespace nvmcp::tenant {
 
 struct TenantSpec {
   std::string name;
-  /// NVM bytes this tenant may hold in version-slot regions. 0 = unmetered.
+  /// NVM bytes this tenant may hold in ring slot regions. 0 = unmetered.
   std::size_t quota_bytes = 0;
   /// QoS class: higher = bigger bandwidth share and earlier admission.
   /// Convention: 0 = bulk/background, 1 = normal, 2 = latency-sensitive.
@@ -167,7 +167,7 @@ class TenantArena {
 
   NvmDevice& device() { return dev_; }
   vmem::Container& container() { return container_; }
-  /// Shared epoch directory; nullptr at ring depth 1.
+  /// Shared epoch directory (one per container, every tenant's rings).
   epoch::EpochDirectory* directory() { return dir_.get(); }
   AdmissionController& admission() { return admission_; }
   BandwidthScheduler& scheduler() { return sched_; }

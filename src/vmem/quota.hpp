@@ -1,14 +1,15 @@
 // Per-tenant NVM capacity quota.
 //
 // A CapacityQuota meters the checkpoint-slot bytes a tenant holds inside a
-// shared container: the ChunkAllocator charges it when legacy two-slot
-// regions are carved, the VersionRing charges it when a ring slot is
-// lazily allocated, and both credit it back when regions are freed or
-// reclaimed. Enforcement is at *acquisition* — a charge that would exceed
-// the limit fails before any region is allocated, so a tenant can never
-// hold more than its budget and quota pressure resolves inside the
-// tenant's own ring (self-eviction) instead of leaning on the shared GC
-// to evict someone else's epochs.
+// shared container: the VersionRing charges it when a commit acquires a
+// slot whose region it must allocate, and credits it back when regions
+// are reclaimed, when the ring is dropped, or when the device has no room
+// for the region it charged for. Enforcement is at *acquisition* —
+// a charge that would exceed the limit fails before any region is
+// allocated, so a tenant can never hold more than its budget and quota
+// pressure resolves inside the tenant's own ring (self-eviction) instead
+// of leaning on the shared GC to evict someone else's epochs. A commit
+// with no slot of its own to recycle is refused.
 #pragma once
 
 #include <cstddef>
@@ -41,8 +42,8 @@ class CapacityQuota {
     return true;
   }
 
-  /// Charge or throw — used where the caller has no fallback (fresh chunk
-  /// allocation: the tenant asked for more than its budget).
+  /// Charge or throw — used where the caller has no fallback (re-charging
+  /// a ring's existing footprint to a newly attached quota).
   void charge(std::size_t bytes) {
     if (!try_charge(bytes)) {
       throw NvmcpError("capacity quota exceeded for tenant '" + name_ +

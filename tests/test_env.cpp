@@ -193,7 +193,7 @@ TEST(ResolveHelpers, RingDepthConfiguredWinsElseEnv) {
   EXPECT_EQ(epoch::resolve_ring_depth(0), 6u);
   {
     ScopedEnv u("NVMCP_EPOCH_RING_DEPTH", nullptr);
-    EXPECT_EQ(epoch::resolve_ring_depth(0), 1u);  // default: legacy 2-slot
+    EXPECT_EQ(epoch::resolve_ring_depth(0), 1u);  // default: two-slot ring
   }
 }
 

@@ -1,8 +1,11 @@
-// Epoch subsystem: version-ring retention/rollback, directory attach and
-// crash-reset, env-knob resolution, saturation-driven GC, pinning, the
-// refusal of cross-layout reopens, and depth-1 equivalence with the
-// paper's two-slot scheme.
+// Epoch subsystem: version-ring retention/rollback (depth 1 included),
+// directory attach and crash-reset, depth changes across reopens, the
+// refusal of pre-ring images, env-knob resolution, saturation-driven GC,
+// pinning, the reused-slot scrub, and bounded pending range lists.
 #include <gtest/gtest.h>
+
+#include <malloc.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
@@ -63,7 +66,9 @@ struct Stack {
   std::unique_ptr<alloc::ChunkAllocator> alloc;
 
   explicit Stack(int ring_depth, std::size_t capacity = 32 * MiB,
-                 const std::string& backing_file = {}) {
+                 const std::string& backing_file = {},
+                 vmem::TrackMode mode = vmem::TrackMode::kMprotect,
+                 vmem::CapacityQuota* quota = nullptr) {
     NvmConfig cfg;
     cfg.capacity = capacity;
     cfg.throttle = false;
@@ -72,6 +77,8 @@ struct Stack {
     cont = std::make_unique<vmem::Container>(*dev);
     alloc::ChunkAllocator::Options opts;
     opts.ring_depth = ring_depth;
+    opts.track_mode = mode;
+    opts.quota = quota;
     alloc = std::make_unique<alloc::ChunkAllocator>(*cont, opts);
   }
 };
@@ -136,50 +143,84 @@ TEST(VersionRing, RetainsLastNEpochsAndRollsBack) {
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 6));
 }
 
-TEST(VersionRing, DepthOneKeepsLegacyTwoSlotLayout) {
+TEST(VersionRing, DepthOneRetainsOneOrTwoEpochsAndRestoresEach) {
+  // Depth 1 is a ring with a budget of two slots: the newest epoch plus
+  // the previous one, which stays addressable until the next commit
+  // reuses its slot.
   Stack s(/*ring_depth=*/1);
-  // No directory at depth 1: the legacy path runs with zero ring overhead.
-  EXPECT_EQ(s.alloc->epoch_directory(), nullptr);
   EXPECT_EQ(s.alloc->ring_depth(), 1u);
-  alloc::Chunk* c = s.alloc->nvalloc("legacy", 64 * KiB, true);
+  alloc::Chunk* c = s.alloc->nvalloc("two", 64 * KiB, true);
+  auto* ring = s.alloc->epoch_directory()->ring(c->id());
+  ASSERT_NE(ring, nullptr);
+  EXPECT_EQ(ring->allocated_slots(), 0u) << "slots are taken at commit";
+
   fill_pattern(c->data(), c->size(), 1);
   s.alloc->checkpoint_chunk(*c, 1);
-  const std::uint32_t slot1 = c->record().committed;
-  fill_pattern(c->data(), c->size(), 2);
-  s.alloc->checkpoint_chunk(*c, 2);
-  EXPECT_NE(c->record().committed, slot1);  // two-slot alternation
-  EXPECT_EQ(s.alloc->retained_epochs(*c).size(), 1u);
-  // Epoch-addressed restore still answers for the newest version...
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 2), RestoreStatus::kOk);
-  EXPECT_TRUE(check_pattern(c->data(), c->size(), 2));
-  // ...and correctly has nothing older.
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 1), RestoreStatus::kNoData);
+  EXPECT_EQ(s.alloc->retained_epochs(*c), std::vector<std::uint64_t>({1}));
+  for (std::uint64_t e = 2; e <= 5; ++e) {
+    fill_pattern(c->data(), c->size(), e);
+    s.alloc->checkpoint_chunk(*c, e);
+    EXPECT_EQ(s.alloc->retained_epochs(*c),
+              std::vector<std::uint64_t>({e, e - 1}));
+    EXPECT_EQ(ring->allocated_slots(), 2u);
+    // Both retained epochs restore byte-exact: the newest as kOk, the
+    // previous one as explicitly stale.
+    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, e - 1),
+              RestoreStatus::kOkStale);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), e - 1));
+    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, e), RestoreStatus::kOk);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), e));
+    // The epoch before that was reused, detectably.
+    if (e > 2) {
+      EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, e - 2),
+                RestoreStatus::kNoData);
+    }
+  }
 }
 
-TEST(VersionRing, CommitSequenceMatchesLegacyByteForByte) {
-  // Depth-1 equivalence: an identical workload against a ring-depth-1
-  // allocator and a default (legacy) allocator must produce identical
-  // device images -- the ring code must be completely inert at depth 1.
-  NvmConfig cfg;
-  cfg.capacity = 8 * MiB;
-  cfg.throttle = false;
-  NvmDevice dev_a(cfg), dev_b(cfg);
-  vmem::Container cont_a(dev_a), cont_b(dev_b);
-  alloc::ChunkAllocator::Options depth1;
-  depth1.ring_depth = 1;
-  alloc::ChunkAllocator alloc_a(cont_a, depth1);
-  alloc::ChunkAllocator alloc_b(cont_b);  // default options
-  alloc::Chunk* a = alloc_a.nvalloc("eq", 32 * KiB, true);
-  alloc::Chunk* b = alloc_b.nvalloc("eq", 32 * KiB, true);
-  for (std::uint64_t e = 1; e <= 3; ++e) {
-    fill_pattern(a->data(), a->size(), e);
-    fill_pattern(b->data(), b->size(), e);
-    alloc_a.checkpoint_chunk(*a, e);
-    alloc_b.checkpoint_chunk(*b, e);
-  }
-  EXPECT_EQ(std::memcmp(dev_a.data(), dev_b.data(), cfg.capacity), 0)
-      << "ring_depth=1 must reproduce the two-slot device image exactly";
+class DepthOneScrub : public ::testing::TestWithParam<vmem::TrackMode> {};
+
+TEST_P(DepthOneScrub, RecopiesACorruptedReusedSlot) {
+  // A range commit into a reused slot folds the slot's clean bytes into
+  // the new checksum. At the default depth, a byte flipped in the older
+  // slot, away from any write, must not survive into the next epoch: the
+  // scrub verifies the reused slot and recopies the whole chunk.
+  const vmem::TrackMode mode = GetParam();
+  Stack s(/*ring_depth=*/1, 32 * MiB, {}, mode);
+  alloc::Chunk* c = s.alloc->nvalloc("scrub", 64 * KiB, true);
+  auto* p = static_cast<std::byte*>(c->data());
+  // Page mode tracks the stores by fault; a notify would dirty it whole.
+  auto store = [&](std::size_t off, std::size_t len, std::uint64_t seed) {
+    fill_pattern(p + off, len, seed);
+    if (mode == vmem::TrackMode::kWriteLog) c->log_write(off, len);
+  };
+  store(0, c->size(), 1);
+  s.alloc->checkpoint_chunk(*c, 1);
+  // Epochs 2 and 3 each store only into the first page, so the commit of
+  // epoch 3 into the reused slot of epoch 1 is a range commit.
+  store(64, 64, 2);
+  s.alloc->checkpoint_chunk(*c, 2);
+  const vmem::ChunkRecord& rec = c->record();
+  s.dev->data()[rec.slot_off[rec.in_progress_slot()] + 60000] ^=
+      std::byte{0x5a};
+  store(0, 64, 3);
+  s.alloc->checkpoint_chunk(*c, 3);
+  const std::vector<std::byte> golden(p, p + c->size());
+  std::memset(p, 0, c->size());
+  EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
+  EXPECT_EQ(std::memcmp(p, golden.data(), golden.size()), 0)
+      << "the flipped byte was laundered into epoch 3";
+  ASSERT_NE(s.alloc->epoch_directory(), nullptr);
+  EXPECT_EQ(s.alloc->epoch_directory()->slot_corruptions(), 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RangeModes, DepthOneScrub,
+    ::testing::Values(vmem::TrackMode::kWriteLog,
+                      vmem::TrackMode::kMprotectPage),
+    [](const ::testing::TestParamInfo<vmem::TrackMode>& info) {
+      return std::string(vmem::to_string(info.param));
+    });
 
 TEST(EpochDirectory, AttachResetsInProgressSlots) {
   namespace fs = std::filesystem;
@@ -243,43 +284,99 @@ std::uint64_t file_crc(const std::filesystem::path& path) {
   return crc64(bytes.data(), bytes.size());
 }
 
-TEST(EpochDirectory, CrossLayoutReopenIsRefusedAndWritesNothing) {
-  // The two-slot layout (depth 1) and the ring layout (depth > 1) never
-  // read each other: reopening at the other layout throws before a byte
-  // of the device changes, and the original depth still restores.
+TEST(EpochDirectory, DepthOneFileReopensAtDepthFourAndBack) {
+  // One layout at every depth: a file written at depth 1 reopens at depth
+  // 4 with both of its retained epochs, keeps committing there, and
+  // reopens at depth 1 again, byte-exact each time.
   namespace fs = std::filesystem;
-  for (const int depth : {1, 4}) {
-    SCOPED_TRACE("written at depth " + std::to_string(depth));
-    const fs::path path =
-        fs::temp_directory_path() /
-        ("nvmcp_epoch_layout_" + std::to_string(::getpid()) + "_" +
-         std::to_string(depth) + ".nvm");
-    fs::remove(path);
-    const std::uint64_t seed = 100 * static_cast<std::uint64_t>(depth);
-    {
-      Stack s(depth, 16 * MiB, path);
-      alloc::Chunk* c = s.alloc->nvalloc("layout", 64 * KiB, true);
-      for (std::uint64_t e = 1; e <= 3; ++e) {
-        fill_pattern(c->data(), c->size(), seed + e);
-        s.alloc->checkpoint_chunk(*c, e);
-      }
+  const fs::path path = fs::temp_directory_path() /
+                        ("nvmcp_epoch_depths_" +
+                         std::to_string(::getpid()) + ".nvm");
+  fs::remove(path);
+  {
+    Stack s(1, 16 * MiB, path);
+    alloc::Chunk* c = s.alloc->nvalloc("depths", 64 * KiB, true);
+    for (std::uint64_t e = 1; e <= 3; ++e) {
+      fill_pattern(c->data(), c->size(), 100 + e);
+      s.alloc->checkpoint_chunk(*c, e);
     }
-    const std::uint64_t before = file_crc(path);
-    EXPECT_THROW(Stack(depth == 1 ? 4 : 1, 16 * MiB, path), NvmcpError);
-    EXPECT_EQ(file_crc(path), before) << "a refused reopen wrote the device";
-    // The original depth still restores, and so does a ring -> ring depth
-    // change, older retained epochs included.
-    for (const int again : {depth, depth == 1 ? 1 : 2}) {
-      Stack s(again, 16 * MiB, path);
-      alloc::Chunk* c = s.alloc->nvalloc("layout", 64 * KiB, true);
-      EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
-      EXPECT_TRUE(check_pattern(c->data(), c->size(), seed + 3));
-      if (again == 1) continue;
-      EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 2), RestoreStatus::kOkStale);
-      EXPECT_TRUE(check_pattern(c->data(), c->size(), seed + 2));
-    }
-    fs::remove(path);
   }
+  {
+    Stack s(4, 16 * MiB, path);
+    alloc::Chunk* c = s.alloc->nvalloc("depths", 64 * KiB, true);
+    EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 103));
+    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 2), RestoreStatus::kOkStale);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 102));
+    for (std::uint64_t e = 4; e <= 7; ++e) {
+      fill_pattern(c->data(), c->size(), 100 + e);
+      s.alloc->checkpoint_chunk(*c, e);
+    }
+    EXPECT_EQ(s.alloc->retained_epochs(*c),
+              std::vector<std::uint64_t>({7, 6, 5, 4, 3}));
+  }
+  {
+    Stack s(1, 16 * MiB, path);
+    alloc::Chunk* c = s.alloc->nvalloc("depths", 64 * KiB, true);
+    EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 107));
+    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 6), RestoreStatus::kOkStale);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 106));
+    // Commits at depth 1 keep working over the slots depth 4 left, and
+    // the first one frees every slot past the depth-1 budget of two.
+    fill_pattern(c->data(), c->size(), 108);
+    s.alloc->checkpoint_chunk(*c, 8);
+    EXPECT_EQ(s.alloc->epoch_directory()->ring(c->id())->allocated_slots(),
+              2u);
+    EXPECT_EQ(s.alloc->retained_epochs(*c),
+              std::vector<std::uint64_t>({8, 7}));
+    fill_pattern(c->data(), c->size(), 0);
+    EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 108));
+    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 7), RestoreStatus::kOkStale);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 107));
+  }
+  fs::remove(path);
+}
+
+TEST(EpochDirectory, PreRingImageIsRefusedAndWritesNothing) {
+  // A container with chunk records but no epoch region predates rings at
+  // every depth (its records own two free-standing slots). Built here by
+  // hand through MetadataRegion; reopening it at any depth throws before
+  // a byte of the device changes.
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() /
+                        ("nvmcp_epoch_prering_" +
+                         std::to_string(::getpid()) + ".nvm");
+  fs::remove(path);
+  NvmConfig cfg;
+  cfg.capacity = 4 * MiB;
+  cfg.throttle = false;
+  cfg.backing_file = path.string();
+  {
+    NvmDevice dev(cfg);
+    vmem::Container cont(dev);
+    vmem::MetadataRegion& meta = cont.metadata();
+    ASSERT_EQ(meta.header().epoch_region_off, 0u);
+    vmem::ChunkRecord* rec = meta.insert(alloc::genid("old"), "old");
+    rec->size = 64 * KiB;
+    rec->slot_off[0] = cont.alloc_region(rec->size);
+    rec->slot_off[1] = cont.alloc_region(rec->size);
+    fill_pattern(dev.data() + rec->slot_off[0], rec->size, 7);
+    rec->checksum[0] = crc64(dev.data() + rec->slot_off[0], rec->size);
+    rec->epoch[0] = 1;
+    rec->committed = 0;
+    rec->flags |= vmem::ChunkRecord::kPersistent;
+    dev.mark_written_inplace(rec->slot_off[0], rec->size);
+    meta.persist_record(*rec);
+  }
+  const std::uint64_t before = file_crc(path);
+  for (const int depth : {1, 4}) {
+    SCOPED_TRACE("reopened at depth " + std::to_string(depth));
+    EXPECT_THROW(Stack(depth, 4 * MiB, path.string()), NvmcpError);
+    EXPECT_EQ(file_crc(path), before) << "a refused reopen wrote the device";
+  }
+  fs::remove(path);
 }
 
 TEST(EpochGc, ReclaimsOldestFirstDownToTheFloorNeverTheNewest) {
@@ -388,6 +485,82 @@ TEST(VersionRing, CorruptedNewestSlotIsDetectedNotLaundered) {
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 2));
 }
 
+// Live heap bytes. A sanitizer's allocator counts them itself (its
+// quarantine of freed blocks left out, which resident memory would
+// include); otherwise glibc's in-use bytes, mmapped blocks included.
+// GCC announces ASan and TSan with __SANITIZE_*__, clang through
+// __has_feature.
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define NVMCP_SANITIZER_HEAP 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define NVMCP_SANITIZER_HEAP 1
+#endif
+#endif
+#ifdef NVMCP_SANITIZER_HEAP
+// Declared here: GCC ships no <sanitizer/allocator_interface.h>.
+extern "C" std::size_t __sanitizer_get_current_allocated_bytes();
+std::size_t live_heap_bytes() {
+  return __sanitizer_get_current_allocated_bytes();
+}
+#else
+std::size_t live_heap_bytes() {
+  const struct mallinfo2 mi = ::mallinfo2();
+  return mi.uordblks + mi.hblkhd;
+}
+#endif
+
+TEST(VersionRing, WriteLogPendingListsStayBounded) {
+  // A logged range stays pending for every ring slot until copied into
+  // it. Only depth + 1 slots are ever written, so only that many lists
+  // may exist: a list no commit drains grows by every logged range,
+  // forever.
+  Stack s(/*ring_depth=*/4, 64 * MiB, {}, vmem::TrackMode::kWriteLog);
+  constexpr std::size_t kChunk = 256 * KiB;
+  std::vector<alloc::Chunk*> cs;
+  for (int i = 0; i < 8; ++i) {
+    cs.push_back(s.alloc->nvalloc("log" + std::to_string(i), kChunk, true));
+  }
+  auto round = [&](std::uint64_t e) {
+    for (alloc::Chunk* c : cs) {
+      auto* p = static_cast<std::byte*>(c->data());
+      // 128 sparse 64-byte stores, 2 KiB apart: well under the coverage
+      // fallback, never merged.
+      for (std::size_t k = 0; k < 128; ++k) {
+        const std::size_t off = k * 2 * KiB;
+        std::memset(p + off, static_cast<int>(e), 64);
+        c->log_write(off, 64);
+      }
+      s.alloc->checkpoint_chunk(*c, e);
+    }
+  };
+  {
+    // The meter must see this heap, or the bound below could never fail.
+    const std::size_t before = live_heap_bytes();
+    std::vector<std::byte> probe(8 * MiB, std::byte{1});
+    ASSERT_GE(live_heap_bytes(), before + 8 * MiB)
+        << "heap meter blind to an allocation at "
+        << static_cast<const void*>(probe.data());
+  }
+  std::uint64_t e = 1;
+  for (; e <= 20; ++e) round(e);
+  const std::size_t heap0 = live_heap_bytes();
+  for (; e <= 320; ++e) round(e);
+  const std::size_t heap1 = live_heap_bytes();
+  const std::size_t grown = heap1 - std::min(heap0, heap1);
+  // Four never-drained lists would add 300 x 8 x 128 x 4 ranges of 16 B,
+  // about 19 MiB.
+  EXPECT_LT(grown, 4 * MiB) << "live heap grew by " << grown << " bytes";
+  for (alloc::Chunk* c : cs) {
+    const std::vector<std::byte> golden(
+        static_cast<std::byte*>(c->data()),
+        static_cast<std::byte*>(c->data()) + kChunk);
+    std::memset(c->data(), 0, kChunk);
+    EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
+    EXPECT_EQ(std::memcmp(c->data(), golden.data(), kChunk), 0);
+  }
+}
+
 TEST(VersionRing, RingSlotCountIsBounded) {
   // A long commit history cycles slots instead of growing: allocated
   // payload regions never exceed depth + 1.
@@ -404,6 +577,131 @@ TEST(VersionRing, RingSlotCountIsBounded) {
   ASSERT_EQ(epochs.size(), 4u);  // depth + the next reuse victim
   EXPECT_EQ(epochs[0], 20u);
   EXPECT_EQ(epochs[3], 17u);
+}
+
+TEST(VersionRing, SameEpochRecommitNeverReusesTheAcknowledgedSlot) {
+  // nvchkptid, or checkpoint_chunk called directly, can commit a chunk
+  // twice at one epoch, so two slots hold that epoch; after a reopen
+  // nothing in the ring says which was published last. The slot the
+  // record's committed pointer aliases must still never be the one a
+  // later commit copies into: a crash mid-copy would tear the only
+  // acknowledged version.
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() /
+                        ("nvmcp_epoch_tie_" + std::to_string(::getpid()) +
+                         ".nvm");
+  fs::remove(path);
+  std::uint64_t acked = 0;
+  auto commit = [&](Stack& s, alloc::Chunk* c, std::uint64_t epoch,
+                    std::uint64_t seed) {
+    fill_pattern(c->data(), c->size(), seed);
+    s.alloc->checkpoint_chunk(*c, epoch);
+    const vmem::ChunkRecord& rec = c->record();
+    ASSERT_TRUE(rec.has_committed());
+    const std::uint64_t off = rec.slot_off[rec.committed];
+    EXPECT_NE(off, acked) << "commit of seed " << seed
+                          << " copied into the acknowledged slot";
+    acked = off;
+  };
+  {
+    Stack s(1, 16 * MiB, path);
+    alloc::Chunk* c = s.alloc->nvalloc("same", 32 * KiB, true);
+    for (std::uint64_t k = 0; k < 4; ++k) commit(s, c, 5, 10 + k);
+  }
+  {
+    Stack s(1, 16 * MiB, path);
+    alloc::Chunk* c = s.alloc->nvalloc("same", 32 * KiB, true);
+    EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 13));
+    commit(s, c, 6, 20);
+    fill_pattern(c->data(), c->size(), 0);
+    EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 20));
+  }
+  fs::remove(path);
+}
+
+TEST(VersionRing, GcNeverReclaimsTheAcknowledgedSlotOfAnEpochTie) {
+  // A chunk committed twice at one epoch leaves two slots holding it. The
+  // GC spares the newest version, and of the two that is the one
+  // published last, which the record's committed pointer aliases:
+  // freeing it would leave the record pointing at a free region.
+  Stack s(2);
+  alloc::Chunk* c = s.alloc->nvalloc("tie", 64 * KiB, true);
+  const std::uint64_t epochs[] = {4, 5, 5};
+  for (std::uint64_t k = 0; k < 3; ++k) {
+    fill_pattern(c->data(), c->size(), 20 + k);
+    s.alloc->checkpoint_chunk(*c, epochs[k]);
+  }
+  const vmem::ChunkRecord& rec = c->record();
+  const std::uint64_t acked = rec.slot_off[rec.committed];
+  const GcPassStats st =
+      s.alloc->epoch_directory()->gc_pass(/*watermark=*/0.0, /*floor=*/1);
+  EXPECT_EQ(st.slots_reclaimed, 2u);
+  VersionRing* ring = s.alloc->epoch_directory()->ring(c->id());
+  ASSERT_NE(ring, nullptr);
+  bool kept = false;
+  for (const RingSlot& slot : ring->snapshot_slots()) {
+    kept |= slot.committed() && slot.off == acked;
+  }
+  EXPECT_TRUE(kept) << "the GC freed the acknowledged slot";
+  fill_pattern(c->data(), c->size(), 0);
+  EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
+  EXPECT_TRUE(check_pattern(c->data(), c->size(), 22));
+}
+
+TEST(VersionRing, DepthOneShedsASpillBackToItsBudget) {
+  // With its older epoch pinned, a depth-1 commit spills into a third
+  // slot. Once the pin is gone, the ring frees what it holds past its
+  // budget of two (crediting the quota) instead of cycling through it.
+  vmem::CapacityQuota quota;  // unlimited: meters the footprint
+  Stack s(1, 32 * MiB, {}, vmem::TrackMode::kMprotect, &quota);
+  constexpr std::size_t kChunk = 64 * KiB;
+  alloc::Chunk* c = s.alloc->nvalloc("spill", kChunk, true);
+  VersionRing* ring = s.alloc->epoch_directory()->ring(c->id());
+  ASSERT_NE(ring, nullptr);
+  for (std::uint64_t e = 1; e <= 2; ++e) {
+    fill_pattern(c->data(), c->size(), e);
+    s.alloc->checkpoint_chunk(*c, e);
+  }
+  s.alloc->pin_epoch(*c, 1);
+  fill_pattern(c->data(), c->size(), 3);
+  s.alloc->checkpoint_chunk(*c, 3);
+  EXPECT_EQ(ring->allocated_slots(), 3u);
+  EXPECT_EQ(quota.used(), 3 * kChunk);
+  s.alloc->unpin_epoch(*c, 1);
+  for (std::uint64_t e = 4; e <= 7; ++e) {
+    fill_pattern(c->data(), c->size(), e);
+    s.alloc->checkpoint_chunk(*c, e);
+    EXPECT_EQ(ring->allocated_slots(), 2u) << "epoch " << e;
+    EXPECT_EQ(quota.used(), 2 * kChunk) << "epoch " << e;
+    EXPECT_EQ(s.alloc->retained_epochs(*c),
+              std::vector<std::uint64_t>({e, e - 1}));
+  }
+  // No region is left past the budget, where a slot keeps no pending
+  // range list and every commit into it would copy the whole chunk.
+  const std::vector<RingSlot> slots = ring->snapshot_slots();
+  for (std::size_t i = ring->slot_budget(); i < slots.size(); ++i) {
+    EXPECT_EQ(slots[i].off, 0u) << "slot " << i << " past the budget";
+  }
+  fill_pattern(c->data(), c->size(), 0);
+  EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
+  EXPECT_TRUE(check_pattern(c->data(), c->size(), 7));
+  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 6), RestoreStatus::kOkStale);
+  EXPECT_TRUE(check_pattern(c->data(), c->size(), 6));
+}
+
+TEST(VersionRing, FullDeviceRefusalCreditsTheQuota) {
+  // A slot's quota charge is taken before its region is carved: when the
+  // device has no room for the region, the commit is refused and the
+  // charge undone, so the tenant is not billed for space it never got.
+  vmem::CapacityQuota quota;
+  Stack s(1, 4 * MiB, {}, vmem::TrackMode::kMprotect, &quota);
+  alloc::Chunk* c = s.alloc->nvalloc("big", 8 * MiB, true);
+  fill_pattern(c->data(), c->size(), 1);
+  EXPECT_THROW(s.alloc->checkpoint_chunk(*c, 1), NvmcpError);
+  EXPECT_EQ(quota.used(), 0u);
+  EXPECT_TRUE(c->dirty_local()) << "a refused commit must stay dirty";
 }
 
 }  // namespace

@@ -333,47 +333,50 @@ TEST(CampaignRunner, ParallelCopyPathHasNoUndetectedLoss) {
 // log dropped or the copier mis-applied leaves restored bytes matching no
 // golden epoch -- classified kUndetectedLoss, always a library bug.
 //
-// Bit flips are BACK in the mix (they were excluded before the version
-// ring existed): at ring depth >= 3 an incremental commit verifies the
-// reused slot's bytes against its published checksum before folding any
-// clean-gap bytes, so in-place NVM corruption between commits is detected
-// and recopied wholesale instead of being laundered into the next
-// checksum; a flipped *newest* slot fails restore verification and rolls
-// back to an older retained epoch. Either way: detected, never silent.
+// Bit flips are in the mix: at every ring depth an incremental commit
+// verifies the reused slot's bytes against its published checksum before
+// folding any clean-gap bytes, so in-place NVM corruption between commits
+// is detected and recopied wholesale instead of being laundered into the
+// next checksum; a flipped *newest* slot fails restore verification and
+// rolls back to an older retained epoch. Either way: detected, never
+// silent. Depth 1 is the default; depth 3 retains more to roll back to.
 TEST(CampaignRunner, WriteLogTrackingHasNoUndetectedLoss) {
-  CampaignSpec s = small_spec();
-  s.trials = 32;
-  s.seed = 0x10663bad;
-  s.track_mode = vmem::TrackMode::kWriteLog;
-  s.ring_depth = 3;
-  s.chunks_per_rank = 3;
-  s.iterations = 10;
-  s.faults = {};
-  s.faults.mtbf_soft = 30.0;
-  s.faults.mtbf_hard = 120.0;
-  s.faults.torn_write_rate = 0.05;
-  s.faults.bit_flip_rate = 0.05;
-  s.faults.outage_rate = 0.02;
-  CampaignRunner runner(s);
-  const CampaignResult res = runner.run();
-  ASSERT_EQ(res.trials.size(), 32u);
-  EXPECT_EQ(res.count(TrialOutcome::kUndetectedLoss), 0)
-      << "a logged dirty range was dropped or mis-applied at commit";
-  int crashed = 0;
-  for (const TrialResult& t : res.trials) {
-    if (t.crash_seconds >= 0) ++crashed;
-  }
-  EXPECT_GT(crashed, 0) << "campaign produced no crashes; test is vacuous";
-  EXPECT_GT(res.count(TrialOutcome::kRecoveredLocal) +
-                res.count(TrialOutcome::kRecoveredRemote) +
-                res.count(TrialOutcome::kStaleEpoch) +
-                res.count(TrialOutcome::kDetectedCorruption),
-            0);
-  // Crash-free write-log trials replay exactly like any other mode.
-  for (const TrialResult& t : res.trials) {
-    const TrialResult replay = runner.run_trial(t.seed);
-    EXPECT_EQ(replay.outcome, t.outcome) << "trial " << t.index;
-    EXPECT_EQ(replay.restored_epoch, t.restored_epoch);
+  for (const int depth : {1, 3}) {
+    SCOPED_TRACE("ring depth " + std::to_string(depth));
+    CampaignSpec s = small_spec();
+    s.trials = 32;
+    s.seed = 0x10663bad;
+    s.track_mode = vmem::TrackMode::kWriteLog;
+    s.ring_depth = depth;
+    s.chunks_per_rank = 3;
+    s.iterations = 10;
+    s.faults = {};
+    s.faults.mtbf_soft = 30.0;
+    s.faults.mtbf_hard = 120.0;
+    s.faults.torn_write_rate = 0.05;
+    s.faults.bit_flip_rate = 0.05;
+    s.faults.outage_rate = 0.02;
+    CampaignRunner runner(s);
+    const CampaignResult res = runner.run();
+    ASSERT_EQ(res.trials.size(), 32u);
+    EXPECT_EQ(res.count(TrialOutcome::kUndetectedLoss), 0)
+        << "a logged dirty range was dropped or mis-applied at commit";
+    int crashed = 0;
+    for (const TrialResult& t : res.trials) {
+      if (t.crash_seconds >= 0) ++crashed;
+    }
+    EXPECT_GT(crashed, 0) << "campaign produced no crashes; test is vacuous";
+    EXPECT_GT(res.count(TrialOutcome::kRecoveredLocal) +
+                  res.count(TrialOutcome::kRecoveredRemote) +
+                  res.count(TrialOutcome::kStaleEpoch) +
+                  res.count(TrialOutcome::kDetectedCorruption),
+              0);
+    // Crash-free write-log trials replay exactly like any other mode.
+    for (const TrialResult& t : res.trials) {
+      const TrialResult replay = runner.run_trial(t.seed);
+      EXPECT_EQ(replay.outcome, t.outcome) << "trial " << t.index;
+      EXPECT_EQ(replay.restored_epoch, t.restored_epoch);
+    }
   }
 }
 
@@ -426,27 +429,43 @@ TEST(CampaignRunner, RingRollsBackToEpochKMinus2) {
   }
 }
 
-// Depth-1 control for the same directed scenario: no ring, no remote --
-// corrupting the newest epoch must be *detected* loss, never a silent
-// success and never a magic rollback (there is nothing to roll back to).
-TEST(CampaignRunner, DepthOneHasNothingToRollBackTo) {
+// Depth-1 control for the same directed scenario: a one-epoch ring, no
+// remote. Corrupting only the newest epoch rolls back exactly one epoch;
+// corrupting both retained epochs is detected loss with nothing rolled
+// back. Neither is ever a silent success.
+TEST(CampaignRunner, DepthOneRollsBackOneEpochAtMost) {
   CampaignSpec s = small_spec();
   s.trials = 12;
   s.seed = 0x41966;
   s.ring_depth = 1;
   s.local_only = true;
-  s.corrupt_newest_epochs = 1;
   s.iterations = 10;
   s.faults = {};
   s.faults.mtbf_soft = 25.0;
   s.faults.mtbf_hard = 0;
-  CampaignRunner runner(s);
-  const CampaignResult res = runner.run();
+
+  s.corrupt_newest_epochs = 1;
+  CampaignResult res = CampaignRunner(s).run();
+  EXPECT_EQ(res.count(TrialOutcome::kUndetectedLoss), 0);
+  EXPECT_EQ(res.count(TrialOutcome::kRecoveredLocal), 0);
+  int rolled_to_k1 = 0;
+  for (const TrialResult& t : res.trials) {
+    if (t.crash_seconds < 0 || t.chunks_rolled_back == 0) continue;
+    EXPECT_EQ(t.outcome, TrialOutcome::kStaleEpoch) << "trial " << t.index;
+    EXPECT_EQ(t.restored_epoch,
+              static_cast<std::int64_t>(t.committed_epoch) - 1)
+        << "trial " << t.index;
+    ++rolled_to_k1;
+  }
+  EXPECT_GT(rolled_to_k1, 0) << "no trial rolled back; vacuous";
+
+  s.corrupt_newest_epochs = 2;
+  res = CampaignRunner(s).run();
   EXPECT_EQ(res.count(TrialOutcome::kUndetectedLoss), 0);
   EXPECT_EQ(res.count(TrialOutcome::kRecoveredLocal), 0);
   EXPECT_EQ(res.count(TrialOutcome::kStaleEpoch), 0)
-      << "depth-1 rollback is impossible; a stale success means the "
-         "two-slot scheme leaked an uncommitted version";
+      << "a stale success with both retained epochs corrupt means a "
+         "reused slot leaked a version";
   int detected = 0;
   for (const TrialResult& t : res.trials) {
     if (t.crash_seconds < 0) continue;

@@ -3,9 +3,12 @@
 // interval/data estimates, and restore.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -498,8 +501,8 @@ struct ModeObservation {
 };
 
 /// Full fill + checkpoint, then four rounds of small mutations + checkpoint
-/// (so BOTH version slots take incremental commits), then scribble and
-/// restore. Every mode sees the identical store sequence.
+/// (so both ring slots of the default depth take incremental commits),
+/// then scribble and restore. Every mode sees the identical store sequence.
 ModeObservation run_mode(vmem::TrackMode mode) {
   ModeStack s = make_mode_stack(mode, -1, 4);
   const bool writelog = mode == vmem::TrackMode::kWriteLog;
@@ -737,7 +740,10 @@ TEST(StreamingRestore, WalksBackWhenTheTargetEpochFailsVerification) {
   EXPECT_TRUE(matches_seed(*b, 20 + 3));
 }
 
-TEST(StreamingRestore, DepthOneReportsMismatchWithNothingToWalkBackTo) {
+TEST(StreamingRestore, DepthOneRollsBackOneEpochThenReportsLoss) {
+  // Depth 1 retains the previous epoch between commits: a corrupted
+  // newest slot rolls back one epoch; with both retained slots corrupted
+  // the loss is detected and nothing is rolled back.
   RingStack s(1);
   alloc::Chunk* a = s.alloc->nvalloc("d1", 256 * KiB, true);
   fill_seeded(*a, 1);
@@ -746,9 +752,72 @@ TEST(StreamingRestore, DepthOneReportsMismatchWithNothingToWalkBackTo) {
   s.mgr->nvchkptall();
   const auto& rec = a->record();
   s.dev->data()[rec.slot_off[rec.committed] + 100] ^= std::byte{0x40};
-  const auto rep = s.mgr->restore_streaming();
+  auto rep = s.mgr->restore_streaming();
+  EXPECT_EQ(rep.status, RestoreStatus::kOkStale);
+  EXPECT_EQ(rep.chunks_rolled_back, 1);
+  EXPECT_TRUE(matches_seed(*a, 1));
+
+  s.dev->data()[rec.slot_off[rec.in_progress_slot()] + 100] ^=
+      std::byte{0x40};
+  rep = s.mgr->restore_streaming();
   EXPECT_EQ(rep.status, RestoreStatus::kChecksumMismatch);
   EXPECT_EQ(rep.chunks_rolled_back, 0);
+}
+
+TEST(RestartEpochs, ReopenedManagerContinuesEpochsAndSparesTheCommittedSlot) {
+  // A ring picks the slot a commit reuses by epoch age, so epochs keep
+  // increasing across sessions: a counter restarted at 1 over a reopened
+  // device would make the newest committed slot look oldest, and a later
+  // commit would copy over the only acknowledged version.
+  namespace fs = std::filesystem;
+  for (const int depth : {1, 4}) {
+    SCOPED_TRACE("ring depth " + std::to_string(depth));
+    const fs::path path = fs::temp_directory_path() /
+                          ("nvmcp_restart_epochs_" +
+                           std::to_string(::getpid()) + ".nvm");
+    fs::remove(path);
+    NvmConfig ncfg;
+    ncfg.capacity = 16 * MiB;
+    ncfg.throttle = false;
+    ncfg.backing_file = path.string();
+    auto session = [&](const auto& body) {
+      NvmDevice dev(ncfg);
+      vmem::Container cont(dev);
+      alloc::ChunkAllocator::Options aopts;
+      aopts.ring_depth = depth;
+      alloc::ChunkAllocator a(cont, aopts);
+      CheckpointConfig cfg;
+      cfg.local_policy = PrecopyPolicy::kNone;
+      cfg.epoch_gc_background = false;
+      CheckpointManager m(a, cfg);
+      body(a, m, *a.nvalloc("state", 64 * KiB, true));
+    };
+    session([&](alloc::ChunkAllocator&, CheckpointManager& m,
+                alloc::Chunk& c) {
+      for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        fill_seeded(c, seed);
+        m.nvchkptall();
+      }
+    });
+    session([&](alloc::ChunkAllocator& a, CheckpointManager& m,
+                alloc::Chunk& c) {
+      ASSERT_EQ(c.restore_status(), RestoreStatus::kOk);
+      EXPECT_TRUE(matches_seed(c, 5));
+      EXPECT_EQ(m.committed_epoch(), 5u);
+      for (std::uint64_t seed = 6; seed <= 7; ++seed) {
+        fill_seeded(c, seed);
+        m.nvchkptall();
+      }
+      // Crash mid-commit: the next round's copy lands, its flip never
+      // does.
+      fill_seeded(c, 8);
+      a.precopy_chunk(c, m.next_epoch());
+      fill_seeded(c, 0);
+      EXPECT_EQ(a.restore_chunk(c), RestoreStatus::kOk);
+      EXPECT_TRUE(matches_seed(c, 7)) << "the copy overwrote the newest slot";
+    });
+    fs::remove(path);
+  }
 }
 
 // The admission rule: while a streaming restore is in flight, nvchkptall

@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -298,15 +300,144 @@ TEST(TenantArena, QuotaPressureNeverEvictsNeighbourEpochs) {
   EXPECT_EQ(calm.allocator().retained_epochs(*cc).size(), calm_retained);
 }
 
-TEST(TenantArena, OverQuotaAllocationThrows) {
-  // Depth-1 arena: nvalloc charges both version slots upfront, so the
-  // over-budget allocation fails at acquisition.
+TEST(TenantArena, OverQuotaCommitThrowsAtSlotAcquisition) {
+  // Depth-1 arena: quota is charged per ring slot when a commit acquires
+  // it, so allocation never throws. Two chunks need four slots to hold
+  // two epochs each; a quota of three lets the second round acquire only
+  // one more, and the chunk left without a slot has no older epoch of
+  // its own to recycle, so its commit is refused.
   TenantArena arena(small_arena(1));
   TenantHandle& t =
-      arena.create_tenant(spec_for("capped", 2 * (128 * KiB)));
-  EXPECT_NE(t.nvalloc("fits", 128 * KiB, true), nullptr);
-  EXPECT_THROW(t.nvalloc("overflow", 128 * KiB, true), NvmcpError);
+      arena.create_tenant(spec_for("capped", 3 * (128 * KiB)));
+  TenantHandle& n = arena.create_tenant(spec_for("neighbour"));
+  alloc::Chunk* a = t.nvalloc("a", 128 * KiB, true);
+  alloc::Chunk* b = t.nvalloc("b", 128 * KiB, true);
+  EXPECT_EQ(t.quota().used(), 0u) << "nvalloc charged before any commit";
+  fill(*a, 1);
+  fill(*b, 2);
+  ASSERT_TRUE(t.checkpoint().admitted);
+  EXPECT_EQ(t.quota().used(), 2 * (128 * KiB));
+  fill(*a, 3);
+  fill(*b, 4);
+  EXPECT_THROW(t.checkpoint(), NvmcpError);
   EXPECT_GE(t.quota().rejections(), 1u);
+  EXPECT_LE(t.quota().peak(), t.quota().limit());
+  // The unmetered neighbour allocates and commits as if nothing happened.
+  alloc::Chunk* c = n.nvalloc("v", 1 * MiB, true);
+  fill(*c, 5);
+  ASSERT_TRUE(n.checkpoint().admitted);
+  std::memset(c->data(), 0, c->size());
+  EXPECT_EQ(n.allocator().restore_chunk(*c), RestoreStatus::kOk);
+  Rng rng(5);
+  std::uint64_t got0;
+  std::memcpy(&got0, c->data(), 8);
+  EXPECT_EQ(got0, rng.next_u64());
+}
+
+TEST(TenantArena, RefusedRoundsCommitTheRestAtNewEpochs) {
+  // Depth 1, one copier, quota for five slots: a (128 KiB) and c (32 KiB)
+  // take two each, b (64 KiB) one, and b's second slot is refused every
+  // round after the first. The refusal must hold back neither a, sharded
+  // before b, nor c, sharded after it. Each retry numbers a new epoch and
+  // copies into the chunk's older slot: reusing an epoch leaves two slots
+  // holding it, and the tie then picks the acknowledged slot as the next
+  // copy's target.
+  TenantArena arena(small_arena(1));
+  TenantSpec spec =
+      spec_for("capped", 2 * (128 * KiB) + 64 * KiB + 2 * (32 * KiB));
+  spec.ckpt.copy_threads = 1;
+  TenantHandle& t = arena.create_tenant(spec);
+  alloc::Chunk* a = t.nvalloc("a", 128 * KiB, true);
+  alloc::Chunk* b = t.nvalloc("b", 64 * KiB, true);
+  alloc::Chunk* c = t.nvalloc("c", 32 * KiB, true);
+  fill(*a, 1);
+  fill(*b, 2);
+  fill(*c, 3);
+  ASSERT_TRUE(t.checkpoint().admitted);
+  for (std::uint64_t round = 0; round < 4; ++round) {
+    std::vector<std::uint64_t> acked_off, acked_epoch;
+    for (alloc::Chunk* x : {a, c}) {
+      const vmem::ChunkRecord& rec = x->record();
+      acked_off.push_back(rec.slot_off[rec.committed]);
+      acked_epoch.push_back(rec.epoch[rec.committed]);
+    }
+    fill(*a, 10 + round);
+    fill(*b, 20 + round);
+    fill(*c, 30 + round);
+    EXPECT_THROW(t.checkpoint(), NvmcpError) << "round " << round;
+    EXPECT_TRUE(b->dirty_local());
+    std::size_t i = 0;
+    for (alloc::Chunk* x : {a, c}) {
+      const vmem::ChunkRecord& rec = x->record();
+      EXPECT_FALSE(x->dirty_local()) << x->name() << " round " << round;
+      EXPECT_NE(rec.slot_off[rec.committed], acked_off[i])
+          << x->name() << " round " << round
+          << " copied into the acknowledged slot";
+      EXPECT_GT(rec.epoch[rec.committed], acked_epoch[i])
+          << x->name() << " round " << round;
+      EXPECT_EQ(t.allocator().retained_epochs(*x),
+                std::vector<std::uint64_t>(
+                    {rec.epoch[rec.committed], acked_epoch[i]}));
+      ++i;
+    }
+  }
+  EXPECT_LE(t.quota().peak(), t.quota().limit());
+  for (auto [x, seed] : {std::pair{a, 13}, std::pair{c, 33}}) {
+    std::memset(x->data(), 0, x->size());
+    EXPECT_EQ(t.allocator().restore_chunk(*x), RestoreStatus::kOk);
+    Rng rng(seed);
+    std::uint64_t got0;
+    std::memcpy(&got0, x->data(), 8);
+    EXPECT_EQ(got0, rng.next_u64()) << x->name();
+  }
+}
+
+TEST(TenantArena, RefusedPrecopyLeavesTheProcessAndNeighbourRunning) {
+  // The default depth with a pre-copy policy: the background engine, not
+  // the application, is first to ask for the slot the quota refuses. The
+  // refusal must stay with the capped tenant (its chunk left dirty for
+  // the coordinated step, which then refuses on the caller's thread)
+  // instead of ending the engine thread and with it every tenant.
+  TenantArena arena(small_arena(1));
+  TenantSpec capped = spec_for("capped", 3 * (128 * KiB));
+  capped.ckpt.local_policy = core::PrecopyPolicy::kCpc;
+  TenantHandle& t = arena.create_tenant(capped);
+  TenantHandle& n = arena.create_tenant(spec_for("neighbour"));
+  alloc::Chunk* a = t.nvalloc("a", 128 * KiB, true);
+  alloc::Chunk* b = t.nvalloc("b", 128 * KiB, true);
+  // Stores may race a pre-copy by design (tracking re-marks the chunk);
+  // holding the commit mutex keeps them apart, as a race detector needs.
+  auto store = [&](alloc::Chunk& c, std::uint64_t seed) {
+    std::lock_guard<std::mutex> lock(t.manager().commit_mutex());
+    fill(c, seed);
+  };
+  store(*a, 1);
+  store(*b, 2);
+  ASSERT_TRUE(t.checkpoint().admitted);
+  store(*a, 3);
+  store(*b, 4);
+  const telemetry::Counter& refused =
+      t.manager().metrics().counter("ckpt.precopy_refused");
+  const double deadline = now_seconds() + 10.0;
+  while (refused.value() == 0 && now_seconds() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GE(refused.value(), 1u) << "no pre-copy round reached the refusal";
+  EXPECT_LE(t.quota().peak(), t.quota().limit());
+  // The neighbour allocates, commits and restores while the capped
+  // tenant's engine keeps running into its quota.
+  alloc::Chunk* c = n.nvalloc("v", 1 * MiB, true);
+  fill(*c, 5);
+  ASSERT_TRUE(n.checkpoint().admitted);
+  std::memset(c->data(), 0, c->size());
+  EXPECT_EQ(n.allocator().restore_chunk(*c), RestoreStatus::kOk);
+  Rng rng(5);
+  std::uint64_t got0;
+  std::memcpy(&got0, c->data(), 8);
+  EXPECT_EQ(got0, rng.next_u64());
+  // The capped tenant's own round is refused where it can be handled.
+  EXPECT_THROW(t.checkpoint(), NvmcpError);
+  EXPECT_TRUE(a->dirty_local() || b->dirty_local());
   EXPECT_LE(t.quota().peak(), t.quota().limit());
 }
 

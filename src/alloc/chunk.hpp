@@ -85,8 +85,10 @@ class Chunk {
   /// pre-copy, 0 if none. Managed by the checkpoint engine.
   std::uint64_t precopied_epoch() const { return precopied_epoch_; }
 
-  vmem::ChunkRecord& record() { return *record_; }
-  const vmem::ChunkRecord& record() const { return *record_; }
+  /// The chunk's persisted record. Library code reads the committed
+  /// version through ChunkAllocator::acknowledged, under the mutex commits
+  /// publish under; a direct read is only safe with no commit in flight.
+  const vmem::ChunkRecord& record() const;
 
  private:
   friend class ChunkAllocator;
@@ -101,7 +103,6 @@ class Chunk {
   bool persistent_ = false;
   RestoreStatus restore_status_ = RestoreStatus::kNoData;
 
-  vmem::ChunkRecord* record_ = nullptr;
   vmem::WriteTracker tracker_;
   int prot_handle_ = -1;
   vmem::TrackMode mode_ = vmem::TrackMode::kSoftware;

@@ -61,7 +61,7 @@ ChunkAllocator::ChunkAllocator(vmem::Container& container, Options opts)
       ring_depth_(epoch::resolve_ring_depth(opts.ring_depth)) {
   if (opts_.shared_dir) {
     // Arena mode: the directory (and its depth) belongs to the arena; all
-    // tenants share the container's single epoch region.
+    // tenants share the container's one directory.
     dir_ = opts_.shared_dir;
     ring_depth_ = dir_->ring_depth();
   } else {
@@ -113,23 +113,11 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
     }
   }
 
-  auto& meta = container_->metadata();
-  vmem::ChunkRecord* rec = meta.find(id);
-  const bool fresh_record = rec == nullptr;
-  if (fresh_record) rec = meta.insert(id, name);
-  if (rec->size != size) {
-    // A new record, or a size changed across sessions (the old payload
-    // cannot be restored). Version slots live in the ring, which takes
-    // them (and charges the quota) at the first commit that needs them;
-    // the record's offsets alias the ring slot each commit publishes, and
-    // ensure_ring below drops a ring of the old size.
-    rec->size = size;
-    rec->slot_off[0] = 0;
-    rec->slot_off[1] = 0;
-    rec->committed = vmem::ChunkRecord::kNoneCommitted;
-    if (persistent) rec->flags |= vmem::ChunkRecord::kPersistent;
-    meta.persist_record(*rec);
-  }
+  // The chunk's record, created on first use. Its slots take their
+  // regions (and charge the quota) at the first commit that needs them; a
+  // size changed across sessions frees the old ones (that payload cannot
+  // be restored).
+  epoch::VersionRing* ring = dir_->ensure_ring(id, size, opts_.quota, name);
 
   auto chunk = std::unique_ptr<Chunk>(new Chunk());
   Chunk& c = *chunk;
@@ -137,7 +125,7 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
   c.name_ = std::string(name);
   c.size_ = size;
   c.persistent_ = persistent;
-  c.record_ = rec;
+  c.ring_ = ring;
   if (attach_src) {
     c.dram_ = static_cast<std::byte*>(attach_src);
     c.owns_dram_ = false;
@@ -157,7 +145,6 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
   const std::size_t track_len = c.owns_dram_ ? c.dram_capacity_ : c.size_;
   c.prot_handle_ = vmem::ProtectionManager::instance().register_range(
       c.dram_, track_len, &c.tracker_, c.mode_);
-  c.ring_ = dir_->ensure_ring(id, size, opts_.quota);
   if (c.mode_ == vmem::TrackMode::kWriteLog) {
     c.log_sink_ =
         vmem::ProtectionManager::instance().log_sink(c.prot_handle_);
@@ -165,9 +152,7 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
   // Everything is pending for every slot until the first full copies.
   reset_pending_lists(c);
 
-  if (persistent && !fresh_record && rec->has_committed()) {
-    c.restore_status_ = restore_chunk(c);
-  }
+  if (persistent) c.restore_status_ = restore_chunk(c);  // kNoData: none
 
   Chunk* out = &c;
   chunks_.push_back(std::move(chunk));
@@ -201,42 +186,27 @@ Chunk* ChunkAllocator::nvrealloc(std::uint64_t id, std::size_t new_size) {
   if (new_size == 0) throw NvmcpError("nvrealloc: zero size");
   if (new_size == c->size_) return c;
 
-  vmem::ChunkRecord& rec = *c->record_;
   auto& dev = container_->device();
 
   // Older retained epochs have the old size and cannot carry over: keep
-  // only the committed payload prefix, re-ring at the new size, and
-  // republish it as the sole retained epoch.
+  // only the acknowledged payload prefix, re-size the ring (freeing every
+  // slot), and republish it as the sole retained epoch.
   std::vector<std::byte> tmp;
-  std::uint64_t keep_epoch = 0;
-  const bool had_committed = rec.has_committed();
-  if (had_committed) {
-    const std::size_t keep = std::min<std::size_t>(rec.size, new_size);
+  const std::optional<epoch::RingSlot> acked = acknowledged(*c);
+  if (acked) {
     tmp.assign(new_size, std::byte{0});
-    dev.read(rec.slot_off[rec.committed], tmp.data(), keep);
-    keep_epoch = rec.epoch[rec.committed];
+    dev.read(acked->off, tmp.data(), std::min(c->size_, new_size));
   }
-  dir_->drop_ring(id);
-  rec.slot_off[0] = 0;
-  rec.slot_off[1] = 0;
-  rec.size = new_size;
-  rec.committed = vmem::ChunkRecord::kNoneCommitted;
-  c->ring_ = dir_->ensure_ring(id, new_size, opts_.quota);
+  dir_->ensure_ring(id, new_size, opts_.quota);
   c->ring_slot_ = Chunk::kNoRingSlot;
   c->ring_slot_off_ = 0;
-  if (had_committed) {
+  if (acked) {
     const auto acq = c->ring_->acquire_for_commit();
     std::uint64_t sum = crc64_init();
     dev.write(acq.off, tmp.data(), new_size, nullptr, &sum);
     dev.flush(acq.off, new_size);
-    const std::uint64_t crc = crc64_final(sum);
-    c->ring_->publish(acq.index, keep_epoch, crc);
-    rec.slot_off[0] = acq.off;
-    rec.checksum[0] = crc;
-    rec.epoch[0] = keep_epoch;
-    rec.committed = 0;
+    c->ring_->publish(acq.index, acked->epoch, crc64_final(sum));
   }
-  container_->metadata().persist_record(rec);
 
   // Grow the DRAM working buffer, preserving contents.
   if (c->owns_dram_) {
@@ -267,7 +237,6 @@ void ChunkAllocator::nvdelete(std::uint64_t id) {
   for (auto it = chunks_.begin(); it != chunks_.end(); ++it) {
     if ((*it)->id() != id) continue;
     release_chunk_locked(**it, /*free_regions=*/true);
-    container_->metadata().erase(id);
     chunks_.erase(it);
     return;
   }
@@ -279,8 +248,8 @@ void ChunkAllocator::release_chunk_locked(Chunk& c, bool free_regions) {
     vmem::ProtectionManager::instance().unregister_range(c.prot_handle_);
     c.prot_handle_ = -1;
   }
-  // The record's slot offsets alias ring slots: dropping the ring frees
-  // every region (and credits its quota).
+  // Dropping the ring frees every region (crediting its quota) and
+  // invalidates the record.
   if (free_regions) dir_->drop_ring(c.id_);
   c.ring_ = nullptr;
   c.ring_slot_ = Chunk::kNoRingSlot;
@@ -344,9 +313,7 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
   // The slot holding the acknowledged version is never the one acquired.
   auto& dev = container_->device();
   if (c.ring_slot_ == Chunk::kNoRingSlot) {
-    const vmem::ChunkRecord& rec = *c.record_;
-    const auto acq = c.ring_->acquire_for_commit(
-        rec.has_committed() ? rec.slot_off[rec.committed] : 0);
+    const auto acq = c.ring_->acquire_for_commit();
     c.ring_slot_ = acq.index;
     c.ring_slot_off_ = acq.off;
     if (acq.fresh) {
@@ -480,22 +447,9 @@ void ChunkAllocator::commit_chunk(Chunk& c, std::uint64_t epoch) {
   if (c.ring_slot_ == Chunk::kNoRingSlot) {
     throw NvmcpError("commit_chunk: no acquired ring slot");
   }
-  vmem::ChunkRecord& rec = *c.record_;
-  const std::uint32_t slot = rec.in_progress_slot();
-  // Publish in the ring first (older epochs stay addressable either way),
-  // then alias the record's in-progress slot to the ring slot and flip:
-  // the record remains the authority on the newest version, persisted
-  // before the flip.
   c.ring_->publish(c.ring_slot_, epoch, c.pending_checksum_);
-  rec.slot_off[slot] = c.ring_slot_off_;
   c.ring_slot_ = Chunk::kNoRingSlot;
   c.ring_slot_off_ = 0;
-  rec.checksum[slot] = c.pending_checksum_;
-  rec.epoch[slot] = epoch;
-  // Persist payload metadata before the commit flip (crash ordering).
-  container_->metadata().persist_record(rec);
-  rec.committed = slot;
-  container_->metadata().persist_record(rec);
   c.precopied_epoch_ = 0;
 }
 
@@ -508,14 +462,13 @@ double ChunkAllocator::checkpoint_chunk(Chunk& c, std::uint64_t epoch,
 }
 
 RestoreStatus ChunkAllocator::restore_chunk(Chunk& c) {
-  const vmem::ChunkRecord& rec = *c.record_;
-  if (!rec.has_committed()) return RestoreStatus::kNoData;
+  const std::optional<epoch::RingSlot> acked = acknowledged(c);
+  if (!acked) return RestoreStatus::kNoData;
   auto& dev = container_->device();
   std::uint64_t sum = crc64_init();
-  dev.read(rec.slot_off[rec.committed], c.dram_, c.size_, nullptr,
+  dev.read(acked->off, c.dram_, c.size_, nullptr,
            opts_.verify_checksums ? &sum : nullptr);
-  if (opts_.verify_checksums &&
-      crc64_final(sum) != rec.checksum[rec.committed]) {
+  if (opts_.verify_checksums && crc64_final(sum) != acked->checksum) {
     return RestoreStatus::kChecksumMismatch;
   }
   c.tracker_.mark_dirty();  // restored data is not yet re-checkpointed
@@ -523,16 +476,15 @@ RestoreStatus ChunkAllocator::restore_chunk(Chunk& c) {
 }
 
 bool ChunkAllocator::restore_chunk_lazy(Chunk& c) {
-  const vmem::ChunkRecord& rec = *c.record_;
-  if (!rec.has_committed() || c.prot_handle_ < 0 ||
+  const std::optional<epoch::RingSlot> acked = acknowledged(c);
+  if (!acked || c.prot_handle_ < 0 ||
       (c.mode_ != vmem::TrackMode::kMprotect &&
        c.mode_ != vmem::TrackMode::kMprotectPage)) {
     return false;
   }
-  const std::byte* src =
-      container_->device().data() + rec.slot_off[rec.committed];
   vmem::ProtectionManager::instance().arm_lazy_restore(
-      c.prot_handle_, src, c.size_, rec.checksum[rec.committed]);
+      c.prot_handle_, container_->device().data() + acked->off, c.size_,
+      acked->checksum);
   return true;
 }
 
@@ -541,27 +493,29 @@ vmem::ProtectionManager::LazyState ChunkAllocator::lazy_state(
   return vmem::ProtectionManager::instance().lazy_state(c.prot_handle_);
 }
 
-bool ChunkAllocator::read_committed(const Chunk& c, void* dst) const {
-  const vmem::ChunkRecord& rec = *c.record_;
-  if (!rec.has_committed()) return false;
+std::optional<epoch::RingSlot> ChunkAllocator::acknowledged(
+    const Chunk& c) const {
+  return c.ring_->acknowledged();
+}
+
+bool ChunkAllocator::read_committed(const Chunk& c, void* dst,
+                                    std::uint64_t* epoch) const {
+  const std::optional<epoch::RingSlot> acked = acknowledged(c);
+  if (!acked) return false;
   std::uint64_t sum = crc64_init();
-  container_->device().read(rec.slot_off[rec.committed], dst, rec.size,
-                            nullptr,
+  container_->device().read(acked->off, dst, c.size_, nullptr,
                             opts_.verify_checksums ? &sum : nullptr);
-  if (opts_.verify_checksums &&
-      crc64_final(sum) != rec.checksum[rec.committed]) {
+  if (opts_.verify_checksums && crc64_final(sum) != acked->checksum) {
     return false;
   }
+  if (epoch) *epoch = acked->epoch;
   return true;
 }
 
 RestoreStatus ChunkAllocator::restore_chunk_epoch(Chunk& c,
                                                   std::uint64_t epoch) {
-  const vmem::ChunkRecord& rec = *c.record_;
-  if (epoch == 0 ||
-      (rec.has_committed() && rec.epoch[rec.committed] == epoch)) {
-    return restore_chunk(c);
-  }
+  const std::optional<epoch::RingSlot> acked = acknowledged(c);
+  if (epoch == 0 || (acked && acked->epoch == epoch)) return restore_chunk(c);
   // Pin before the lookup: a slot found and then read without a pin could
   // be reclaimed by the GC or reused by a racing commit mid-read.
   c.ring_->pin_epoch(epoch);
@@ -599,28 +553,12 @@ std::uint64_t ChunkAllocator::restore_older_epoch(Chunk& c,
 
 std::vector<std::uint64_t> ChunkAllocator::retained_epochs(
     const Chunk& c) const {
-  std::vector<std::uint64_t> out;
-  const vmem::ChunkRecord& rec = *c.record_;
-  const std::uint64_t newest =
-      rec.has_committed() ? rec.epoch[rec.committed] : 0;
-  if (newest) out.push_back(newest);
-  // Ring epochs arrive newest-first; anything >= the record's committed
-  // epoch is either the aliased newest slot or a commit that crashed
-  // between ring publish and record flip, which the record (the newest-
-  // version authority) never acknowledged.
-  for (const std::uint64_t e : c.ring_->retained_epochs()) {
-    if (e < newest) out.push_back(e);
-  }
-  return out;
+  return c.ring_->retained_epochs();
 }
 
 bool ChunkAllocator::read_retained(Chunk& c, std::uint64_t epoch,
                                    void* dst) {
-  const vmem::ChunkRecord& rec = *c.record_;
-  if (epoch == 0 ||
-      (rec.has_committed() && rec.epoch[rec.committed] == epoch)) {
-    return read_committed(c, dst);
-  }
+  if (epoch == 0) return read_committed(c, dst);
   // Pin across the read: GC or a racing commit could otherwise reclaim
   // the slot mid-copy (same discipline as restore_chunk_epoch).
   c.ring_->pin_epoch(epoch);
@@ -630,7 +568,7 @@ bool ChunkAllocator::read_retained(Chunk& c, std::uint64_t epoch,
     return false;
   }
   std::uint64_t sum = crc64_init();
-  container_->device().read(s.off, dst, rec.size, nullptr,
+  container_->device().read(s.off, dst, c.size_, nullptr,
                             opts_.verify_checksums ? &sum : nullptr);
   c.ring_->unpin_epoch(epoch);
   return !opts_.verify_checksums || crc64_final(sum) == s.checksum;

@@ -21,8 +21,8 @@
 //                                Copies the whole chunk, or under
 //                                kMprotectPage/kWriteLog only the dirty
 //                                byte ranges the tracker collected
-//   commit_chunk()            -> publish the acquired ring slot and flip
-//                                the record's committed-slot pointer to it
+//   commit_chunk()            -> publish the acquired ring slot: its epoch
+//                                and CRC, then the record's committed index
 //                                (crash-safe ordering)
 //   restore_chunk()           -> committed NVM slot -> DRAM with checksum
 //                                verification
@@ -32,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string_view>
 #include <vector>
@@ -69,9 +70,9 @@ class ChunkAllocator {
     /// reopens (1 -> 4 -> 2).
     int ring_depth = 0;
     /// Multi-tenant arena mode: use this epoch directory (owned by the
-    /// arena, shared by every tenant — a container has exactly one epoch
-    /// region) instead of creating one. Overrides ring_depth with the
-    /// directory's depth.
+    /// arena, shared by every tenant — a container's chunk records have
+    /// exactly one directory) instead of creating one. Overrides
+    /// ring_depth with the directory's depth.
     epoch::EpochDirectory* shared_dir = nullptr;
     /// Per-tenant NVM capacity quota charged for every ring slot region
     /// this allocator's rings hold; enforced when a commit acquires a
@@ -151,10 +152,11 @@ class ChunkAllocator {
   /// issued.
   std::size_t arm_chunks(const std::vector<Chunk*>& cs);
 
-  /// Crash-safe commit of the acquired slot holding `epoch` data:
-  /// publishes it in the ring, updates the record's checksum/epoch fields,
-  /// then flips the committed index, then persists the record. Caller guarantees the slot is not torn (chunk
-  /// clean since its last precopy, or copied under a paused application).
+  /// Crash-safe commit of the acquired slot holding `epoch` data: persists
+  /// the slot's epoch and CRC, then stores and persists the record's
+  /// committed index (VersionRing::publish). Caller guarantees the slot is
+  /// not torn (chunk clean since its last precopy, or copied under a
+  /// paused application).
   void commit_chunk(Chunk& c, std::uint64_t epoch);
 
   /// Convenience for the coordinated path: precopy + commit.
@@ -176,10 +178,18 @@ class ChunkAllocator {
   /// State of a lazy restore armed on this chunk.
   vmem::ProtectionManager::LazyState lazy_state(const Chunk& c) const;
 
-  /// Read the committed payload of a chunk record into caller memory
-  /// (used by the remote checkpointer, which reads local NVM, and by
-  /// restore-from-remote). Returns false on checksum mismatch.
-  bool read_committed(const Chunk& c, void* dst) const;
+  /// The chunk's acknowledged version: its slot offset, epoch and CRC,
+  /// read together under the directory mutex commits publish under.
+  /// nullopt before the first commit. Every reader of the committed
+  /// version goes through here.
+  std::optional<epoch::RingSlot> acknowledged(const Chunk& c) const;
+
+  /// Read the acknowledged payload into caller memory (used by the remote
+  /// checkpointer, which reads local NVM, and by restore-from-remote),
+  /// storing its epoch in `*epoch` if non-null. Returns false when nothing
+  /// is committed or on checksum mismatch.
+  bool read_committed(const Chunk& c, void* dst,
+                      std::uint64_t* epoch = nullptr) const;
 
   // --- version ring ----------------------------------------------------
   /// The epoch directory (owned, or the arena's Options::shared_dir).
@@ -196,8 +206,8 @@ class ChunkAllocator {
   /// read. kNoData if the epoch is not retained for this chunk.
   RestoreStatus restore_chunk_epoch(Chunk& c, std::uint64_t epoch);
 
-  /// Addressable epochs for this chunk, newest first: the record's
-  /// committed epoch followed by the older epochs retained in its ring.
+  /// Addressable epochs for this chunk, newest (the acknowledged one)
+  /// first.
   std::vector<std::uint64_t> retained_epochs(const Chunk& c) const;
 
   /// Rollback walk: restore the newest retained epoch older than `epoch`
@@ -207,10 +217,10 @@ class ChunkAllocator {
 
   /// Read the payload of any retained epoch into caller memory without
   /// touching the chunk's DRAM buffer (delta-codec base reads: the remote
-  /// sender XORs against it, restore decode re-reads it). Epoch 0 or the
-  /// newest committed epoch degrade to read_committed; older epochs come
-  /// from the version ring, pinned for the duration of the read. Returns
-  /// false when the epoch is not retained or fails verification.
+  /// sender XORs against it, restore decode re-reads it). Epoch 0 is
+  /// read_committed; any other epoch's slot is pinned for the duration of
+  /// the read. Returns false when the epoch is not retained or fails
+  /// verification.
   bool read_retained(Chunk& c, std::uint64_t epoch, void* dst);
 
   /// Pin/unpin a retained epoch against reclamation (streaming-restore

@@ -45,7 +45,7 @@ FleetResult run_fleet(const FleetConfig& cfg) {
 
   // Size the shared arena: every tenant's scaled checkpoint set can hold
   // ring_depth committed epochs plus an in-progress slot, with headroom
-  // for metadata and the epoch region.
+  // for the metadata region.
   const std::uint32_t depth = epoch::resolve_ring_depth(cfg.ring_depth);
   std::vector<std::size_t> tenant_bytes;
   std::size_t total = 0;

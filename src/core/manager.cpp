@@ -336,7 +336,7 @@ double CheckpointManager::nvchkptall() {
       alloc_->commit_chunk(*c, epoch);
       bytes_committed_total += c->size();
       ++committed_precopy;
-    } else if (dirty || !c->record().has_committed()) {
+    } else if (dirty || !alloc_->acknowledged(*c)) {
       // Residual dirty data: this is the copying the blocking step pays.
       residual.push_back(c);
       bytes_this_step += c->size();
@@ -461,9 +461,9 @@ CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
     for (alloc::Chunk* c : alloc_->chunks()) {
       if (!c->persistent()) continue;
       work.push_back(c);
-      const vmem::ChunkRecord& rec = c->record();
-      if (epoch == 0 && rec.has_committed()) {
-        rep.epoch = std::max(rep.epoch, rec.epoch[rec.committed]);
+      if (epoch != 0) continue;
+      if (const auto acked = alloc_->acknowledged(*c)) {
+        rep.epoch = std::max(rep.epoch, acked->epoch);
       }
     }
     {

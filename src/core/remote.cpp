@@ -266,20 +266,21 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
     std::size_t mgr_idx, alloc::Chunk& c, bool count_as_precopy, bool paced,
     int max_attempts, double* backoff_budget) {
   CheckpointManager& mgr = *managers_[mgr_idx];
-  const vmem::ChunkRecord& rec = c.record();
-  if (!rec.has_committed()) return SendResult{SendStatus::kNothingCommitted};
-  const std::uint64_t epoch = rec.epoch[rec.committed];
+  if (!mgr.allocator().acknowledged(c)) {
+    return SendResult{SendStatus::kNothingCommitted};
+  }
 
   // Serialize with the other send path (helper pre-copy vs. external
   // coordination): the staging buffer, the pace limiter and the jitter
   // stream are all single-helper state.
   std::lock_guard<std::mutex> send_lock(send_mu_);
   if (staging_.size() < c.size()) staging_.resize(c.size());
-  // Read the stable committed payload from local NVM ("shared NVM
-  // support"); a torn read is impossible because committed slots are only
-  // replaced after the *next* commit flips away from them, and the commit
+  // Read the acknowledged payload from local NVM ("shared NVM support")
+  // and ship the epoch read with that slot. A commit copies into another
+  // slot; a read overtaken by two commits fails its CRC, and the commit
   // pass re-verifies epochs under the commit mutex.
-  if (!mgr.allocator().read_committed(c, staging_.data())) {
+  std::uint64_t epoch = 0;
+  if (!mgr.allocator().read_committed(c, staging_.data(), &epoch)) {
     return SendResult{SendStatus::kLocalReadFailed};
   }
 
@@ -483,9 +484,9 @@ void RemoteCheckpointer::helper_loop() {
       if (!running_.load(std::memory_order_acquire)) return;
       for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
         if (!c->persistent()) continue;
-        const vmem::ChunkRecord& rec = c->record();
-        if (!rec.has_committed()) continue;
-        const std::uint64_t local_epoch = rec.epoch[rec.committed];
+        const auto acked = managers_[m]->allocator().acknowledged(*c);
+        if (!acked) continue;
+        const std::uint64_t local_epoch = acked->epoch;
         const Key key{m, c->id()};
         std::uint64_t last_sent = 0;
         {
@@ -540,9 +541,9 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
     for (std::size_t m = 0; m < managers_.size(); ++m) {
       for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
         if (!c->persistent()) continue;
-        const vmem::ChunkRecord& rec = c->record();
-        if (!rec.has_committed()) continue;
-        const std::uint64_t local_epoch = rec.epoch[rec.committed];
+        const auto acked = managers_[m]->allocator().acknowledged(*c);
+        if (!acked) continue;
+        const std::uint64_t local_epoch = acked->epoch;
         const Key key{m, c->id()};
         auto it = remote_epoch_.find(key);
         const std::uint64_t have =
@@ -572,10 +573,10 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
   for (std::size_t m = 0; m < managers_.size(); ++m) {
     for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
       if (!c->persistent()) continue;
-      const vmem::ChunkRecord& rec = c->record();
-      if (!rec.has_committed()) continue;
+      const auto acked = managers_[m]->allocator().acknowledged(*c);
+      if (!acked) continue;
       const Key key{m, c->id()};
-      const std::uint64_t local_epoch = rec.epoch[rec.committed];
+      const std::uint64_t local_epoch = acked->epoch;
       auto it = sent_epoch_.find(key);
       if (it != sent_epoch_.end() && it->second == local_epoch) continue;
       // A timer round under a pre-copy policy smooths its top-up (no one
@@ -613,10 +614,10 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
     CheckpointManager& mgr = *managers_[m];
     for (alloc::Chunk* c : mgr.allocator().chunks()) {
       if (!c->persistent()) continue;
-      const vmem::ChunkRecord& rec = c->record();
-      if (!rec.has_committed()) continue;
+      const auto acked = mgr.allocator().acknowledged(*c);
+      if (!acked) continue;
       const Key key{m, c->id()};
-      const std::uint64_t local_epoch = rec.epoch[rec.committed];
+      const std::uint64_t local_epoch = acked->epoch;
       auto it = sent_epoch_.find(key);
       if (it == sent_epoch_.end() || it->second != local_epoch) {
         ++resends;

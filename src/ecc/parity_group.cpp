@@ -32,7 +32,7 @@ std::size_t ParityCheckpointGroup::protect_epoch() {
   std::size_t sent = 0;
 
   for (alloc::Chunk* lead : managers_[0]->allocator().chunks()) {
-    if (!lead->persistent() || !lead->record().has_committed()) continue;
+    if (!lead->persistent()) continue;
     const std::uint64_t id = lead->id();
     const std::size_t len = lead->size();
 
@@ -43,18 +43,16 @@ std::size_t ParityCheckpointGroup::protect_epoch() {
     bool complete = true;
     for (std::size_t r = 0; r < k; ++r) {
       alloc::Chunk* c = managers_[r]->allocator().find(id);
-      if (!c || c->size() != len || !c->record().has_committed()) {
-        complete = false;
-        break;
-      }
       data[r].resize(len);
-      if (!managers_[r]->allocator().read_committed(*c, data[r].data())) {
+      std::uint64_t epoch = 0;
+      if (!c || c->size() != len ||
+          !managers_[r]->allocator().read_committed(*c, data[r].data(),
+                                                    &epoch)) {
         complete = false;
         break;
       }
       data_ptrs[r] = data[r].data();
-      epoch_key = std::max(epoch_key,
-                           c->record().epoch[c->record().committed]);
+      epoch_key = std::max(epoch_key, epoch);
     }
     if (!complete) continue;
 

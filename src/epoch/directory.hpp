@@ -1,12 +1,12 @@
-// Global epoch directory: the on-NVM table of per-chunk version rings.
+// Global epoch directory: the runtime over a container's chunk records.
 //
-// One region per container (offset persisted in MetadataHeader::
-// epoch_region_off) holding a RingRecord per chunk-table entry, so any
-// retained epoch of any chunk is addressable after restart: epoch ->
-// per-chunk ring slot + CRC. Also owns the single mutex serializing ring
-// metadata mutations (commit-side acquire/publish vs. GC reclamation vs.
-// restore pinning) and the saturation-driven reclamation pass the
-// background GC thread runs (cpf's `is_saturated` shape: reclaim
+// Every chunk record in the metadata table holds that chunk's version
+// ring (vmem::ChunkRecord), so any retained epoch of any chunk is
+// addressable after restart: epoch -> per-chunk ring slot + CRC. The
+// directory gives each record a VersionRing, and owns the single mutex
+// serializing ring metadata mutations (commit-side acquire/publish vs. GC
+// reclamation vs. restore pinning) and the saturation-driven reclamation
+// pass the background GC thread runs (cpf's `is_saturated` shape: reclaim
 // oldest-first once device occupancy crosses the watermark, never below
 // the retention floor).
 #pragma once
@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -51,12 +52,10 @@ class EpochDirectory {
     std::uint32_t ring_depth = 1;
   };
 
-  /// Opens the container's epoch region, creating it (and persisting its
-  /// offset in the metadata header) on first use. Records left kInProgress
-  /// by a crash are reset to kFree; persisted depths are updated to the
-  /// configured depth. Throws NvmcpError, writing nothing, when a region
-  /// would have to be created over existing chunk records: such a
-  /// container predates rings at every depth and is never migrated.
+  /// Gives every chunk record of the container a ring. Crash recovery:
+  /// a slot left kInProgress holds a torn copy, and a committed slot other
+  /// than the acknowledged one whose epoch is not older was published but
+  /// never acknowledged; both are freed, keeping their regions for reuse.
   EpochDirectory(vmem::Container& container, Options opts);
 
   EpochDirectory(const EpochDirectory&) = delete;
@@ -65,21 +64,22 @@ class EpochDirectory {
   std::uint32_t ring_depth() const { return opts_.ring_depth; }
   vmem::Container& container() { return *container_; }
 
-  /// Ring for `chunk_id`, creating its record (payload regions allocate
-  /// lazily at first commit). An existing ring with a different payload
-  /// size is dropped and re-created. With `quota` the ring's device
-  /// footprint is charged to that tenant quota (see
-  /// VersionRing::set_quota); a directory shared by several tenants holds
-  /// rings charged to different quotas side by side.
+  /// Ring for `chunk_id`, creating its record named `name` (payload
+  /// regions allocate lazily at first commit). An existing ring with a
+  /// different payload size frees every slot and takes the new size. With
+  /// `quota` the ring's device footprint is charged to that tenant quota
+  /// (see VersionRing::set_quota); a directory shared by several tenants
+  /// holds rings charged to different quotas side by side.
   VersionRing* ensure_ring(std::uint64_t chunk_id,
                            std::uint64_t payload_bytes,
-                           vmem::CapacityQuota* quota = nullptr);
+                           vmem::CapacityQuota* quota = nullptr,
+                           std::string_view name = {});
 
   /// Ring for `chunk_id`, or nullptr.
-  VersionRing* ring(std::uint64_t chunk_id);
+  VersionRing* ring(std::uint64_t chunk_id) const;
 
   /// Free every payload region of the chunk's ring and invalidate its
-  /// record (nvdelete / size-change).
+  /// record (nvdelete).
   void drop_ring(std::uint64_t chunk_id);
 
   /// Device occupancy (reserved bytes / capacity) -- the saturation signal.
@@ -87,15 +87,12 @@ class EpochDirectory {
 
   /// One reclamation pass: while occupancy exceeds `watermark`, reclaim
   /// the globally-oldest unpinned committed slot whose ring retains more
-  /// than `floor` epochs (the newest epoch is never reclaimed).
-  GcPassStats gc_pass(double watermark, std::uint32_t floor);
-
-  /// Per-tenant reclamation pass: like gc_pass, but the saturation signal
-  /// is the tenant quota's occupancy and only rings charged to `quota`
-  /// are eligible victims — quota pressure from one tenant's deep ring
-  /// can never evict another tenant's epochs.
-  GcPassStats gc_pass_quota(const vmem::CapacityQuota* quota,
-                            double watermark, std::uint32_t floor);
+  /// than `floor` epochs (the acknowledged epoch is never reclaimed).
+  /// With `quota` the saturation signal is that tenant quota's occupancy
+  /// and only rings charged to it are victims, so quota pressure from one
+  /// tenant's deep ring can never evict another tenant's epochs.
+  GcPassStats gc_pass(double watermark, std::uint32_t floor,
+                      const vmem::CapacityQuota* quota = nullptr);
 
   /// Committed ring slots across all chunks (telemetry).
   std::uint64_t retained_slots() const;
@@ -117,17 +114,8 @@ class EpochDirectory {
  private:
   friend class VersionRing;
 
-  RingRecord* records();
-  RingRecord* find_record_locked(std::uint64_t chunk_id);
-  RingRecord* insert_record_locked(std::uint64_t chunk_id,
-                                   std::uint64_t payload_bytes);
-  void drop_ring_locked(std::uint64_t chunk_id);
-  void persist_record(const RingRecord& rec);
-
   vmem::Container* container_;
   Options opts_;
-  std::size_t region_off_ = 0;
-  std::size_t capacity_ = 0;
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::unique_ptr<VersionRing>> rings_;

@@ -1,4 +1,4 @@
-// Per-chunk on-NVM version ring: the last N committed checkpoint epochs.
+// Per-chunk version ring: the last N committed checkpoint epochs.
 //
 // The paper's shadow scheme keeps exactly one committed slot per chunk, so
 // recovery is all-or-nothing. A VersionRing generalizes the two-slot
@@ -10,19 +10,23 @@
 // all depth+1 slots can briefly hold committed epochs -- the oldest is
 // reclaimed lazily at the *next* acquire, not eagerly at publish, because
 // reusing a committed slot is what lets incremental (page/range) commits
-// fold the slot's clean bytes instead of recopying the whole chunk. The chunk's ChunkRecord remains the
-// authority on the *newest* committed version -- its slot_off[committed]
-// aliases the ring slot of the newest epoch -- so every consumer that reads
-// the record (remote checkpointer, parity, lazy restore) needs no ring.
+// fold the slot's clean bytes instead of recopying the whole chunk.
 //
-// Crash ordering per commit: acquire marks the target slot kInProgress and
-// persists the ring record *before* any payload byte moves, so a crash
-// mid-copy leaves a slot that restore never trusts; publish flips it to
-// kCommitted with epoch+CRC only after the payload is flushed.
+// The ring is the runtime over the chunk's vmem::ChunkRecord, which holds
+// the slots and `committed`, the index of the acknowledged slot. Crash
+// ordering per commit: acquire un-publishes the target slot (kInProgress)
+// and persists it *before* any payload byte moves; publish writes the
+// slot's epoch and CRC only after the payload is flushed, persists them,
+// and then stores `committed` and persists it -- the commit point. The
+// acknowledged slot is never the copy target, and publish frees every
+// other slot holding an epoch >= the new one, so every retained slot but
+// the acknowledged one is strictly older. Directory attach applies the
+// same rule after a crash.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "vmem/container.hpp"
@@ -32,45 +36,27 @@ namespace nvmcp::epoch {
 
 class EpochDirectory;
 
-/// Slots per ring record: max retention depth 8 + one in-progress slot.
-constexpr std::uint32_t kMaxRingSlots = 9;
+using vmem::kInvalidSlot;
+using vmem::kMaxRingSlots;
 constexpr std::uint32_t kMaxRingDepth = kMaxRingSlots - 1;
-constexpr std::uint32_t kInvalidSlot = ~0u;
 
-/// On-NVM ring slot (POD; lives in the epoch region).
+/// Copy of one slot of a chunk record.
 struct RingSlot {
-  static constexpr std::uint32_t kFree = 0;
-  static constexpr std::uint32_t kInProgress = 1;
-  static constexpr std::uint32_t kCommitted = 2;
+  static constexpr std::uint32_t kFree = vmem::ChunkRecord::kSlotFree;
+  static constexpr std::uint32_t kInProgress =
+      vmem::ChunkRecord::kSlotInProgress;
+  static constexpr std::uint32_t kCommitted =
+      vmem::ChunkRecord::kSlotPublished;
 
   std::uint64_t off = 0;       // device offset of the payload region, 0=none
   std::uint64_t epoch = 0;     // checkpoint epoch (kCommitted only)
   std::uint64_t checksum = 0;  // crc64 of the payload (kCommitted only)
   std::uint32_t state = kFree;
-  std::uint32_t pad = 0;
 
   bool committed() const { return state == kCommitted; }
 };
 
-static_assert(sizeof(RingSlot) == 32, "RingSlot layout is persistent");
-
-/// On-NVM per-chunk ring record (POD; one per chunk in the epoch region).
-struct RingRecord {
-  static constexpr std::uint32_t kValid = 1u << 0;
-
-  std::uint64_t chunk_id = 0;
-  std::uint64_t payload_bytes = 0;
-  std::uint32_t flags = 0;
-  std::uint32_t depth = 0;  // retention target (committed epochs to keep)
-  RingSlot slots[kMaxRingSlots];
-
-  bool valid() const { return flags & kValid; }
-};
-
-static_assert(sizeof(RingRecord) == 24 + sizeof(RingSlot) * kMaxRingSlots,
-              "RingRecord layout is persistent");
-
-/// Runtime handle over one chunk's RingRecord. All public methods lock the
+/// Runtime handle over one chunk's record. All public methods lock the
 /// owning directory's mutex (ring metadata shares one lock with the GC).
 class VersionRing {
  public:
@@ -90,21 +76,27 @@ class VersionRing {
   /// Pick (and persist as kInProgress) the slot the next commit will copy
   /// into: an existing in-progress slot, else a free slot (allocating its
   /// payload region lazily), else the oldest unpinned committed slot. The
-  /// slot at `keep_off` (the chunk record's committed slot; 0: the newest
-  /// epoch) is never reused or reclaimed. Slots past the budget, and
-  /// regions beyond it, are freed first once unpinned. Throws NvmcpError
-  /// when no slot can be had: every reusable one pinned, or the quota (or
-  /// the device) has no room for another region.
-  Acquired acquire_for_commit(std::uint64_t keep_off = 0);
+  /// acknowledged slot is never reused or reclaimed. Slots past the
+  /// budget, and regions beyond it, are freed first once unpinned. Throws
+  /// NvmcpError when no slot can be had: every reusable one pinned, or
+  /// the quota (or the device) has no room for another region.
+  Acquired acquire_for_commit();
 
-  /// Publish slot `index` as the committed version of `epoch` (payload
-  /// already flushed by the caller).
+  /// Acknowledge slot `index` as the committed version of `epoch` (payload
+  /// already flushed by the caller): persist its epoch and CRC, then store
+  /// and persist the record's committed index. Every other slot holding
+  /// an epoch >= `epoch` is freed, pinned or not: a recommit at one epoch
+  /// supersedes the copy it replaces (a reader still holding that copy's
+  /// offset is caught by its CRC check if the slot is reused under it).
   void publish(std::uint32_t index, std::uint64_t epoch,
                std::uint64_t checksum);
 
-  /// Committed epochs, newest first.
+  /// The acknowledged slot: its offset, epoch and CRC, read together.
+  /// nullopt before the first commit.
+  std::optional<RingSlot> acknowledged() const;
+
+  /// Committed epochs, newest (the acknowledged one) first.
   std::vector<std::uint64_t> retained_epochs() const;
-  std::size_t committed_count() const;
   std::uint64_t newest_epoch() const;  // 0 if none
   /// Slots currently holding a payload region (any state); each costs
   /// payload_bytes of device space until reclaimed.
@@ -123,12 +115,14 @@ class VersionRing {
   void unpin_epoch(std::uint64_t epoch);
 
   std::uint64_t payload_bytes() const;
-  std::uint32_t depth() const;
   /// Slots a commit cycles through: depth committed versions plus the
   /// in-flight copy, capped at kMaxRingSlots.
-  std::uint32_t slot_budget() const {
-    return std::min(depth() + 1, kMaxRingSlots);
-  }
+  std::uint32_t slot_budget() const;
+
+  /// The chunk record this ring runs over. The reference stays valid for
+  /// the life of the device; read its fields through the methods above,
+  /// which hold the directory mutex commits publish under.
+  const vmem::ChunkRecord& record() const { return *rec_; }
 
   /// Attach a per-tenant capacity quota: every currently-allocated slot
   /// region is charged to it (throws if the existing footprint already
@@ -142,29 +136,42 @@ class VersionRing {
 
  private:
   friend class EpochDirectory;
-  VersionRing(EpochDirectory* dir, RingRecord* rec) : dir_(dir), rec_(rec) {}
+  VersionRing(EpochDirectory* dir, vmem::ChunkRecord* rec)
+      : dir_(dir), rec_(rec) {}
 
   // _locked variants assume the directory mutex is held.
-  std::uint32_t newest_index_locked() const;
-  /// The slot at `keep_off` if one is committed there, else the newest.
-  std::uint32_t kept_index_locked(std::uint64_t keep_off) const;
-  /// Oldest unpinned committed slot other than `keep` (kInvalidSlot: none).
-  std::uint32_t oldest_reusable_locked(std::uint32_t keep) const;
+  bool published_locked(std::uint32_t i) const {
+    return rec_->state[i] == vmem::ChunkRecord::kSlotPublished;
+  }
+  RingSlot slot_locked(std::uint32_t i) const {
+    return RingSlot{rec_->slot_off[i], rec_->epoch[i], rec_->checksum[i],
+                    rec_->state[i]};
+  }
+  /// Oldest unpinned committed slot but the acknowledged one (kInvalidSlot:
+  /// none).
+  std::uint32_t oldest_reusable_locked() const;
   std::uint32_t oldest_reclaimable_locked(std::uint32_t floor) const;
+  /// Clear slot `i`'s epoch and CRC and give it `state`, keeping its
+  /// region. The caller persists the record.
+  void unpublish_locked(std::uint32_t i, std::uint32_t state);
+  /// Free every slot but the acknowledged one that holds an epoch >= the
+  /// acknowledged epoch (every committed slot when none is acknowledged),
+  /// and with `in_progress` every torn copy too, keeping their regions.
+  /// Returns whether a slot changed; the caller persists the record.
+  bool free_unacknowledged_locked(bool in_progress);
   /// Free the slot's payload region and mark it kFree; returns bytes freed.
   std::uint64_t reclaim_slot_locked(std::uint32_t index);
+  /// Free every slot's region and give the record a new payload size.
+  void resize_locked(std::uint64_t payload_bytes);
   bool pinned_locked(std::uint64_t epoch) const;
   void persist_locked();
-  Acquired acquire_locked(std::uint64_t keep_off);
+  Acquired acquire_locked();
   void set_quota_locked(vmem::CapacityQuota* quota);
 
   EpochDirectory* dir_;
-  RingRecord* rec_;
+  vmem::ChunkRecord* rec_;
   vmem::CapacityQuota* quota_ = nullptr;  // non-owning; tenant lifetime
   std::vector<std::uint64_t> pins_;  // runtime only; may hold duplicates
-  // Runtime only: the slot published last, which breaks epoch ties in
-  // newest_index_locked (the record's flip follows every publish).
-  std::uint32_t last_published_ = kInvalidSlot;
 };
 
 }  // namespace nvmcp::epoch

@@ -50,8 +50,8 @@ void fill_pattern(std::byte* p, std::size_t n, std::uint64_t seed) {
 std::size_t device_capacity_for(std::size_t payload_bytes,
                                 std::size_t slots_per_chunk = 2) {
   // `slots_per_chunk` version slots per chunk (ring depth + 1) plus the
-  // metadata and epoch regions; round to MiB so the arena is page-aligned
-  // whatever the chunk geometry.
+  // metadata region; round to MiB so the arena is page-aligned whatever
+  // the chunk geometry.
   const std::size_t raw = payload_bytes * slots_per_chunk + 8 * MiB;
   return (raw + MiB - 1) / MiB * MiB;
 }
@@ -321,10 +321,10 @@ TrialResult CampaignRunner::run_trial(std::uint64_t seed) const {
     int actually_stale = 0;
     for (int r = 0; r < s.ranks; ++r) {
       for (alloc::Chunk* c : node[r].chunks) {
-        const vmem::ChunkRecord& rec = c->record();
-        if (!rec.has_committed()) continue;
+        const auto acked = node[r].alloc->acknowledged(*c);
+        if (!acked) continue;
         if (store.committed_epoch(static_cast<std::uint32_t>(r), c->id()) !=
-            rec.epoch[rec.committed]) {
+            acked->epoch) {
           ++actually_stale;
         }
       }
@@ -372,10 +372,8 @@ TrialResult CampaignRunner::run_trial(std::uint64_t seed) const {
           RankNode& rn = node[r];
           alloc::Chunk* c =
               rn.chunks[inj.pick(rn.chunks.size())];
-          const vmem::ChunkRecord& rec = c->record();
-          if (rec.has_committed()) {
-            inj.flip_random_bit(rn.dev->data() + rec.slot_off[rec.committed],
-                                c->size());
+          if (const auto acked = rn.alloc->acknowledged(*c)) {
+            inj.flip_random_bit(rn.dev->data() + acked->off, c->size());
           }
           break;
         }
@@ -529,9 +527,8 @@ TrialResult CampaignRunner::run_trial(std::uint64_t seed) const {
     }
   } else {
     // Node loss: the local NVM contents are gone. Corrupt every allocated
-    // ring slot of every chunk (the record's slot offsets alias them;
-    // wiping the arena would also destroy the vmem metadata that the
-    // still-live allocator points into).
+    // ring slot of every chunk (wiping the arena would also destroy the
+    // vmem metadata that the still-live allocator points into).
     for (alloc::Chunk* c : vs.chunks) {
       epoch::VersionRing* ring = vs.alloc->epoch_directory()->ring(c->id());
       for (const epoch::RingSlot& slot : ring->snapshot_slots()) {

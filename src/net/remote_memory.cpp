@@ -17,7 +17,7 @@ constexpr std::size_t kSegment = ThrottledCopier::kBlockSize;
 }  // namespace
 
 RemoteStore::RemoteStore(NvmConfig cfg)
-    : dev_(std::move(cfg)), container_(dev_) {}
+    : dev_(std::move(cfg)), container_(dev_), dir_(container_, {1}) {}
 
 std::uint64_t RemoteStore::pair_id(std::uint32_t src_rank,
                                    std::uint64_t chunk_id) {
@@ -27,31 +27,6 @@ std::uint64_t RemoteStore::pair_id(std::uint32_t src_rank,
   z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
   z ^= z >> 31;
   return z ? z : 1;
-}
-
-vmem::ChunkRecord* RemoteStore::find_or_create(std::uint64_t id,
-                                               std::size_t capacity) {
-  auto& meta = container_.metadata();
-  vmem::ChunkRecord* rec = meta.find(id);
-  if (rec && rec->size != capacity) {
-    // Capacity changed (nvrealloc on the source): replace the slots. Any
-    // pending or committed length referred to the old slots.
-    container_.free_region(rec->slot_off[0], rec->size);
-    container_.free_region(rec->slot_off[1], rec->size);
-    meta.erase(id);
-    pending_.erase(id);
-    committed_len_.erase(id);
-    rec = nullptr;
-  }
-  if (!rec) {
-    rec = meta.insert(id, "remote");
-    rec->size = capacity;
-    rec->slot_off[0] = container_.alloc_region(capacity);
-    rec->slot_off[1] = container_.alloc_region(capacity);
-    rec->flags |= vmem::ChunkRecord::kPersistent;
-    meta.persist_record(*rec);
-  }
-  return rec;
 }
 
 PutResult RemoteStore::put(std::uint32_t src_rank, std::uint64_t chunk_id,
@@ -67,12 +42,19 @@ PutResult RemoteStore::put(std::uint32_t src_rank, std::uint64_t chunk_id,
     return PutResult{false, 0.0};
   }
   const std::uint64_t id = pair_id(src_rank, chunk_id);
-  vmem::ChunkRecord* rec;
+  epoch::VersionRing::Acquired slot;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rec = find_or_create(id, capacity);
+    epoch::VersionRing* ring = dir_.ring(id);
+    if (ring && ring->payload_bytes() != capacity) {
+      // Capacity changed (nvrealloc on the source): ensure_ring frees the
+      // old slots, which any pending or committed length referred to.
+      pending_.erase(id);
+      committed_len_.erase(id);
+    }
+    slot = dir_.ensure_ring(id, capacity, nullptr, "remote")
+               ->acquire_for_commit();
   }
-  const std::uint32_t slot = rec->in_progress_slot();
   const auto* src = static_cast<const std::byte*>(data);
   const Stopwatch sw;
   std::size_t done = 0;
@@ -85,15 +67,15 @@ PutResult RemoteStore::put(std::uint32_t src_rank, std::uint64_t chunk_id,
     if (link) link->await_app_idle();
     // Pipeline: the device write path is additionally paced by the link
     // limiter, so the segment moves at min(link bw, NVM write bw).
-    dev_.write(rec->slot_off[slot] + done, src + done, len,
+    dev_.write(slot.off + done, src + done, len,
                link ? &link->limiter() : nullptr);
     if (link) link->note_bytes(len, TrafficClass::kCheckpoint);
     done += len;
   }
-  dev_.flush(rec->slot_off[slot], n);
+  dev_.flush(slot.off, n);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_[id] = Pending{crc64(data, n), epoch, n};
+    pending_[id] = Pending{crc64(data, n), epoch, n, slot.index};
   }
   if (do_commit) commit(src_rank, chunk_id, epoch);
   return PutResult{true, sw.elapsed()};
@@ -103,16 +85,11 @@ void RemoteStore::commit(std::uint32_t src_rank, std::uint64_t chunk_id,
                          std::uint64_t epoch) {
   const std::uint64_t id = pair_id(src_rank, chunk_id);
   std::lock_guard<std::mutex> lock(mu_);
-  vmem::ChunkRecord* rec = container_.metadata().find(id);
+  epoch::VersionRing* ring = dir_.ring(id);
   auto it = pending_.find(id);
-  if (!rec || it == pending_.end()) return;
+  if (!ring || it == pending_.end()) return;
   if (it->second.epoch != epoch) return;  // stale pre-copy; not this epoch
-  const std::uint32_t slot = rec->in_progress_slot();
-  rec->checksum[slot] = it->second.checksum;
-  rec->epoch[slot] = epoch;
-  container_.metadata().persist_record(*rec);
-  rec->committed = slot;
-  container_.metadata().persist_record(*rec);
+  ring->publish(it->second.slot, epoch, it->second.checksum);
   committed_len_[id] = it->second.len;
   pending_.erase(it);
 }
@@ -123,35 +100,34 @@ std::size_t RemoteStore::get(std::uint32_t src_rank, std::uint64_t chunk_id,
     return 0;
   }
   const std::uint64_t id = pair_id(src_rank, chunk_id);
-  vmem::ChunkRecord* rec;
+  std::optional<epoch::RingSlot> acked;
   std::size_t n = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    rec = container_.metadata().find(id);
+    if (epoch::VersionRing* ring = dir_.ring(id)) acked = ring->acknowledged();
     auto it = committed_len_.find(id);
     if (it != committed_len_.end()) n = it->second;
   }
-  if (!rec || !rec->has_committed() || n == 0 || n > cap) return 0;
+  if (!acked || n == 0 || n > cap) return 0;
   auto* d = static_cast<std::byte*>(dst);
   std::size_t done = 0;
   while (done < n) {
     const std::size_t len = std::min(kSegment, n - done);
     if (link) link->await_app_idle();
-    dev_.read(rec->slot_off[rec->committed] + done, d + done, len,
+    dev_.read(acked->off + done, d + done, len,
               link ? &link->limiter() : nullptr);
     if (link) link->note_bytes(len, TrafficClass::kCheckpoint);
     done += len;
   }
-  return crc64(dst, n) == rec->checksum[rec->committed] ? n : 0;
+  return crc64(dst, n) == acked->checksum ? n : 0;
 }
 
 std::uint64_t RemoteStore::committed_epoch(std::uint32_t src_rank,
                                            std::uint64_t chunk_id) const {
   const std::uint64_t id = pair_id(src_rank, chunk_id);
   std::lock_guard<std::mutex> lock(mu_);
-  const vmem::ChunkRecord* rec = container_.metadata().find(id);
-  if (!rec || !rec->has_committed()) return 0;
-  return rec->epoch[rec->committed];
+  epoch::VersionRing* ring = dir_.ring(id);
+  return ring ? ring->newest_epoch() : 0;
 }
 
 std::size_t RemoteStore::stored_chunks() const {
@@ -164,13 +140,12 @@ bool RemoteStore::corrupt_committed(std::uint32_t src_rank,
                                     fault::FaultInjector& fi) {
   const std::uint64_t id = pair_id(src_rank, chunk_id);
   std::lock_guard<std::mutex> lock(mu_);
-  vmem::ChunkRecord* rec = container_.metadata().find(id);
+  epoch::VersionRing* ring = dir_.ring(id);
+  const std::optional<epoch::RingSlot> acked =
+      ring ? ring->acknowledged() : std::nullopt;
   auto it = committed_len_.find(id);
-  if (!rec || !rec->has_committed() || it == committed_len_.end()) {
-    return false;
-  }
-  fi.flip_random_bit(dev_.data() + rec->slot_off[rec->committed],
-                     it->second);
+  if (!acked || it == committed_len_.end()) return false;
+  fi.flip_random_bit(dev_.data() + acked->off, it->second);
   return true;
 }
 

@@ -4,8 +4,9 @@
 // The paper extends ARMCI so applications (and the per-node helper process)
 // can "allocate, access and copy NVM buffers to local as well as remote
 // destination nodes", leveraging RDMA to remote NVM. Here a RemoteStore is
-// the buddy node's NVM (a device + chunk records with the same two-version
-// commit discipline as local checkpoints), and RemoteMemory::put/get move
+// the buddy node's NVM (a device whose chunk records each hold a depth-1
+// version ring, committed through the same epoch::VersionRing as local
+// checkpoints), and RemoteMemory::put/get move
 // chunk payloads through the shared interconnect, pipelined against the
 // remote NVM's own write bandwidth (a transfer is throttled by whichever of
 // the link or the device is slower, as RDMA-to-NVM would be).
@@ -17,6 +18,7 @@
 #include <mutex>
 
 #include "common/checksum.hpp"
+#include "epoch/directory.hpp"
 #include "net/interconnect.hpp"
 #include "nvm/device.hpp"
 #include "vmem/container.hpp"
@@ -51,7 +53,7 @@ class RemoteStore {
   void set_fault_injector(fault::FaultInjector* fi) { injector_ = fi; }
 
   /// Write `n` bytes into the in-progress slot of (src_rank, chunk_id),
-  /// whose slots hold `capacity` bytes (allocated on first use, replaced
+  /// whose slots hold `capacity` bytes (allocated on first use, freed
   /// when the capacity changes; the helper keeps it at max_frame_size of
   /// the payload, so codec-dependent frame sizes never realloc). Only the
   /// `n` bytes cross `link` (may be null), paced with the remote NVM
@@ -91,17 +93,18 @@ class RemoteStore {
 
  private:
   static std::uint64_t pair_id(std::uint32_t src_rank, std::uint64_t chunk_id);
-  vmem::ChunkRecord* find_or_create(std::uint64_t id, std::size_t capacity);
 
   NvmDevice dev_;
   fault::FaultInjector* injector_ = nullptr;
   vmem::Container container_;
+  epoch::EpochDirectory dir_;  // depth 1: one ring per pair
   mutable std::mutex mu_;
-  // Checksums of data currently sitting (uncommitted) in in-progress slots.
+  // Data currently sitting (uncommitted) in each pair's in-progress slot.
   struct Pending {
     std::uint64_t checksum = 0;
     std::uint64_t epoch = 0;
     std::size_t len = 0;
+    std::uint32_t slot = 0;
   };
   std::map<std::uint64_t, Pending> pending_;
   // Length of each pair's committed bytes (<= the record size).

@@ -1,5 +1,5 @@
-// Concurrent bitmap over atomic 64-bit words. Used for per-page nvdirty
-// bits and the unflushed-page set of the emulated NVM device.
+// Concurrent bitmap over atomic 64-bit words. Used for the unflushed-page
+// set of the emulated NVM device.
 #pragma once
 
 #include <atomic>

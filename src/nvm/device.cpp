@@ -80,7 +80,6 @@ NvmDevice::NvmDevice(NvmConfig cfg) : cfg_(std::move(cfg)) {
   read_limiter_.set_rate(cfg_.throttle ? cfg_.spec.read_bandwidth : 0.0);
 
   const std::size_t pages = page_count();
-  nvdirty_.resize(pages);
   unflushed_.resize(pages);
   if (cfg_.track_wear) {
     wear_ = std::vector<std::atomic<std::uint32_t>>(pages);
@@ -118,7 +117,6 @@ void NvmDevice::touch_pages(std::size_t off, std::size_t n) {
   const std::size_t first = off / kNvmPageSize;
   const std::size_t last = (off + n - 1) / kNvmPageSize;
   for (std::size_t p = first; p <= last; ++p) {
-    nvdirty_.set(p);
     unflushed_.set(p);
     if (cfg_.track_wear) {
       wear_[p].fetch_add(1, std::memory_order_relaxed);
@@ -168,9 +166,10 @@ void NvmDevice::mark_written_inplace(std::size_t off, std::size_t n) {
   if (n == 0) return;
   const std::size_t first = off / kNvmPageSize;
   const std::size_t last = (off + n - 1) / kNvmPageSize;
-  for (std::size_t p = first; p <= last; ++p) {
-    nvdirty_.set(p);
-    if (cfg_.track_wear) wear_[p].fetch_add(1, std::memory_order_relaxed);
+  if (cfg_.track_wear) {
+    for (std::size_t p = first; p <= last; ++p) {
+      wear_[p].fetch_add(1, std::memory_order_relaxed);
+    }
   }
   bytes_written_.fetch_add(n, std::memory_order_relaxed);
 }
@@ -203,22 +202,6 @@ std::size_t NvmDevice::simulate_crash(Rng& rng) {
   log_info("NvmDevice: crash simulated, %zu unflushed pages scrambled",
            scrambled);
   return scrambled;
-}
-
-void NvmDevice::clear_nvdirty(std::size_t off, std::size_t n) {
-  check_range(off, n);
-  if (n == 0) return;
-  const std::size_t first = off / kNvmPageSize;
-  const std::size_t last = (off + n - 1) / kNvmPageSize;
-  nvdirty_.clear_range(first, last - first + 1);
-}
-
-std::size_t NvmDevice::nvdirty_bytes(std::size_t off, std::size_t n) const {
-  check_range(off, n);
-  if (n == 0) return 0;
-  const std::size_t first = off / kNvmPageSize;
-  const std::size_t last = (off + n - 1) / kNvmPageSize;
-  return nvdirty_.count_range(first, last - first + 1) * kNvmPageSize;
 }
 
 NvmDeviceStats NvmDevice::stats() const {

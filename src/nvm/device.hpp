@@ -9,8 +9,6 @@
 // The device is a flat persistent arena plus the hardware-ish facilities the
 // paper's kernel manager relies on:
 //   * throttled write/read paths (device-shared + optional per-stream rate)
-//   * per-page 'nvdirty' bits (the paper's nvdirty syscall support, used by
-//     the remote checkpoint helper to find modified NVM pages cheaply)
 //   * a cache-flush epoch model: written pages are volatile until flushed;
 //     simulate_crash() scrambles unflushed pages so crash-consistency is
 //     actually testable
@@ -107,7 +105,7 @@ class NvmDevice {
 
   /// Account for an in-place store done through data() without the
   /// throttled write path (used for small metadata stores, which on real
-  /// hardware are 8-byte failure-atomic): bumps wear and nvdirty bits.
+  /// hardware are 8-byte failure-atomic): bumps wear counters.
   /// Unlike write(), the store is treated as posted (not crash-scrambled),
   /// matching the persistent-memory assumption that aligned <=8B stores
   /// followed by a flush are failure-atomic.
@@ -130,12 +128,6 @@ class NvmDevice {
   /// injector may tear writes (scramble a tail of the written span).
   /// nullptr detaches; when detached the hook costs one pointer check.
   void set_fault_injector(fault::FaultInjector* fi) { injector_ = fi; }
-
-  // --- nvdirty bits ----------------------------------------------------
-  void clear_nvdirty(std::size_t off, std::size_t n);
-  bool nvdirty(std::size_t page) const { return nvdirty_.test(page); }
-  /// Bytes covered by nvdirty pages within [off, off+n).
-  std::size_t nvdirty_bytes(std::size_t off, std::size_t n) const;
 
   // --- accounting -------------------------------------------------------
   NvmDeviceStats stats() const;
@@ -174,7 +166,6 @@ class NvmDevice {
   mutable BandwidthLimiter write_limiter_;
   mutable BandwidthLimiter read_limiter_;
 
-  AtomicBitmap nvdirty_;
   AtomicBitmap unflushed_;
   std::vector<std::atomic<std::uint32_t>> wear_;
 

@@ -108,9 +108,9 @@ TenantHandle::CommitResult TenantHandle::checkpoint() {
   // Trim the tenant's own ring tail when its quota runs hot. Scoped to
   // this quota, so the trim can never touch a neighbour's epochs.
   if (quota_->limit() != 0) {
-    arena_->dir_->gc_pass_quota(
-        quota_, epoch::resolve_gc_watermark(spec_.ckpt.epoch_gc_watermark),
-        epoch::resolve_gc_floor(spec_.ckpt.epoch_gc_floor));
+    arena_->dir_->gc_pass(
+        epoch::resolve_gc_watermark(spec_.ckpt.epoch_gc_watermark),
+        epoch::resolve_gc_floor(spec_.ckpt.epoch_gc_floor), quota_);
   }
 
   m_granted_bw_->set(group_->granted());

@@ -24,7 +24,6 @@ MetadataRegion MetadataRegion::create(NvmDevice& dev, std::size_t region_off,
   hdr.magic = kMagic;
   hdr.capacity = capacity;
   hdr.alloc_cursor = round_up(region_off + bytes, kNvmPageSize);
-  hdr.checkpoint_epoch = 0;
   dev.mark_written_inplace(region_off, bytes);
   dev.flush(region_off, bytes);
   dev.set_root(region_off);
@@ -38,7 +37,10 @@ MetadataRegion MetadataRegion::attach(NvmDevice& dev) {
   }
   MetadataRegion region(dev, root);
   if (region.header().magic != kMagic) {
-    throw NvmcpError("MetadataRegion: bad magic at root offset");
+    throw NvmcpError(
+        "MetadataRegion: bad magic at root offset (not a metadata region, "
+        "or an image from before one record per chunk); it cannot be "
+        "reopened");
   }
   return region;
 }
@@ -97,7 +99,6 @@ ChunkRecord* MetadataRegion::insert(std::uint64_t id, std::string_view name) {
     ChunkRecord fresh{};
     fresh.id = id;
     fresh.flags = ChunkRecord::kValid;
-    fresh.committed = ChunkRecord::kNoneCommitted;
     // An unnamed chunk's view may have a null data(); memcpy forbids that
     // even for zero bytes.
     if (!name.empty()) {
@@ -118,15 +119,15 @@ void MetadataRegion::erase(std::uint64_t id) {
   }
 }
 
-std::size_t MetadataRegion::device_offset_of(const void* p) const {
-  return static_cast<std::size_t>(static_cast<const std::byte*>(p) -
-                                  dev_->data());
+void MetadataRegion::persist_record(const ChunkRecord& rec) {
+  persist(&rec, sizeof(ChunkRecord));
 }
 
-void MetadataRegion::persist_record(const ChunkRecord& rec) {
-  const std::size_t off = device_offset_of(&rec);
-  dev_->mark_written_inplace(off, sizeof(ChunkRecord));
-  dev_->flush(off, sizeof(ChunkRecord));
+void MetadataRegion::persist(const void* p, std::size_t n) {
+  const auto off = static_cast<std::size_t>(
+      static_cast<const std::byte*>(p) - dev_->data());
+  dev_->mark_written_inplace(off, n);
+  dev_->flush(off, n);
 }
 
 }  // namespace nvmcp::vmem

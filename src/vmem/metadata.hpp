@@ -6,51 +6,60 @@
 // used to load the persistent pages to the process address space."
 //
 // We store a fixed-capacity table of chunk records plus an allocation
-// cursor. Records are updated with a crash-safe ordering: chunk payload is
-// written and flushed to its in-progress slot first, then the record's
-// committed-slot index is flipped and the record flushed. A crash between
-// the two steps leaves the previous committed version intact.
+// cursor. A chunk record is the one persisted description of a chunk's
+// versions: its payload slots, each slot's epoch and CRC, and `committed`,
+// the index of the acknowledged slot. A commit copies into a slot that is
+// not acknowledged, flushes it, publishes the slot's epoch and CRC, and
+// only then stores `committed` -- one aligned 8-byte word, the commit
+// point -- so a crash at any step leaves the previous acknowledged version
+// intact (epoch::VersionRing owns that ordering).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string_view>
 
 #include "nvm/device.hpp"
 
 namespace nvmcp::vmem {
 
+/// Slots per chunk record: the deepest version ring (8 retained epochs)
+/// plus the copy in flight.
+constexpr std::uint32_t kMaxRingSlots = 9;
+/// No slot: a record's `committed` before its first acknowledged commit.
+constexpr std::uint32_t kInvalidSlot = ~0u;
+
 /// On-NVM chunk record (POD; lives in the metadata table).
 struct ChunkRecord {
   static constexpr std::uint32_t kValid = 1u << 0;
-  static constexpr std::uint32_t kPersistent = 1u << 1;
-  static constexpr std::uint32_t kNoneCommitted = 2;
+  // Slot states.
+  static constexpr std::uint32_t kSlotFree = 0;
+  static constexpr std::uint32_t kSlotInProgress = 1;  // copy target
+  static constexpr std::uint32_t kSlotPublished = 2;   // epoch + CRC valid
 
-  std::uint64_t id = 0;          // genid(varname)
-  std::uint64_t size = 0;        // payload bytes
-  std::uint64_t slot_off[2] = {0, 0};   // device offsets, two versions
-  std::uint64_t checksum[2] = {0, 0};   // crc64 of each slot's payload
-  std::uint64_t epoch[2] = {0, 0};      // checkpoint epoch stored per slot
-  std::uint32_t committed = kNoneCommitted;  // 0/1, or kNoneCommitted
+  std::uint64_t id = 0;    // genid(varname)
+  std::uint64_t size = 0;  // payload bytes of every slot
+  std::uint64_t slot_off[kMaxRingSlots] = {};  // device offset, 0 = none
+  std::uint64_t checksum[kMaxRingSlots] = {};  // crc64 of a published slot
+  std::uint64_t epoch[kMaxRingSlots] = {};     // epoch of a published slot
+  std::uint32_t state[kMaxRingSlots] = {};
+  std::uint32_t committed = kInvalidSlot;  // acknowledged slot
   std::uint32_t flags = 0;
   char name[44] = {};
 
   bool valid() const { return flags & kValid; }
-  bool has_committed() const { return committed != kNoneCommitted; }
-  std::uint32_t in_progress_slot() const {
-    return committed == 0 ? 1u : 0u;  // kNoneCommitted also writes slot 0
-  }
+  bool has_committed() const { return committed != kInvalidSlot; }
 };
 
-static_assert(sizeof(ChunkRecord) == 120, "ChunkRecord layout is persistent");
+static_assert(sizeof(ChunkRecord) == 320, "ChunkRecord layout is persistent");
+static_assert(offsetof(ChunkRecord, committed) % 8 + sizeof(std::uint32_t) <=
+                  8,
+              "the commit point must not straddle an 8-byte atom");
 
 struct MetadataHeader {
   std::uint64_t magic = 0;
   std::uint64_t capacity = 0;     // record slots
   std::uint64_t alloc_cursor = 0; // bump pointer for region allocation
-  std::uint64_t checkpoint_epoch = 0;
-  std::uint64_t epoch_region_off = 0;  // version-ring directory, 0 = none
 };
 
 /// View over the metadata region of one device. The region's device offset
@@ -58,14 +67,18 @@ struct MetadataHeader {
 /// metadata automatically.
 class MetadataRegion {
  public:
-  static constexpr std::uint64_t kMagic = 0x6e766d6d65746131ULL;
+  /// "nvmmeta2": one record per chunk. Images of the earlier layout
+  /// ("nvmmeta1", whose versions also lived in a separate ring table) are
+  /// refused at attach, never migrated.
+  static constexpr std::uint64_t kMagic = 0x6e766d6d65746132ULL;
 
   /// Create a fresh region at `region_off` with space for `capacity`
   /// records, and point the device root at it.
   static MetadataRegion create(NvmDevice& dev, std::size_t region_off,
                                std::size_t capacity);
 
-  /// Attach to the region named by the device root. Throws if absent.
+  /// Attach to the region named by the device root. Throws, writing
+  /// nothing, if it is absent or carries another magic.
   static MetadataRegion attach(NvmDevice& dev);
 
   static std::size_t bytes_required(std::size_t capacity);
@@ -86,12 +99,21 @@ class MetadataRegion {
 
   /// Persist one record (flush its cache lines).
   void persist_record(const ChunkRecord& rec);
+  /// Persist `n` bytes at `p`, which points into the region.
+  void persist(const void* p, std::size_t n);
 
   MetadataHeader& header();
   const MetadataHeader& header() const;
   void persist_header();
 
   /// Enumerate valid records.
+  template <typename Fn>
+  void for_each(Fn&& fn) {
+    auto* recs = records();
+    for (std::size_t i = 0; i < capacity(); ++i) {
+      if (recs[i].valid()) fn(recs[i]);
+    }
+  }
   template <typename Fn>
   void for_each(Fn&& fn) const {
     const auto* recs = records();
@@ -107,7 +129,6 @@ class MetadataRegion {
 
   ChunkRecord* records();
   const ChunkRecord* records() const;
-  std::size_t device_offset_of(const void* p) const;
 
   NvmDevice* dev_;
   std::size_t region_off_;

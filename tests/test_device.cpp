@@ -1,6 +1,6 @@
 // Unit tests for the emulated NVM device: arena access, throttled write
-// timing, nvdirty bits, wear counters, the flush/crash durability model,
-// and file-backed persistence.
+// timing, wear counters, the flush/crash durability model, and file-backed
+// persistence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -78,21 +78,6 @@ TEST(NvmDevice, UnthrottledWriteIsFast) {
   std::vector<std::byte> src(2 * MiB, std::byte{1});
   const double secs = dev.write(0, src.data(), src.size());
   EXPECT_LT(secs, 0.1);
-}
-
-TEST(NvmDevice, NvdirtyBitsTrackWrites) {
-  NvmDevice dev(small_config());
-  std::vector<std::byte> src(3 * kNvmPageSize, std::byte{2});
-  dev.write(kNvmPageSize, src.data(), src.size());
-  EXPECT_FALSE(dev.nvdirty(0));
-  EXPECT_TRUE(dev.nvdirty(1));
-  EXPECT_TRUE(dev.nvdirty(2));
-  EXPECT_TRUE(dev.nvdirty(3));
-  EXPECT_FALSE(dev.nvdirty(4));
-  EXPECT_EQ(dev.nvdirty_bytes(kNvmPageSize, src.size()),
-            3 * kNvmPageSize);
-  dev.clear_nvdirty(kNvmPageSize, src.size());
-  EXPECT_EQ(dev.nvdirty_bytes(kNvmPageSize, src.size()), 0u);
 }
 
 TEST(NvmDevice, WearCountsAccumulate) {

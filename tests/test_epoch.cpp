@@ -1,6 +1,7 @@
 // Epoch subsystem: version-ring retention/rollback (depth 1 included),
-// directory attach and crash-reset, depth changes across reopens, the
-// refusal of pre-ring images, env-knob resolution, saturation-driven GC,
+// directory attach and crash-reset (torn copies and unacknowledged
+// publishes), depth changes across reopens, the refusal of images of the
+// earlier metadata layout, env-knob resolution, saturation-driven GC,
 // pinning, the reused-slot scrub, and bounded pending range lists.
 #include <gtest/gtest.h>
 
@@ -21,6 +22,7 @@
 #include "common/checksum.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "core/manager.hpp"
 #include "epoch/directory.hpp"
 #include "epoch/version_ring.hpp"
 #include "nvm/device.hpp"
@@ -200,9 +202,9 @@ TEST_P(DepthOneScrub, RecopiesACorruptedReusedSlot) {
   // epoch 3 into the reused slot of epoch 1 is a range commit.
   store(64, 64, 2);
   s.alloc->checkpoint_chunk(*c, 2);
+  // Depth 1 cycles through slots 0 and 1: the other slot holds epoch 1.
   const vmem::ChunkRecord& rec = c->record();
-  s.dev->data()[rec.slot_off[rec.in_progress_slot()] + 60000] ^=
-      std::byte{0x5a};
+  s.dev->data()[rec.slot_off[1 - rec.committed] + 60000] ^= std::byte{0x5a};
   store(0, 64, 3);
   s.alloc->checkpoint_chunk(*c, 3);
   const std::vector<std::byte> golden(p, p + c->size());
@@ -339,36 +341,85 @@ TEST(EpochDirectory, DepthOneFileReopensAtDepthFourAndBack) {
   fs::remove(path);
 }
 
-TEST(EpochDirectory, PreRingImageIsRefusedAndWritesNothing) {
-  // A container with chunk records but no epoch region predates rings at
-  // every depth (its records own two free-standing slots). Built here by
-  // hand through MetadataRegion; reopening it at any depth throws before
-  // a byte of the device changes.
+TEST(EpochDirectory, UnacknowledgedPublishIsFreedAtAttach) {
+  // A crash between a slot's publish (epoch and CRC persisted) and the
+  // store of the record's committed index: the record still acknowledges
+  // the previous version, and attach frees the published slot, so the
+  // previous epoch restores byte-exact as the newest, and the next commit
+  // numbers above it.
   namespace fs = std::filesystem;
   const fs::path path = fs::temp_directory_path() /
-                        ("nvmcp_epoch_prering_" +
+                        ("nvmcp_epoch_unacked_" +
+                         std::to_string(::getpid()) + ".nvm");
+  for (const int depth : {1, 4}) {
+    SCOPED_TRACE("ring depth " + std::to_string(depth));
+    fs::remove(path);
+    std::uint64_t id = 0;
+    std::uint32_t torn = kInvalidSlot;
+    {
+      Stack s(depth, 16 * MiB, path);
+      alloc::Chunk* c = s.alloc->nvalloc("unacked", 64 * KiB, true);
+      id = c->id();
+      fill_pattern(c->data(), c->size(), 1);
+      s.alloc->checkpoint_chunk(*c, 1);
+      fill_pattern(c->data(), c->size(), 2);
+      s.alloc->precopy_chunk(*c, 2);
+      vmem::ChunkRecord* rec = s.cont->metadata().find(id);
+      ASSERT_NE(rec, nullptr);
+      for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
+        if (rec->state[i] == vmem::ChunkRecord::kSlotInProgress) torn = i;
+      }
+      ASSERT_NE(torn, kInvalidSlot);
+      rec->checksum[torn] =
+          crc64(s.dev->data() + rec->slot_off[torn], c->size());
+      rec->epoch[torn] = 2;
+      rec->state[torn] = vmem::ChunkRecord::kSlotPublished;
+      s.cont->metadata().persist_record(*rec);
+      ASSERT_NE(rec->committed, torn);
+    }
+    Stack s(depth, 16 * MiB, path);
+    const RingSlot freed =
+        s.alloc->epoch_directory()->ring(id)->snapshot_slots()[torn];
+    EXPECT_EQ(freed.state, RingSlot::kFree) << "attach kept the publish";
+    EXPECT_NE(freed.off, 0u) << "the freed slot keeps its region";
+    alloc::Chunk* c = s.alloc->nvalloc("unacked", 64 * KiB, true);
+    EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 1));
+    EXPECT_EQ(s.alloc->retained_epochs(*c), std::vector<std::uint64_t>({1}));
+    core::CheckpointConfig cfg;
+    cfg.local_policy = core::PrecopyPolicy::kNone;
+    cfg.epoch_gc_background = false;
+    core::CheckpointManager mgr(*s.alloc, cfg);
+    fill_pattern(c->data(), c->size(), 3);
+    mgr.nvchkptall();
+    EXPECT_EQ(s.alloc->retained_epochs(*c),
+              std::vector<std::uint64_t>({2, 1}));
+    fill_pattern(c->data(), c->size(), 0);
+    EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
+    EXPECT_TRUE(check_pattern(c->data(), c->size(), 3));
+  }
+  fs::remove(path);
+}
+
+TEST(EpochDirectory, OldMetadataImageIsRefusedAndWritesNothing) {
+  // An image whose metadata header carries the magic of the earlier
+  // layout, whose versions also lived in a separate ring table, is
+  // refused at every depth before a byte of the device changes. Built
+  // here by stamping a committed image with that magic by hand.
+  namespace fs = std::filesystem;
+  const fs::path path = fs::temp_directory_path() /
+                        ("nvmcp_epoch_oldmeta_" +
                          std::to_string(::getpid()) + ".nvm");
   fs::remove(path);
-  NvmConfig cfg;
-  cfg.capacity = 4 * MiB;
-  cfg.throttle = false;
-  cfg.backing_file = path.string();
   {
-    NvmDevice dev(cfg);
-    vmem::Container cont(dev);
-    vmem::MetadataRegion& meta = cont.metadata();
-    ASSERT_EQ(meta.header().epoch_region_off, 0u);
-    vmem::ChunkRecord* rec = meta.insert(alloc::genid("old"), "old");
-    rec->size = 64 * KiB;
-    rec->slot_off[0] = cont.alloc_region(rec->size);
-    rec->slot_off[1] = cont.alloc_region(rec->size);
-    fill_pattern(dev.data() + rec->slot_off[0], rec->size, 7);
-    rec->checksum[0] = crc64(dev.data() + rec->slot_off[0], rec->size);
-    rec->epoch[0] = 1;
-    rec->committed = 0;
-    rec->flags |= vmem::ChunkRecord::kPersistent;
-    dev.mark_written_inplace(rec->slot_off[0], rec->size);
-    meta.persist_record(*rec);
+    Stack s(1, 4 * MiB, path);
+    alloc::Chunk* c = s.alloc->nvalloc("old", 64 * KiB, true);
+    fill_pattern(c->data(), c->size(), 7);
+    s.alloc->checkpoint_chunk(*c, 1);
+    vmem::MetadataRegion& meta = s.cont->metadata();
+    ASSERT_EQ(meta.header().magic, vmem::MetadataRegion::kMagic);
+    meta.header().magic = 0x6e766d6d65746131ULL;  // "nvmmeta1"
+    meta.persist_header();
   }
   const std::uint64_t before = file_crc(path);
   for (const int depth : {1, 4}) {
@@ -581,39 +632,42 @@ TEST(VersionRing, RingSlotCountIsBounded) {
 
 TEST(VersionRing, SameEpochRecommitNeverReusesTheAcknowledgedSlot) {
   // nvchkptid, or checkpoint_chunk called directly, can commit a chunk
-  // twice at one epoch, so two slots hold that epoch; after a reopen
-  // nothing in the ring says which was published last. The slot the
-  // record's committed pointer aliases must still never be the one a
-  // later commit copies into: a crash mid-copy would tear the only
-  // acknowledged version.
+  // twice at one epoch. Each recommit copies into a slot other than the
+  // one the record's committed index names -- a crash mid-copy would
+  // otherwise tear the only acknowledged version -- and its publish frees
+  // the copy it supersedes, so the epoch is retained once, across a
+  // reopen too.
   namespace fs = std::filesystem;
   const fs::path path = fs::temp_directory_path() /
                         ("nvmcp_epoch_tie_" + std::to_string(::getpid()) +
                          ".nvm");
   fs::remove(path);
-  std::uint64_t acked = 0;
-  auto commit = [&](Stack& s, alloc::Chunk* c, std::uint64_t epoch,
-                    std::uint64_t seed) {
+  auto commit = [](Stack& s, alloc::Chunk* c, std::uint64_t epoch,
+                   std::uint64_t seed) {
     fill_pattern(c->data(), c->size(), seed);
+    const std::uint32_t before = c->record().committed;
     s.alloc->checkpoint_chunk(*c, epoch);
     const vmem::ChunkRecord& rec = c->record();
     ASSERT_TRUE(rec.has_committed());
-    const std::uint64_t off = rec.slot_off[rec.committed];
-    EXPECT_NE(off, acked) << "commit of seed " << seed
-                          << " copied into the acknowledged slot";
-    acked = off;
+    EXPECT_NE(rec.committed, before)
+        << "commit of seed " << seed << " copied into the acknowledged slot";
+    EXPECT_EQ(rec.epoch[rec.committed], epoch);
   };
   {
     Stack s(1, 16 * MiB, path);
     alloc::Chunk* c = s.alloc->nvalloc("same", 32 * KiB, true);
     for (std::uint64_t k = 0; k < 4; ++k) commit(s, c, 5, 10 + k);
+    EXPECT_EQ(s.alloc->retained_epochs(*c), std::vector<std::uint64_t>({5}));
   }
   {
     Stack s(1, 16 * MiB, path);
     alloc::Chunk* c = s.alloc->nvalloc("same", 32 * KiB, true);
     EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), 13));
+    EXPECT_EQ(s.alloc->retained_epochs(*c), std::vector<std::uint64_t>({5}));
     commit(s, c, 6, 20);
+    EXPECT_EQ(s.alloc->retained_epochs(*c),
+              std::vector<std::uint64_t>({6, 5}));
     fill_pattern(c->data(), c->size(), 0);
     EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), 20));
@@ -622,10 +676,9 @@ TEST(VersionRing, SameEpochRecommitNeverReusesTheAcknowledgedSlot) {
 }
 
 TEST(VersionRing, GcNeverReclaimsTheAcknowledgedSlotOfAnEpochTie) {
-  // A chunk committed twice at one epoch leaves two slots holding it. The
-  // GC spares the newest version, and of the two that is the one
-  // published last, which the record's committed pointer aliases:
-  // freeing it would leave the record pointing at a free region.
+  // A chunk committed twice at one epoch: the recommit's publish frees
+  // the copy it supersedes, and the GC, down to a floor of one, reclaims
+  // the older epoch but never the slot the committed index names.
   Stack s(2);
   alloc::Chunk* c = s.alloc->nvalloc("tie", 64 * KiB, true);
   const std::uint64_t epochs[] = {4, 5, 5};
@@ -633,18 +686,16 @@ TEST(VersionRing, GcNeverReclaimsTheAcknowledgedSlotOfAnEpochTie) {
     fill_pattern(c->data(), c->size(), 20 + k);
     s.alloc->checkpoint_chunk(*c, epochs[k]);
   }
+  EXPECT_EQ(s.alloc->retained_epochs(*c), std::vector<std::uint64_t>({5, 4}));
   const vmem::ChunkRecord& rec = c->record();
-  const std::uint64_t acked = rec.slot_off[rec.committed];
+  const std::uint32_t acked = rec.committed;
   const GcPassStats st =
       s.alloc->epoch_directory()->gc_pass(/*watermark=*/0.0, /*floor=*/1);
-  EXPECT_EQ(st.slots_reclaimed, 2u);
-  VersionRing* ring = s.alloc->epoch_directory()->ring(c->id());
-  ASSERT_NE(ring, nullptr);
-  bool kept = false;
-  for (const RingSlot& slot : ring->snapshot_slots()) {
-    kept |= slot.committed() && slot.off == acked;
-  }
-  EXPECT_TRUE(kept) << "the GC freed the acknowledged slot";
+  EXPECT_EQ(st.slots_reclaimed, 1u);
+  EXPECT_EQ(rec.committed, acked);
+  EXPECT_EQ(rec.state[acked], vmem::ChunkRecord::kSlotPublished)
+      << "the GC freed the acknowledged slot";
+  EXPECT_EQ(s.alloc->retained_epochs(*c), std::vector<std::uint64_t>({5}));
   fill_pattern(c->data(), c->size(), 0);
   EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 22));

@@ -52,8 +52,9 @@ TEST(IntegrationRestart, CrashDuringCheckpointKeepsPreviousVersion) {
   allocator.precopy_chunk(*c, 2);
   // Simulate additional torn payload: a write that never got flushed.
   fill_pattern(c->data(), c->size(), 3);
+  // Depth 1 cycles through slots 0 and 1; slot 0 holds epoch 1.
   const auto& rec = c->record();
-  dev.write(rec.slot_off[rec.in_progress_slot()], c->data(), 1000);
+  dev.write(rec.slot_off[1 - rec.committed], c->data(), 1000);
 
   Rng rng(7);
   dev.simulate_crash(rng);

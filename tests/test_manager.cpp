@@ -757,8 +757,8 @@ TEST(StreamingRestore, DepthOneRollsBackOneEpochThenReportsLoss) {
   EXPECT_EQ(rep.chunks_rolled_back, 1);
   EXPECT_TRUE(matches_seed(*a, 1));
 
-  s.dev->data()[rec.slot_off[rec.in_progress_slot()] + 100] ^=
-      std::byte{0x40};
+  // Depth 1 cycles through slots 0 and 1: corrupt the other one too.
+  s.dev->data()[rec.slot_off[1 - rec.committed] + 100] ^= std::byte{0x40};
   rep = s.mgr->restore_streaming();
   EXPECT_EQ(rep.status, RestoreStatus::kChecksumMismatch);
   EXPECT_EQ(rep.chunks_rolled_back, 0);

@@ -1,5 +1,5 @@
-// Persistent metadata region: create/attach, record lifecycle, crash-safe
-// commit ordering fields.
+// Persistent metadata region: create/attach, record lifecycle, the
+// persisted record layout.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -93,16 +93,6 @@ TEST(Metadata, UnnamedInsertLeavesNameEmpty) {
   ChunkRecord* rec = meta.insert(5, std::string_view{});
   EXPECT_STREQ(rec->name, "");
   EXPECT_EQ(meta.find(5), rec);
-}
-
-TEST(Metadata, InProgressSlotAlternation) {
-  ChunkRecord rec;
-  EXPECT_EQ(rec.committed, ChunkRecord::kNoneCommitted);
-  EXPECT_EQ(rec.in_progress_slot(), 0u);
-  rec.committed = 0;
-  EXPECT_EQ(rec.in_progress_slot(), 1u);
-  rec.committed = 1;
-  EXPECT_EQ(rec.in_progress_slot(), 0u);
 }
 
 TEST(Metadata, RecordsPersistAcrossAttach) {

@@ -102,11 +102,15 @@ TEST_F(RemoteMemoryTest, SizeMismatchFails) {
 TEST_F(RemoteMemoryTest, SizeChangeReplacesSlots) {
   const auto small = pattern(16 * KiB, 60);
   const auto big = pattern(64 * KiB, 70);
+  const std::uint64_t empty = store_->device().reserved_bytes();
   rm_->put(0, 5, small.data(), small.size(), small.size(), 1, true);
   rm_->put(0, 5, big.data(), big.size(), big.size(), 2, true);
   std::vector<std::byte> out(big.size());
   EXPECT_EQ(rm_->get(0, 5, out.data(), out.size()), out.size());
   EXPECT_EQ(out, big);
+  // The old pair's region is freed: the device holds one 64 KiB slot, the
+  // footprint of a pair committed once at the new size.
+  EXPECT_EQ(store_->device().reserved_bytes(), empty + big.size());
 }
 
 TEST_F(RemoteMemoryTest, CorruptRemoteDetectedByChecksum) {

@@ -1,7 +1,6 @@
 // CodecTuner: per-chunk codec selection for the remote transport.
 //
-// Sits beside IntervalTuner (core/tuner.hpp) and closes the same kind of
-// loop: instead of hand-picking a codec, the sender chooses per chunk from
+// Instead of hand-picking a codec, the sender chooses per chunk from
 //   * a sampled-entropy probe (compress::entropy_probe) of the committed
 //     payload the sender has just read for the send,
 //   * the DCPCP modification predictor (expected mods/interval -> how much

@@ -5,9 +5,9 @@
 // pulls in everything an application needs for NVM checkpointing:
 // the emulated device, the nvmalloc heap, the checkpoint manager with its
 // pre-copy policies, remote (buddy) checkpointing, the restart
-// coordinator, and the analytical model / interval tuner. Substrate
-// internals (simulator, workload generators, ramdisk baseline) stay
-// opt-in via their own headers.
+// coordinator, and the analytical model. Substrate internals (simulator,
+// workload generators, ramdisk baseline) stay opt-in via their own
+// headers.
 #pragma once
 
 #include "alloc/nvmalloc.hpp"     // nvalloc / chunks / Table III API
@@ -15,7 +15,6 @@
 #include "core/manager.hpp"       // CheckpointManager, policies
 #include "core/remote.hpp"        // RemoteCheckpointer, restore_with_remote
 #include "core/restart.hpp"       // RestartCoordinator
-#include "core/tuner.hpp"         // IntervalTuner
 #include "ecc/parity_group.hpp"   // erasure-coded remote checkpoints
 #include "fault/campaign.hpp"     // chaos campaigns (CampaignRunner)
 #include "fault/injector.hpp"     // fault-injection hooks

@@ -57,11 +57,13 @@ class ScaleSim {
     node_rng_.reserve(static_cast<std::size_t>(topo_.nodes()));
     for (int i = 0; i < topo_.nodes(); ++i) node_rng_.push_back(root.fork());
 
+    // Only rack 0's uplink keeps a timeline (see
+    // ScaleResult::peak_link_ckpt_rate): a 10k-node run pays for one.
     uplinks_.reserve(static_cast<std::size_t>(topo_.racks()));
     for (int r = 0; r < topo_.racks(); ++r) {
       uplinks_.push_back(std::make_unique<SharedBandwidth>(
           eng_, cfg_.rack_uplink_bw, /*timeline_bucket=*/1.0, /*classes=*/2,
-          /*track_timelines=*/false));
+          /*track_timelines=*/r == 0));
     }
   }
 
@@ -112,6 +114,7 @@ class ScaleSim {
     r.remote_bytes = restore_bytes_;
     for (const auto& u : uplinks_) r.remote_bytes += u->total_bytes(kCkptClass);
     r.app_comm_seconds = app_comm_seconds_;
+    r.peak_link_ckpt_rate = uplinks_[0]->timeline(kCkptClass).peak_rate();
     r.events_fired = eng_.events_fired();
     r.queue_drained = eng_.pending() == 0 && drain_steps < kDrainCap;
     return r;
@@ -194,6 +197,7 @@ class ScaleSim {
   // ---- checkpointing ----------------------------------------------------
   void begin_local_checkpoint() {
     phase_ = Phase::kCkpt;
+    ckpt_start_ = eng_.now();
     barrier_ = topo_.nodes();
     const double residual =
         (cfg_.precopy && result_.local_checkpoints > 0)
@@ -201,7 +205,7 @@ class ScaleSim {
             : 1.0;
     // Pre-copy streams the rest during compute; account the inflated NVM
     // traffic analytically instead of spending one background flow per
-    // node per iteration on it (the one-node sim models that fine detail).
+    // node per iteration on it.
     nvm_bytes_ += static_cast<double>(topo_.nodes()) * cfg_.ckpt_bytes *
                   (residual < 1.0 ? cfg_.precopy_inflation : 1.0);
     const double base = cfg_.ckpt_bytes * residual / cfg_.nvm_bw;
@@ -216,6 +220,7 @@ class ScaleSim {
 
   void end_local_checkpoint() {
     ++result_.local_checkpoints;
+    result_.local_blocking += eng_.now() - ckpt_start_;
     last_local_ckpt_ = eng_.now();
     committed_local_ = compute_done_;
     maybe_remote();
@@ -288,9 +293,8 @@ class ScaleSim {
 
   // ---- failures ---------------------------------------------------------
   /// Compute-seconds (per node) of the in-flight iteration a failure right
-  /// now destroys -- same accounting as the one-node sim's fix: elapsed
-  /// slice mid-compute, the whole iteration once compute finished but the
-  /// barrier has not credited it.
+  /// now destroys: the elapsed slice mid-compute, the whole iteration once
+  /// compute finished but the barrier has not credited it.
   double lost_in_iteration() const {
     if (iter_work_ <= 0) return 0;
     switch (phase_) {
@@ -425,6 +429,7 @@ class ScaleSim {
   double iter_work_ = 0;
   double iter_start_ = 0;
   double comm_start_ = 0;
+  double ckpt_start_ = 0;
   int barrier_ = 0;
   int iterations_ = 0;
 

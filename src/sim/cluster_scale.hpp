@@ -9,8 +9,8 @@
 //    with checkpoint traffic -- the paper's "communication noise"), and
 //    barrier;
 //  * local checkpoints block on each node's own NVM at `local_interval`
-//    (pre-copy reduces the blocking residual exactly as in the one-node
-//    sim; the background stream is accounted as inflated NVM bytes);
+//    (pre-copy shrinks the blocking step to the residual dirty fraction;
+//    the background stream is accounted as inflated NVM bytes);
 //  * remote cuts ship redundancy over the rack uplinks at
 //    `remote_interval`, with per-local-interval pre-copy slices, under
 //    one of three placement strategies:
@@ -112,6 +112,11 @@ struct ScaleResult {
   double nvm_bytes = 0;        // cluster-total NVM writes
   double remote_bytes = 0;     // cluster-total uplink checkpoint bytes
   double app_comm_seconds = 0; // job-level time in communication phases
+  double local_blocking = 0;   // job-level time in completed local checkpoints
+  // Peak checkpoint rate on rack 0's uplink (bytes/s over 1 s buckets).
+  // Every rack carries the same per-node schedule and no rack holds more
+  // nodes than rack 0, so its timeline is the busiest one.
+  double peak_link_ckpt_rate = 0;
 
   std::uint64_t events_fired = 0;
   bool queue_drained = false;

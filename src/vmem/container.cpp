@@ -1,5 +1,7 @@
 #include "vmem/container.hpp"
 
+#include <algorithm>
+
 #include "common/error.hpp"
 #include "common/log.hpp"
 
@@ -26,15 +28,45 @@ Container::Container(NvmDevice& dev) : Container(dev, Options{}) {}
 Container::Container(NvmDevice& dev, Options opts)
     : dev_(&dev),
       meta_(open_or_create(dev, opts.chunk_table_capacity, &attached_)) {
-  // Re-baseline the device's occupancy accounting from the persisted
-  // cursor: at construction the free list is empty, so the cursor is
-  // exactly the reserved span (header page + metadata + data regions).
+  if (attached_) rebuild_free_list();
+  // Re-baseline the device's occupancy accounting: the reserved span is
+  // the cursor (header page + metadata + data regions) less the free list.
   // Done as a delta so a re-attached container doesn't double-count.
-  dev.note_reserved(static_cast<std::int64_t>(meta_.header().alloc_cursor) -
+  dev.note_reserved(static_cast<std::int64_t>(bytes_allocated()) -
                     static_cast<std::int64_t>(dev.reserved_bytes()));
   log_info("Container: %s, cursor=%zu",
            attached_ ? "attached to existing metadata" : "created fresh",
            static_cast<std::size_t>(meta_.header().alloc_cursor));
+}
+
+void Container::rebuild_free_list() {
+  // Every region below the cursor was allocated for a ring slot, and all
+  // slots of a record are round_up(size) bytes, the one size VersionRing
+  // allocates and frees. Bytes of the data area that no valid record's
+  // slot names were freed (GC, ring shed, resize, nvdelete) or allocated
+  // but never recorded before a crash: they are the free list. Clamping
+  // to the cursor keeps a damaged record from freeing past it.
+  std::vector<FreeBlock> owned;
+  meta_.for_each([&owned](const ChunkRecord& rec) {
+    const std::size_t bytes = round_up(rec.size, kNvmPageSize);
+    for (const std::uint64_t off : rec.slot_off) {
+      if (off != 0) owned.push_back({off, bytes});
+    }
+  });
+  std::sort(owned.begin(), owned.end(),
+            [](const FreeBlock& a, const FreeBlock& b) {
+              return a.off < b.off;
+            });
+  const std::size_t cursor = meta_.header().alloc_cursor;
+  // The data area starts where MetadataRegion::create put the cursor.
+  std::size_t pos = meta_.region_offset() +
+                    MetadataRegion::bytes_required(meta_.capacity());
+  for (const FreeBlock& r : owned) {
+    const std::size_t begin = std::min(r.off, cursor);
+    if (begin > pos) free_list_.push_back({pos, begin - pos});
+    pos = std::max(pos, begin + std::min(r.bytes, cursor - begin));
+  }
+  if (pos < cursor) free_list_.push_back({pos, cursor - pos});
 }
 
 std::size_t Container::alloc_region(std::size_t bytes) {

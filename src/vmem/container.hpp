@@ -4,7 +4,8 @@
 // A container owns the layout of one device arena: a metadata region at the
 // front and page-aligned data regions allocated behind it. The allocation
 // cursor persists in the metadata header, so a reopened device exposes the
-// same regions; chunk records then let the allocator re-attach each chunk.
+// same regions; chunk records then let the allocator re-attach each chunk,
+// and the regions no record names are the free list again.
 #pragma once
 
 #include <cstddef>
@@ -42,9 +43,9 @@ class Container {
   /// offset. Freed regions are reused (first fit). Throws on exhaustion.
   std::size_t alloc_region(std::size_t bytes);
 
-  /// Return a region to the (in-memory) free list. Regions reachable from
-  /// valid chunk records are re-learned on restart; orphaned regions are
-  /// reclaimed by rebuilding the container.
+  /// Return a region to the free list. The list lives in DRAM only: an
+  /// attach rebuilds it as every region below the cursor that no valid
+  /// chunk record's slot names.
   void free_region(std::size_t off, std::size_t bytes);
 
   std::size_t bytes_allocated() const;
@@ -55,6 +56,8 @@ class Container {
     std::size_t off;
     std::size_t bytes;
   };
+
+  void rebuild_free_list();
 
   NvmDevice* dev_;
   // Written through a pointer while meta_ is initialized, so it must be

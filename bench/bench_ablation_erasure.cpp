@@ -105,10 +105,10 @@ int main() {
     const Stopwatch sw;
     repl.coordinate_now();
     const double secs = sw.elapsed();
-    const auto bytes = repl.stats().bytes_sent;
+    const auto bytes = repl.metrics().counter("remote.bytes_sent").value();
     table.row({"replication", format_bytes(static_cast<double>(bytes)),
                "100%", format_seconds(secs), "any # of nodes",
-               "restore_with_remote"});
+               "restart_after(kHard)"});
   }
 
   for (const int m : {1, 2, 3}) {

@@ -67,7 +67,7 @@ int main() {
     const Stopwatch sw;
     for (alloc::Chunk* c : s.chunks) s.allocator->restore_chunk(*c);
     const double full = sw.elapsed();
-    table.row({"eager (restore_all)", format_seconds(full),
+    table.row({"eager (restore_chunk)", format_seconds(full),
                format_bytes(static_cast<double>(s.dev->stats().bytes_read -
                                                 read0)),
                format_seconds(full)});

@@ -16,7 +16,7 @@
 //   1. perf:     depth-4 commit throughput >= 0.8x depth-1 on the same
 //                seeded schedule (retention must not tax the commit path).
 //   2. rollback: a depth-4 stack that committed epochs 1..k restores
-//                epoch k-2 byte-exact via the streaming path, and walks
+//                epoch k-2 byte-exact through the restart walk, and walks
 //                back to an older epoch when the newest slot is corrupted.
 #include <chrono>
 #include <cstdio>
@@ -32,6 +32,7 @@
 #include "common/table.hpp"
 #include "common/units.hpp"
 #include "core/manager.hpp"
+#include "core/restart.hpp"
 #include "local_experiment.hpp"
 #include "telemetry/telemetry.hpp"
 #include "vmem/container.hpp"
@@ -131,8 +132,8 @@ Measured measure_depth(int depth, int nchunks, std::size_t chunk_bytes,
   return m;
 }
 
-/// Gate 2: commit epochs 1..5 on a depth-4 stack, then (a) stream-restore
-/// epoch 3 (= k-2) and byte-verify every chunk against its epoch-3 fill,
+/// Gate 2: commit epochs 1..5 on a depth-4 stack, then (a) soft-restart
+/// at epoch 3 (= k-2) and byte-verify every chunk against its epoch-3 fill,
 /// and (b) flip a byte in one chunk's newest committed slot and verify the
 /// default restore walks back to an older epoch instead of failing.
 bool check_rollback(std::string* detail) {
@@ -148,9 +149,11 @@ bool check_rollback(std::string* detail) {
   }
   for (auto* c : s.chunks) refill(*c, 0xdead);  // scribble DRAM
 
-  const auto rep = s.mgr->restore_streaming(kEpochs - 2);
-  if (rep.status != RestoreStatus::kOkStale || rep.chunks_rolled_back != 0) {
-    *detail = "restore_streaming(k-2) status " +
+  core::RestartCoordinator rc(*s.mgr, nullptr);
+  const auto rep = rc.restart_after(core::FailureKind::kSoft, kEpochs - 2);
+  if (rep.status != RestoreStatus::kOkStale || rep.chunks_rolled_back != 0 ||
+      rep.chunks_local != kChunks) {
+    *detail = "restart_after(soft, k-2) status " +
               std::string(to_string(rep.status));
     return false;
   }
@@ -166,7 +169,7 @@ bool check_rollback(std::string* detail) {
   // detect it and fall back to an older retained epoch, byte-exact.
   const auto& rec = s.chunks[0]->record();
   s.dev->data()[rec.slot_off[rec.committed] + 123] ^= std::byte{0x5a};
-  const auto walk = s.mgr->restore_streaming();
+  const auto walk = rc.restart_after(core::FailureKind::kSoft);
   if (walk.chunks_rolled_back != 1 ||
       walk.status != RestoreStatus::kOkStale) {
     *detail = "corrupted-newest walk-back: rolled_back=" +

@@ -107,13 +107,9 @@ void report_mode(nvmcp::Json& out, const nvmcp::apps::DriverResult& r) {
   out["final_seal_seconds"] = r.final_seal_seconds;
   out["seal_peak_rate"] = seal_peak(r);
   // Legacy struct values: must agree with the registry counters above
-  // (stats() is a view over the same registry).
+  // (CheckpointManager::stats() is a view over the same registry; the
+  // remote helper reports through its registry alone).
   Json& legacy = out["legacy_stats"];
-  legacy["remote_bytes_sent"] = static_cast<double>(r.remote.bytes_sent);
-  legacy["remote_coordinations"] =
-      static_cast<double>(r.remote.coordinations);
-  legacy["remote_precopy_puts"] =
-      static_cast<double>(r.remote.precopy_puts);
   legacy["ckpt_bytes_coordinated"] =
       static_cast<double>(r.ckpt.bytes_coordinated);
   legacy["ckpt_bytes_precopied"] =

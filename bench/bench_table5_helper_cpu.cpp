@@ -50,6 +50,15 @@ nvmcp::apps::DriverResult run_mode(double data_scale, bool precopy) {
   return apps::run_workload(cfg);
 }
 
+/// remote.busy_seconds / remote.wall_seconds from the run's registry
+/// (run_workload stops the helper, which sets its wall gauge).
+double utilization(const nvmcp::apps::DriverResult& r) {
+  const auto* busy = r.metrics->find_gauge("remote.busy_seconds");
+  const auto* wall = r.metrics->find_gauge("remote.wall_seconds");
+  return busy && wall && wall->value() > 0 ? busy->value() / wall->value()
+                                           : 0.0;
+}
+
 }  // namespace
 
 int main() {
@@ -75,8 +84,8 @@ int main() {
     const double scale = paper_mb / nominal_mb * (12.0 / 2.0) / 64.0;
     const apps::DriverResult nopc = run_mode(scale, false);
     const apps::DriverResult pc = run_mode(scale, true);
-    const double u0 = nopc.remote.helper_utilization();
-    const double u1 = pc.remote.helper_utilization();
+    const double u0 = utilization(nopc);
+    const double u1 = utilization(pc);
     table.row({TableWriter::num(paper_mb, 0) + " MB",
                TableWriter::pct(u0), TableWriter::pct(u1),
                TableWriter::num(u0 > 0 ? u1 / u0 : 0, 2) + "x"});

@@ -16,6 +16,7 @@
 #include "alloc/nvmalloc.hpp"
 #include "common/rng.hpp"
 #include "core/manager.hpp"
+#include "core/restart.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace {
@@ -113,7 +114,10 @@ double run(bool crash) {
         solver.grid[i] = rng.uniform(-1e9, 1e9);
       }
       *solver.sweep_done = -777;
-      const RestoreStatus st = manager.restore_all();
+      const RestoreStatus st =
+          core::RestartCoordinator(manager, nullptr)
+              .restart_after(core::FailureKind::kSoft)
+              .status;
       std::printf("  crash at sweep %d -> restore: %s, resuming from "
                   "sweep %ld\n",
                   kCrashAtSweep, to_string(st), *solver.sweep_done);

@@ -138,17 +138,24 @@ int main() {
   }
   for (std::size_t i = 0; i < kParticles; ++i) particles.x[i] = -1;
 
-  const RestoreStatus st = core::restore_with_remote(manager, remote);
+  const RestoreStatus st =
+      core::RestartCoordinator(manager, &remote)
+          .restart_after(core::FailureKind::kSoft)
+          .status;
   std::printf("\nnode lost; restore from buddy: %s\n", to_string(st));
   std::printf("energy after remote restore: %.4f (before: %.4f)\n",
               particles.energy(), energy_before);
 
-  const auto rstats = helper.stats();
+  auto& hm = helper.metrics();
   std::printf("helper shipped %s in %llu pre-copy puts + %llu coordinated "
               "puts; peak link usage %s\n",
-              format_bytes(static_cast<double>(rstats.bytes_sent)).c_str(),
-              static_cast<unsigned long long>(rstats.precopy_puts),
-              static_cast<unsigned long long>(rstats.coordinated_puts),
+              format_bytes(static_cast<double>(
+                               hm.counter("remote.bytes_sent").value()))
+                  .c_str(),
+              static_cast<unsigned long long>(
+                  hm.counter("remote.precopy_puts").value()),
+              static_cast<unsigned long long>(
+                  hm.counter("remote.coordinated_puts").value()),
               format_bandwidth(link.peak_checkpoint_rate()).c_str());
 
   nvmcp::telemetry::flush_trace();

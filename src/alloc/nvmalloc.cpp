@@ -461,18 +461,41 @@ double ChunkAllocator::checkpoint_chunk(Chunk& c, std::uint64_t epoch,
   return secs;
 }
 
-RestoreStatus ChunkAllocator::restore_chunk(Chunk& c) {
+RestoreStatus ChunkAllocator::read_slot(const Chunk& c, std::uint64_t epoch,
+                                        void* dst,
+                                        std::uint64_t* read_epoch) const {
   const std::optional<epoch::RingSlot> acked = acknowledged(c);
-  if (!acked) return RestoreStatus::kNoData;
-  auto& dev = container_->device();
+  const bool newest = epoch == 0 || (acked && acked->epoch == epoch);
+  epoch::RingSlot s;
+  if (newest) {
+    if (!acked) return RestoreStatus::kNoData;
+    s = *acked;
+  } else {
+    // Pin before the lookup: a slot found and then read without a pin
+    // could be reclaimed by the GC or reused by a racing commit mid-read.
+    c.ring_->pin_epoch(epoch);
+    if (!c.ring_->find_epoch(epoch, &s)) {
+      c.ring_->unpin_epoch(epoch);
+      return RestoreStatus::kNoData;
+    }
+  }
   std::uint64_t sum = crc64_init();
-  dev.read(acked->off, c.dram_, c.size_, nullptr,
-           opts_.verify_checksums ? &sum : nullptr);
-  if (opts_.verify_checksums && crc64_final(sum) != acked->checksum) {
+  container_->device().read(s.off, dst, c.size_, nullptr,
+                            opts_.verify_checksums ? &sum : nullptr);
+  if (!newest) c.ring_->unpin_epoch(epoch);
+  if (opts_.verify_checksums && crc64_final(sum) != s.checksum) {
     return RestoreStatus::kChecksumMismatch;
   }
-  c.tracker_.mark_dirty();  // restored data is not yet re-checkpointed
-  return RestoreStatus::kOk;
+  if (read_epoch) *read_epoch = s.epoch;
+  return newest ? RestoreStatus::kOk : RestoreStatus::kOkStale;
+}
+
+RestoreStatus ChunkAllocator::restore_chunk(Chunk& c, std::uint64_t epoch) {
+  const RestoreStatus st = read_slot(c, epoch, c.dram_);
+  if (st == RestoreStatus::kOk || st == RestoreStatus::kOkStale) {
+    c.tracker_.mark_dirty();  // restored data is not yet re-checkpointed
+  }
+  return st;
 }
 
 bool ChunkAllocator::restore_chunk_lazy(Chunk& c) {
@@ -500,40 +523,7 @@ std::optional<epoch::RingSlot> ChunkAllocator::acknowledged(
 
 bool ChunkAllocator::read_committed(const Chunk& c, void* dst,
                                     std::uint64_t* epoch) const {
-  const std::optional<epoch::RingSlot> acked = acknowledged(c);
-  if (!acked) return false;
-  std::uint64_t sum = crc64_init();
-  container_->device().read(acked->off, dst, c.size_, nullptr,
-                            opts_.verify_checksums ? &sum : nullptr);
-  if (opts_.verify_checksums && crc64_final(sum) != acked->checksum) {
-    return false;
-  }
-  if (epoch) *epoch = acked->epoch;
-  return true;
-}
-
-RestoreStatus ChunkAllocator::restore_chunk_epoch(Chunk& c,
-                                                  std::uint64_t epoch) {
-  const std::optional<epoch::RingSlot> acked = acknowledged(c);
-  if (epoch == 0 || (acked && acked->epoch == epoch)) return restore_chunk(c);
-  // Pin before the lookup: a slot found and then read without a pin could
-  // be reclaimed by the GC or reused by a racing commit mid-read.
-  c.ring_->pin_epoch(epoch);
-  epoch::RingSlot s;
-  if (!c.ring_->find_epoch(epoch, &s)) {
-    c.ring_->unpin_epoch(epoch);
-    return RestoreStatus::kNoData;
-  }
-  auto& dev = container_->device();
-  std::uint64_t sum = crc64_init();
-  dev.read(s.off, c.dram_, c.size_, nullptr,
-           opts_.verify_checksums ? &sum : nullptr);
-  c.ring_->unpin_epoch(epoch);
-  if (opts_.verify_checksums && crc64_final(sum) != s.checksum) {
-    return RestoreStatus::kChecksumMismatch;
-  }
-  c.tracker_.mark_dirty();  // restored data is not yet re-checkpointed
-  return RestoreStatus::kOkStale;
+  return read_slot(c, 0, dst, epoch) == RestoreStatus::kOk;
 }
 
 std::uint64_t ChunkAllocator::restore_older_epoch(Chunk& c,
@@ -545,7 +535,7 @@ std::uint64_t ChunkAllocator::restore_older_epoch(Chunk& c,
       epoch != 0 ? epoch : (epochs.empty() ? 0 : epochs[0]);
   for (const std::uint64_t e : epochs) {
     if (e >= below) continue;
-    const RestoreStatus st = restore_chunk_epoch(c, e);
+    const RestoreStatus st = restore_chunk(c, e);
     if (st == RestoreStatus::kOk || st == RestoreStatus::kOkStale) return e;
   }
   return 0;
@@ -558,20 +548,8 @@ std::vector<std::uint64_t> ChunkAllocator::retained_epochs(
 
 bool ChunkAllocator::read_retained(Chunk& c, std::uint64_t epoch,
                                    void* dst) {
-  if (epoch == 0) return read_committed(c, dst);
-  // Pin across the read: GC or a racing commit could otherwise reclaim
-  // the slot mid-copy (same discipline as restore_chunk_epoch).
-  c.ring_->pin_epoch(epoch);
-  epoch::RingSlot s;
-  if (!c.ring_->find_epoch(epoch, &s)) {
-    c.ring_->unpin_epoch(epoch);
-    return false;
-  }
-  std::uint64_t sum = crc64_init();
-  container_->device().read(s.off, dst, c.size_, nullptr,
-                            opts_.verify_checksums ? &sum : nullptr);
-  c.ring_->unpin_epoch(epoch);
-  return !opts_.verify_checksums || crc64_final(sum) == s.checksum;
+  const RestoreStatus st = read_slot(c, epoch, dst);
+  return st == RestoreStatus::kOk || st == RestoreStatus::kOkStale;
 }
 
 void ChunkAllocator::pin_epoch(Chunk& c, std::uint64_t epoch) {

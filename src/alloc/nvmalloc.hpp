@@ -24,8 +24,8 @@
 //   commit_chunk()            -> publish the acquired ring slot: its epoch
 //                                and CRC, then the record's committed index
 //                                (crash-safe ordering)
-//   restore_chunk()           -> committed NVM slot -> DRAM with checksum
-//                                verification
+//   restore_chunk()           -> committed (or a retained) NVM slot ->
+//                                DRAM with checksum verification
 #pragma once
 
 #include <cstdint>
@@ -164,8 +164,10 @@ class ChunkAllocator {
                           BandwidthLimiter* stream = nullptr,
                           bool skip_arm = false);
 
-  /// Read the committed slot back into DRAM, verifying the checksum.
-  RestoreStatus restore_chunk(Chunk& c);
+  /// Read a slot back into DRAM, verifying the checksum: the acknowledged
+  /// one for epoch 0 (kOk), or that retained epoch (kOkStale, or kOk when
+  /// it is the acknowledged one). kNoData when the epoch is not retained.
+  RestoreStatus restore_chunk(Chunk& c, std::uint64_t epoch = 0);
 
   /// Restore-on-first-access: map the chunk PROT_NONE and copy the
   /// committed NVM payload into DRAM only when the application first
@@ -201,11 +203,6 @@ class ChunkAllocator {
   std::uint32_t ring_depth() const { return ring_depth_; }
   vmem::CapacityQuota* quota() const { return opts_.quota; }
 
-  /// Restore a specific retained epoch into DRAM (0 = newest committed).
-  /// The source slot is pinned against GC/reuse for the duration of the
-  /// read. kNoData if the epoch is not retained for this chunk.
-  RestoreStatus restore_chunk_epoch(Chunk& c, std::uint64_t epoch);
-
   /// Addressable epochs for this chunk, newest (the acknowledged one)
   /// first.
   std::vector<std::uint64_t> retained_epochs(const Chunk& c) const;
@@ -218,13 +215,12 @@ class ChunkAllocator {
   /// Read the payload of any retained epoch into caller memory without
   /// touching the chunk's DRAM buffer (delta-codec base reads: the remote
   /// sender XORs against it, restore decode re-reads it). Epoch 0 is
-  /// read_committed; any other epoch's slot is pinned for the duration of
-  /// the read. Returns false when the epoch is not retained or fails
+  /// read_committed. Returns false when the epoch is not retained or fails
   /// verification.
   bool read_retained(Chunk& c, std::uint64_t epoch, void* dst);
 
-  /// Pin/unpin a retained epoch against reclamation (streaming-restore
-  /// sources, shipped delta-frame bases). No-ops for epoch 0.
+  /// Pin/unpin a retained epoch against reclamation (the restart walk's
+  /// explicit-epoch sources, shipped delta-frame bases). No-ops for epoch 0.
   void pin_epoch(Chunk& c, std::uint64_t epoch);
   void unpin_epoch(Chunk& c, std::uint64_t epoch);
 
@@ -232,6 +228,14 @@ class ChunkAllocator {
   Chunk* alloc_common(std::uint64_t id, std::size_t size, bool persistent,
                       std::string_view name, void* attach_src);
   void release_chunk_locked(Chunk& c, bool free_regions);
+  /// The one slot reader under every public read: pin `epoch` unless it is
+  /// the acknowledged one (0), find its slot, read it into `dst` with the
+  /// CRC fused, verify, unpin. kOk for the acknowledged slot, kOkStale for
+  /// an older one, kNoData when none holds `epoch`, kChecksumMismatch when
+  /// the bytes fail verification. Stores the slot's epoch in `*read_epoch`
+  /// on success.
+  RestoreStatus read_slot(const Chunk& c, std::uint64_t epoch, void* dst,
+                          std::uint64_t* read_epoch = nullptr) const;
   /// (Re)initialize a range-tracked chunk's pending lists, one per ring
   /// slot within the budget, to whole-chunk-pending.
   void reset_pending_lists(Chunk& c);

@@ -222,7 +222,6 @@ DriverResult run_workload(const DriverConfig& cfg) {
     out.nvm.max_page_wear = std::max(out.nvm.max_page_wear, d.max_page_wear);
   }
   out.blocking_per_checkpoint = blocking_events;
-  if (remote_ckpt) out.remote = remote_ckpt->stats();
 
   // Merge every rank's registry (plus the helper's) into one run-level
   // registry, then roll device/link stats in as gauges so a RunReport can

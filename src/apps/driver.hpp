@@ -64,7 +64,6 @@ struct DriverResult {
   /// Per coordinated checkpoint: max blocking time across ranks.
   std::vector<double> blocking_per_checkpoint;
 
-  core::RemoteStats remote;
   net::LinkStats link;
   double peak_ckpt_link_rate = 0;
   std::vector<double> ckpt_link_timeline;  // bytes per bucket

@@ -31,8 +31,14 @@ void write_runlen(std::uint8_t*& op, std::size_t len) {
 
 }  // namespace
 
-std::size_t lz_compress(const void* src_v, std::size_t n, void* dst_v,
-                        std::size_t cap) {
+// Both kernels start on a 64-byte boundary. Their hot loops are a few
+// cache lines long, and where the linker happens to place them moves
+// their speed: lz_compress at an address = 16 (mod 32) encoded a median
+// 598 MB/s on gtc_remote, the same code 16 bytes later 761 MB/s (six
+// traced passes each, 4-vCPU Xeon VM). Pinning the alignment keeps
+// unrelated link-order changes from moving the codec's throughput.
+[[gnu::aligned(64)]] std::size_t lz_compress(const void* src_v, std::size_t n,
+                                             void* dst_v, std::size_t cap) {
   const auto* src = static_cast<const std::uint8_t*>(src_v);
   auto* dst = static_cast<std::uint8_t*>(dst_v);
   const std::uint8_t* ip = src;
@@ -105,8 +111,9 @@ std::size_t lz_compress(const void* src_v, std::size_t n, void* dst_v,
   return static_cast<std::size_t>(op - dst);
 }
 
-std::size_t lz_decompress(const void* src_v, std::size_t n, void* dst_v,
-                          std::size_t cap) {
+[[gnu::aligned(64)]] std::size_t lz_decompress(const void* src_v,
+                                               std::size_t n, void* dst_v,
+                                               std::size_t cap) {
   const auto* ip = static_cast<const std::uint8_t*>(src_v);
   const std::uint8_t* const iend = ip + n;
   auto* dst = static_cast<std::uint8_t*>(dst_v);

@@ -67,9 +67,9 @@ struct CheckpointConfig {
   /// (useful when only the shared device limit should apply).
   double nvm_bw_per_core = 400.0 * MiB;
 
-  /// Copier workers for the coordinated commit (nvchkptall), restore_all
-  /// and the background pre-copy scan: the calling thread plus
-  /// copy_threads - 1 pool threads. Each worker drives its own NVMBW_core
+  /// Copier workers for the coordinated commit (nvchkptall), the restart
+  /// walk and the background pre-copy scan: the calling thread plus
+  /// copy_threads - 1 others. Each commit worker drives its own NVMBW_core
   /// stream limiter (the paper's concurrent-copier model, Fig 4) while
   /// the device-global limiter still caps the aggregate. 0 = resolve from
   /// the NVMCP_COPY_THREADS environment variable, defaulting to 1 (the

@@ -11,11 +11,7 @@
 #include "telemetry/trace.hpp"
 
 namespace nvmcp::core {
-namespace {
 
-/// Size-balanced shards, largest chunk first (LPT scheduling): sort the
-/// work descending by payload size, then greedily place each chunk on the
-/// least-loaded shard. Deterministic for a given work list.
 std::vector<std::vector<alloc::Chunk*>> shard_by_size(
     std::vector<alloc::Chunk*> work, std::size_t shards) {
   std::stable_sort(work.begin(), work.end(),
@@ -34,18 +30,6 @@ std::vector<std::vector<alloc::Chunk*>> shard_by_size(
   }
   return out;
 }
-
-/// Fold `st` into an atomic worst-so-far status (RestoreStatus values are
-/// ordered by severity).
-void fold_worst(std::atomic<int>& worst, RestoreStatus st) {
-  const int v = static_cast<int>(st);
-  int cur = worst.load(std::memory_order_relaxed);
-  while (v > cur &&
-         !worst.compare_exchange_weak(cur, v, std::memory_order_relaxed)) {
-  }
-}
-
-}  // namespace
 
 std::size_t resolve_copy_threads(std::size_t configured) {
   if (configured != 0) return configured;
@@ -320,9 +304,9 @@ double CheckpointManager::nvchkptall() {
     if (!c->persistent()) continue;
     if (restoring_.load(std::memory_order_acquire) &&
         restore_deferred(c->id())) {
-      // Streaming-restore admission rule: this chunk's payload is still
-      // in flight from NVM, so there is nothing consistent to commit yet;
-      // it becomes commit-eligible the moment its own restore completes.
+      // Restore admission rule: this chunk's payload is still in flight,
+      // so there is nothing consistent to commit yet; it becomes
+      // commit-eligible the moment its own restore completes.
       commits_deferred_.fetch_add(1, std::memory_order_relaxed);
       m_.deferred_restoring->add(1);
       continue;
@@ -425,124 +409,37 @@ double CheckpointManager::nvchkptid(std::uint64_t id) {
   return secs;
 }
 
-RestoreStatus CheckpointManager::restore_all() {
-  std::lock_guard<std::mutex> lock(ckpt_mu_);
-  telemetry::Span span("restore_all", "ckpt.restart");
-  std::vector<alloc::Chunk*> work;
-  for (alloc::Chunk* c : alloc_->chunks()) {
-    if (c->persistent()) work.push_back(c);
-  }
-  // Sharded restore: NVM reads are fast (Table I) but still metered by
-  // the device-global limiter, so concurrent readers overlap their
-  // throttle sleeps.
-  std::atomic<int> worst{static_cast<int>(RestoreStatus::kOk)};
-  run_sharded(work, [this, &worst](alloc::Chunk& c, BandwidthLimiter*) {
-    fold_worst(worst, alloc_->restore_chunk(c));
-  });
-  return static_cast<RestoreStatus>(worst.load(std::memory_order_relaxed));
-}
-
 bool CheckpointManager::restore_deferred(std::uint64_t id) const {
   std::lock_guard<std::mutex> lock(restore_mu_);
   return restore_pending_.count(id) != 0;
 }
 
-CheckpointManager::StreamingRestoreReport CheckpointManager::restore_streaming(
-    std::uint64_t epoch) {
-  StreamingRestoreReport rep;
-  const Stopwatch sw;
-  std::vector<alloc::Chunk*> work;
+void CheckpointManager::open_restore_window(
+    const std::vector<alloc::Chunk*>& pending) {
   {
-    // Setup under the commit mutex so no checkpoint round is mid-flight
-    // while the admission set fills; the restore itself then runs WITHOUT
-    // the mutex -- that concurrency is the whole point.
-    std::lock_guard<std::mutex> lock(ckpt_mu_);
-    rep.epoch = epoch;
-    for (alloc::Chunk* c : alloc_->chunks()) {
-      if (!c->persistent()) continue;
-      work.push_back(c);
-      if (epoch != 0) continue;
-      if (const auto acked = alloc_->acknowledged(*c)) {
-        rep.epoch = std::max(rep.epoch, acked->epoch);
-      }
-    }
-    {
-      std::lock_guard<std::mutex> rlock(restore_mu_);
-      restore_pending_.clear();
-      for (alloc::Chunk* c : work) restore_pending_.insert(c->id());
-    }
-    commits_deferred_.store(0, std::memory_order_relaxed);
-    restoring_.store(true, std::memory_order_release);
-    if (epoch != 0) {
-      // An explicitly requested older epoch is reclaimable (the newest
-      // committed version never is): pin every source slot up front so
-      // neither the GC nor a commit recycling ring slots can reclaim a
-      // source before its chunk's turn comes.
-      for (alloc::Chunk* c : work) alloc_->pin_epoch(*c, epoch);
-    }
+    std::lock_guard<std::mutex> lock(restore_mu_);
+    restore_pending_.clear();
+    for (const alloc::Chunk* c : pending) restore_pending_.insert(c->id());
   }
-  rep.chunks = static_cast<int>(work.size());
+  commits_deferred_.store(0, std::memory_order_relaxed);
+  restoring_.store(true, std::memory_order_release);
+}
 
-  std::atomic<int> worst{static_cast<int>(RestoreStatus::kOk)};
-  std::atomic<int> rolled_back{0};
-  auto restore_one = [&](alloc::Chunk& c) {
-    RestoreStatus st = alloc_->restore_chunk_epoch(c, epoch);
-    if ((st == RestoreStatus::kChecksumMismatch ||
-         st == RestoreStatus::kNoData) &&
-        alloc_->restore_older_epoch(c, epoch) != 0) {
-      // Target epoch bad or gone: restored the newest older retained
-      // epoch that still verifies instead.
-      st = RestoreStatus::kOkStale;
-      rolled_back.fetch_add(1, std::memory_order_relaxed);
-    }
-    fold_worst(worst, st);
-    // Admit commits for this chunk from the next round on -- even when
-    // its restore failed: leaving it deferred forever would silently
-    // exclude it from every future checkpoint.
-    std::lock_guard<std::mutex> rlock(restore_mu_);
-    restore_pending_.erase(c.id());
-  };
+void CheckpointManager::admit_restored(std::uint64_t id) {
+  std::lock_guard<std::mutex> lock(restore_mu_);
+  restore_pending_.erase(id);
+}
 
-  // Shard 0 on the caller, the rest on dedicated threads rather than the
-  // shared copier pool: commit rounds shard over that pool, and restore
-  // shards queued ahead of them would serialize the very commits this
-  // path exists to admit.
-  const auto shards = shard_by_size(work, copy_threads_);
-  std::vector<std::thread> workers;
-  for (std::size_t w = 1; w < shards.size(); ++w) {
-    if (shards[w].empty()) continue;
-    workers.emplace_back([&restore_one, &shard = shards[w]] {
-      for (alloc::Chunk* c : shard) restore_one(*c);
-    });
-  }
-  std::exception_ptr failed;
-  try {
-    for (alloc::Chunk* c : shards[0]) restore_one(*c);
-  } catch (...) {
-    failed = std::current_exception();
-  }
-  for (auto& w : workers) w.join();
-  if (failed) std::rethrow_exception(failed);
-
-  if (epoch != 0) {
-    for (alloc::Chunk* c : work) alloc_->unpin_epoch(*c, epoch);
-  }
+std::uint64_t CheckpointManager::close_restore_window() {
+  // Everything still pending is admitted too, failed restores included:
+  // leaving a chunk deferred would silently exclude it from every future
+  // checkpoint.
   restoring_.store(false, std::memory_order_release);
   {
-    std::lock_guard<std::mutex> rlock(restore_mu_);
+    std::lock_guard<std::mutex> lock(restore_mu_);
     restore_pending_.clear();
   }
-  rep.status = static_cast<RestoreStatus>(worst.load());
-  rep.chunks_rolled_back = rolled_back.load();
-  rep.commits_deferred = commits_deferred_.load(std::memory_order_relaxed);
-  rep.seconds = sw.elapsed();
-  log_debug("restore_streaming: epoch=%llu chunks=%d rolled_back=%d "
-            "deferred_commits=%llu status=%s",
-            static_cast<unsigned long long>(rep.epoch), rep.chunks,
-            rep.chunks_rolled_back,
-            static_cast<unsigned long long>(rep.commits_deferred),
-            to_string(rep.status));
-  return rep;
+  return commits_deferred_.load(std::memory_order_relaxed);
 }
 
 void CheckpointManager::refresh_vmem_metrics() const {

@@ -14,8 +14,9 @@
 //
 // Every copy (commit, pre-copy, restore) takes one path at every worker
 // count: chunks shard size-balanced over copy_threads() workers, worker 0
-// being the calling thread and the rest a pool, each on its own
-// NVMBW_core stream (Fig 4's per-core copiers).
+// being the calling thread. Commit and pre-copy run the rest on a pool,
+// each on its own NVMBW_core stream (Fig 4's per-core copiers); restore is
+// RestartCoordinator's walk (core/restart.hpp).
 #pragma once
 
 #include <atomic>
@@ -37,6 +38,13 @@
 #include "telemetry/metrics.hpp"
 
 namespace nvmcp::core {
+
+/// Size-balanced shards, largest chunk first (LPT scheduling): sort the
+/// work descending by payload size, then greedily place each chunk on the
+/// least-loaded of `shards` shards. Deterministic for a given work list.
+/// Commit, pre-copy and the restart walk all shard through it.
+std::vector<std::vector<alloc::Chunk*>> shard_by_size(
+    std::vector<alloc::Chunk*> work, std::size_t shards);
 
 class CheckpointManager {
  public:
@@ -62,44 +70,18 @@ class CheckpointManager {
   /// Checkpoint (copy + commit) one chunk immediately.
   double nvchkptid(std::uint64_t id);
 
-  /// Restore every persistent chunk from its committed local version.
-  /// Returns the worst status encountered.
-  RestoreStatus restore_all();
+  /// Restore admission window, opened and closed by RestartCoordinator's
+  /// walk. While it is open, nvchkptall and the pre-copy engine defer
+  /// every chunk still pending (its payload is in flight, so there is
+  /// nothing consistent to commit), and count each deferral. Open it under
+  /// commit_mutex(), with the chunks about to be restored; admit each as
+  /// it lands; close returns the commits deferred since the open and
+  /// admits everything still pending.
+  void open_restore_window(const std::vector<alloc::Chunk*>& pending);
+  void admit_restored(std::uint64_t id);
+  std::uint64_t close_restore_window();
 
-  /// Outcome of one streaming restore (see restore_streaming).
-  struct StreamingRestoreReport {
-    RestoreStatus status = RestoreStatus::kOk;  // worst per-chunk status
-    std::uint64_t epoch = 0;  // the requested epoch, or what 0 resolved to
-    double seconds = 0;
-    int chunks = 0;
-    /// Chunks whose target epoch failed verification and were restored
-    /// from an older retained epoch instead.
-    int chunks_rolled_back = 0;
-    /// Commits nvchkptall deferred because their chunk was still waiting
-    /// to be restored (the admission rule at work).
-    std::uint64_t commits_deferred = 0;
-  };
-
-  /// Streaming restart: restore persistent chunks in copy_threads()
-  /// size-balanced shards, shard 0 on the calling thread and the rest on
-  /// dedicated threads, while the application keeps computing and
-  /// committing. nvchkptall admits commits for chunks already restored
-  /// and defers the rest, so the restart stops being a barrier: a chunk
-  /// becomes commit-eligible the moment its own payload is back. `epoch`
-  /// 0 means the newest epoch, resolved once under the commit mutex while
-  /// the chunks register: each chunk restores its newest committed
-  /// version, which the admission rule keeps from moving until it is
-  /// restored. A nonzero epoch restores that retained epoch, pinning
-  /// every source slot up front so neither the GC nor a concurrent commit
-  /// can reclaim it mid-restore. If a chunk's target fails verification
-  /// the restore walks back to the newest older retained epoch that still
-  /// verifies.
-  /// The application must not touch a chunk until it has been restored
-  /// (the admission rule covers commits, not application loads).
-  StreamingRestoreReport restore_streaming(std::uint64_t epoch = 0);
-
-  /// True while a streaming restore is in flight: its chunks are
-  /// registered and nvchkptall defers the ones not yet restored.
+  /// True while a restart walk's admission window is open.
   bool restoring() const { return restoring_.load(std::memory_order_acquire); }
 
   alloc::ChunkAllocator& allocator() { return *alloc_; }
@@ -143,8 +125,9 @@ class CheckpointManager {
 
   /// Resolved copier-thread count (config knob or NVMCP_COPY_THREADS):
   /// commit, restore and pre-copy shard their chunks over this many
-  /// workers, the calling thread plus copy_threads() - 1 pool threads,
-  /// one NVMBW_core stream per worker.
+  /// workers. Commit and pre-copy run on the calling thread plus
+  /// copy_threads() - 1 pool threads, one NVMBW_core stream per worker;
+  /// the restart walk runs its shards on dedicated threads instead.
   std::size_t copy_threads() const { return copy_threads_; }
 
   /// Background version-ring GC, or nullptr at ring depth 1 (the one
@@ -195,8 +178,8 @@ class CheckpointManager {
   /// directory.
   std::unique_ptr<epoch::EpochGc> gc_;
 
-  // Streaming-restore admission state: while restoring_ is set,
-  // nvchkptall defers (skips) any chunk still in restore_pending_.
+  // Restore admission state: while restoring_ is set, nvchkptall and the
+  // pre-copy engine defer (skip) any chunk still in restore_pending_.
   std::atomic<bool> restoring_{false};
   mutable std::mutex restore_mu_;  // guards restore_pending_
   std::unordered_set<std::uint64_t> restore_pending_;

@@ -251,15 +251,48 @@ void RemoteCheckpointer::promote_base_pin(const Key& key, alloc::Chunk& c) {
 }
 
 void RemoteCheckpointer::release_base_pins() {
-  std::lock_guard<std::mutex> lock(pin_mu_);
-  for (auto* pins : {&inflight_base_, &committed_base_}) {
-    for (const auto& [key, epoch] : *pins) {
-      if (!epoch) continue;
-      alloc::Chunk* c = managers_[key.mgr]->allocator().find(key.chunk_id);
-      if (c) managers_[key.mgr]->allocator().unpin_epoch(*c, epoch);
-    }
-    pins->clear();
+  for (std::size_t m = 0; m < managers_.size(); ++m) {
+    alloc::ChunkAllocator& a = managers_[m]->allocator();
+    a.with_live(a.chunks(), [&](const std::vector<alloc::Chunk*>& live) {
+      std::lock_guard<std::mutex> lock(pin_mu_);
+      for (alloc::Chunk* c : live) {
+        for (auto* pins : {&inflight_base_, &committed_base_}) {
+          auto it = pins->find(Key{m, c->id()});
+          if (it != pins->end()) a.unpin_epoch(*c, it->second);
+        }
+      }
+    });
   }
+  std::lock_guard<std::mutex> lock(pin_mu_);
+  inflight_base_.clear();
+  committed_base_.clear();
+}
+
+std::vector<RemoteCheckpointer::Committed>
+RemoteCheckpointer::committed_chunks(std::size_t m) const {
+  const alloc::ChunkAllocator& a = managers_[m]->allocator();
+  std::vector<Committed> out;
+  a.with_live(a.chunks(), [&](const std::vector<alloc::Chunk*>& live) {
+    for (alloc::Chunk* c : live) {
+      if (!c->persistent()) continue;
+      if (const auto acked = a.acknowledged(*c)) {
+        out.push_back(Committed{c, c->id(), acked->epoch});
+      }
+    }
+  });
+  return out;
+}
+
+bool RemoteCheckpointer::with_chunk(std::size_t m, const Committed& e,
+                                    const std::function<void()>& fn) const {
+  bool live = false;
+  managers_[m]->allocator().with_live(
+      {e.chunk}, [&](const std::vector<alloc::Chunk*>& l) {
+        // A freed chunk's address may already hold another chunk.
+        live = !l.empty() && e.chunk->id() == e.id;
+        if (live) fn();
+      });
+  return live;
 }
 
 RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
@@ -482,22 +515,23 @@ void RemoteCheckpointer::helper_loop() {
     bool deferred = false;
     for (std::size_t m = 0; m < managers_.size() && !deferred; ++m) {
       if (!running_.load(std::memory_order_acquire)) return;
-      for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
-        if (!c->persistent()) continue;
-        const auto acked = managers_[m]->allocator().acknowledged(*c);
-        if (!acked) continue;
-        const std::uint64_t local_epoch = acked->epoch;
-        const Key key{m, c->id()};
+      for (const Committed& e : committed_chunks(m)) {
+        const Key key{m, e.id};
         std::uint64_t last_sent = 0;
         {
           std::lock_guard<std::mutex> lock(round_mu_);
           auto it = sent_epoch_.find(key);
           if (it != sent_epoch_.end()) last_sent = it->second;
         }
-        if (local_epoch <= last_sent) continue;
-        const SendResult sent =
-            send_chunk(m, *c, /*count_as_precopy=*/true, /*paced=*/true,
-                       /*max_attempts=*/1, /*backoff_budget=*/nullptr);
+        if (e.epoch <= last_sent) continue;
+        SendResult sent;
+        if (!with_chunk(m, e, [&] {
+              sent = send_chunk(m, *e.chunk, /*count_as_precopy=*/true,
+                                /*paced=*/true, /*max_attempts=*/1,
+                                /*backoff_budget=*/nullptr);
+            })) {
+          continue;  // nvdeleted since the scan
+        }
         if (sent.status == SendStatus::kDeferred) {
           deferred = true;
           break;
@@ -539,18 +573,13 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
     isolate_all_ranks();
     stale_.clear();
     for (std::size_t m = 0; m < managers_.size(); ++m) {
-      for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
-        if (!c->persistent()) continue;
-        const auto acked = managers_[m]->allocator().acknowledged(*c);
-        if (!acked) continue;
-        const std::uint64_t local_epoch = acked->epoch;
-        const Key key{m, c->id()};
-        auto it = remote_epoch_.find(key);
+      for (const Committed& e : committed_chunks(m)) {
+        auto it = remote_epoch_.find(Key{m, e.id});
         const std::uint64_t have =
             it != remote_epoch_.end() ? it->second : 0;
-        if (have != local_epoch) {
-          stale_.push_back(StaleChunk{managers_[m]->config().rank, c->id(),
-                                      local_epoch, have});
+        if (have != e.epoch) {
+          stale_.push_back(StaleChunk{managers_[m]->config().rank, e.id,
+                                      e.epoch, have});
         }
       }
     }
@@ -571,21 +600,22 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
   // remote in-progress payload is stale, retrying transport failures
   // under the full policy.
   for (std::size_t m = 0; m < managers_.size(); ++m) {
-    for (alloc::Chunk* c : managers_[m]->allocator().chunks()) {
-      if (!c->persistent()) continue;
-      const auto acked = managers_[m]->allocator().acknowledged(*c);
-      if (!acked) continue;
-      const Key key{m, c->id()};
-      const std::uint64_t local_epoch = acked->epoch;
+    for (const Committed& e : committed_chunks(m)) {
+      const Key key{m, e.id};
       auto it = sent_epoch_.find(key);
-      if (it != sent_epoch_.end() && it->second == local_epoch) continue;
+      if (it != sent_epoch_.end() && it->second == e.epoch) continue;
       // A timer round under a pre-copy policy smooths its top-up (no one
       // waits on it); a requested round ships at link speed, and kNone
       // bursts by definition.
-      const SendResult sent = send_chunk(
-          m, *c, /*count_as_precopy=*/false,
-          /*paced=*/!requested && cfg_.policy != PrecopyPolicy::kNone,
-          retry_.max_attempts, &budget);
+      SendResult sent;
+      if (!with_chunk(m, e, [&] {
+            sent = send_chunk(
+                m, *e.chunk, /*count_as_precopy=*/false,
+                /*paced=*/!requested && cfg_.policy != PrecopyPolicy::kNone,
+                retry_.max_attempts, &budget);
+          })) {
+        continue;  // nvdeleted since the scan
+      }
       out.retries += std::max(0, sent.attempts - 1);
       if (sent.ok()) {
         sent_epoch_[key] = sent.epoch;
@@ -610,45 +640,46 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
   }
   const Stopwatch hold_sw;
   int resends = 0;  // chunks re-put under the commit mutexes
+  // The commit mutexes hold every acknowledged epoch still, so the scan's
+  // epochs are the cut; each chunk's work runs under with_chunk.
   for (std::size_t m = 0; m < managers_.size(); ++m) {
-    CheckpointManager& mgr = *managers_[m];
-    for (alloc::Chunk* c : mgr.allocator().chunks()) {
-      if (!c->persistent()) continue;
-      const auto acked = mgr.allocator().acknowledged(*c);
-      if (!acked) continue;
-      const Key key{m, c->id()};
-      const std::uint64_t local_epoch = acked->epoch;
-      auto it = sent_epoch_.find(key);
-      if (it == sent_epoch_.end() || it->second != local_epoch) {
-        ++resends;
-        const SendResult sent =
-            send_chunk(m, *c, /*count_as_precopy=*/false, /*paced=*/false,
-                       retry_.phase2_attempts, &budget);
-        out.retries += std::max(0, sent.attempts - 1);
-        if (!sent.ok()) {
-          if (sent.status == SendStatus::kStalled ||
-              sent.status == SendStatus::kDropped) {
-            ++out.failed_sends;
+    const std::uint32_t rank = managers_[m]->config().rank;
+    for (const Committed& e : committed_chunks(m)) {
+      const Key key{m, e.id};
+      with_chunk(m, e, [&] {
+        auto it = sent_epoch_.find(key);
+        if (it == sent_epoch_.end() || it->second != e.epoch) {
+          ++resends;
+          const SendResult sent =
+              send_chunk(m, *e.chunk, /*count_as_precopy=*/false,
+                         /*paced=*/false, retry_.phase2_attempts, &budget);
+          out.retries += std::max(0, sent.attempts - 1);
+          if (!sent.ok()) {
+            if (sent.status == SendStatus::kStalled ||
+                sent.status == SendStatus::kDropped) {
+              ++out.failed_sends;
+            }
+            auto re = remote_epoch_.find(key);
+            stale_.push_back(StaleChunk{
+                rank, e.id, e.epoch,
+                re != remote_epoch_.end() ? re->second : 0});
+            return;  // never commit an epoch whose payload is not there
           }
-          auto re = remote_epoch_.find(key);
-          stale_.push_back(StaleChunk{
-              mgr.config().rank, c->id(), local_epoch,
-              re != remote_epoch_.end() ? re->second : 0});
-          continue;  // never commit an epoch whose payload is not there
+          sent_epoch_[key] = sent.epoch;
         }
-        sent_epoch_[key] = sent.epoch;
-      }
-      auto re = remote_epoch_.find(key);
-      const bool advanced =
-          re == remote_epoch_.end() || re->second != local_epoch;
-      remote_.commit(mgr.config().rank, c->id(), local_epoch);
-      // Bookkeeping advances only after a delivered put + commit, so
-      // remote_epoch_ exactly tracks the store's committed ground truth.
-      remote_epoch_[key] = local_epoch;
-      // The committed remote frame is now the one we last put: its delta
-      // base pin (if any) moves from the inflight slot to the committed
-      // slot, releasing the pin of the superseded committed frame.
-      if (advanced) promote_base_pin(key, *c);
+        auto re = remote_epoch_.find(key);
+        const bool advanced =
+            re == remote_epoch_.end() || re->second != e.epoch;
+        remote_.commit(rank, e.id, e.epoch);
+        // Bookkeeping advances only after a delivered put + commit, so
+        // remote_epoch_ exactly tracks the store's committed ground truth.
+        remote_epoch_[key] = e.epoch;
+        // The committed remote frame is now the one we last put: its
+        // delta base pin (if any) moves from the inflight slot to the
+        // committed slot, releasing the pin of the superseded committed
+        // frame.
+        if (advanced) promote_base_pin(key, *e.chunk);
+      });
     }
   }
   locks.clear();
@@ -690,26 +721,6 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
   round_start_ = now_seconds();
   last_outcome_ = out;
   return out;
-}
-
-RemoteStats RemoteCheckpointer::stats() const {
-  RemoteStats s;
-  s.coordinations = m_.coordinations->value();
-  s.bytes_sent = m_.bytes_sent->value();
-  s.precopy_puts = m_.precopy_puts->value();
-  s.coordinated_puts = m_.coordinated_puts->value();
-  s.busy_seconds = m_.busy_seconds->value();
-  s.last_round_seconds = m_.last_round_seconds->value();
-  s.wall_seconds = wall_.elapsed();
-  m_.wall_seconds->set(s.wall_seconds);
-  return s;
-}
-
-RestoreStatus restore_with_remote(CheckpointManager& mgr,
-                                  net::RemoteMemory& remote,
-                                  RestartCoordinator::Options opts) {
-  RestartCoordinator rc(mgr, &remote, std::move(opts));
-  return rc.restart_after(FailureKind::kSoft).status;
 }
 
 }  // namespace nvmcp::core

@@ -38,6 +38,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -108,9 +109,8 @@ class RemoteCheckpointer {
   /// Resolved retry policy (config + NVMCP_REMOTE_* overrides).
   const RemoteRetryPolicy& retry_policy() const { return retry_; }
 
-  /// Legacy summary view over metrics() (same numbers, struct shape).
-  RemoteStats stats() const;
-  /// This helper's metric registry ("remote.*" counters/gauges).
+  /// This helper's metric registry ("remote.*" counters/gauges; the
+  /// "remote.wall_seconds" lifetime gauge is set by stop()).
   telemetry::MetricRegistry& metrics() { return metrics_; }
   const telemetry::MetricRegistry& metrics() const { return metrics_; }
   net::RemoteMemory& remote() { return remote_; }
@@ -164,6 +164,21 @@ class RemoteCheckpointer {
   };
 
   void helper_loop();
+  /// A persistent chunk with a committed version, as a scan listed it.
+  struct Committed {
+    alloc::Chunk* chunk;  // may dangle after the scan: see with_chunk
+    std::uint64_t id;
+    std::uint64_t epoch;  // acknowledged epoch at scan time
+  };
+  /// Manager m's committed chunks, listed under one
+  /// ChunkAllocator::with_live.
+  std::vector<Committed> committed_chunks(std::size_t m) const;
+  /// Run fn() under ChunkAllocator::with_live unless the listed chunk was
+  /// nvdeleted since (then return false). A concurrent nvdelete waits for
+  /// fn, so every touch of a listed chunk -- a whole send included -- goes
+  /// through here. fn must not take round_mu_ (see the lock order).
+  bool with_chunk(std::size_t m, const Committed& e,
+                  const std::function<void()>& fn) const;
   /// One coordination round. `requested` is true for coordinate_now(),
   /// whose caller waits on the result (phase 1 unpaced), and false for the
   /// helper's timer-fired rounds (phase 1 paced under pre-copy policies).
@@ -227,9 +242,9 @@ class RemoteCheckpointer {
   // send_mu_ serializes sends from the background pre-copy loop and an
   // external coordinate_now(), and guards staging_/base_buf_, the frame
   // encoder, the codec tuner and the jitter stream.
-  // Lock order: round_mu_ -> commit mutexes -> send_mu_ -> cv_mu_, and
-  // send_mu_ -> pin_mu_. coordinate_now() takes cv_mu_ alone, before
-  // round_mu_, to announce itself.
+  // Lock order: round_mu_ -> commit mutexes -> allocator (with_chunk) ->
+  // send_mu_ -> cv_mu_, and send_mu_ -> pin_mu_. coordinate_now() takes
+  // cv_mu_ alone, before round_mu_, to announce itself.
   std::mutex send_mu_;
   std::vector<std::byte> staging_;
   std::vector<std::byte> base_buf_;  // delta base payload (read_retained)
@@ -304,15 +319,5 @@ class RemoteCheckpointer {
   Stopwatch wall_;
   double round_start_ = 0;  // guarded by round_mu_ once helper_ runs
 };
-
-/// Restore every persistent chunk of `mgr`, falling back to the remote
-/// store when the local copy is missing or corrupt (the paper's restart
-/// component: "first checks if the checkpoint data is available/consistent
-/// and if not, fetches the data from the remote peer node"). A thin
-/// wrapper over RestartCoordinator's soft path, so it shares the same
-/// status handling and (via `opts`) the parity-rebuild fallback.
-RestoreStatus restore_with_remote(CheckpointManager& mgr,
-                                  net::RemoteMemory& remote,
-                                  RestartCoordinator::Options opts = {});
 
 }  // namespace nvmcp::core

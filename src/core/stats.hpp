@@ -2,7 +2,7 @@
 //   - blocking (coordinated) local checkpoint time and bytes  (Figs 7/8)
 //   - background pre-copy bytes (total data moved to NVM)     (Figs 7/8)
 //   - chunks skipped because unmodified                       (Fig 8 note)
-//   - remote transfer volume and helper busy time             (Fig 10, Table V)
+// The remote helper's numbers live only in its "remote.*" registry.
 #pragma once
 
 #include <cstdint>
@@ -40,20 +40,6 @@ struct CheckpointStats {
 
   std::uint64_t total_nvm_bytes() const {
     return bytes_coordinated + bytes_precopied;
-  }
-};
-
-struct RemoteStats {
-  std::uint64_t coordinations = 0;      // remote checkpoint rounds
-  std::uint64_t bytes_sent = 0;
-  std::uint64_t precopy_puts = 0;       // eager chunk sends
-  std::uint64_t coordinated_puts = 0;   // sends during the commit round
-  double busy_seconds = 0;              // helper time in transfers
-  double wall_seconds = 0;              // helper thread lifetime
-  double last_round_seconds = 0;
-
-  double helper_utilization() const {
-    return wall_seconds > 0 ? busy_seconds / wall_seconds : 0.0;
   }
 };
 

@@ -821,7 +821,7 @@ CrossTenantResult CampaignRunner::run_cross_tenant(
 
   // Chaos round. A and B write fresh content; C does not write -- its DRAM
   // is scrambled (unreported, so its chunks stay clean) and must come back
-  // byte-exact from its committed epoch via the streaming restore.
+  // byte-exact from its committed epoch through the restart walk.
   fill(sa, 1000, &sa.next);
   fill(sb, 2000, &sb.next);
   for (auto* c : sc.chunks) std::memset(c->data(), 0xCD, c->size());
@@ -834,7 +834,9 @@ CrossTenantResult CampaignRunner::run_cross_tenant(
     res.b_commit_seconds = r.blocking;
   });
   std::thread thr_c([&] {
-    c_status = tc->manager().restore_streaming().status;
+    c_status = core::RestartCoordinator(tc->manager(), nullptr)
+                   .restart_after(core::FailureKind::kSoft)
+                   .status;
   });
   std::thread thr_a([&] {
     // Mid-commit hard crash: a strict prefix of A's chunks commits, the
@@ -858,14 +860,15 @@ CrossTenantResult CampaignRunner::run_cross_tenant(
     return res;
   }
   if (c_status != RestoreStatus::kOk) {
-    res.detail = "C's streaming restore reported failure";
+    res.detail = "C's restart walk reported failure";
     return res;
   }
 
   // B byte-exact: scramble the DRAM view, restore from NVM, compare
   // against the chaos-round golden.
   for (auto* c : sb.chunks) std::memset(c->data(), 0xEE, c->size());
-  tb->manager().restore_all();
+  core::RestartCoordinator(tb->manager(), nullptr)
+      .restart_after(core::FailureKind::kSoft);
   for (int i = 0; i < n; ++i) {
     const auto& g = sb.next[static_cast<std::size_t>(i)];
     if (std::memcmp(sb.chunks[static_cast<std::size_t>(i)]->data(), g.data(),
@@ -873,7 +876,7 @@ CrossTenantResult CampaignRunner::run_cross_tenant(
       ++res.b_mismatches;
     }
   }
-  // C byte-exact: the streaming restore already rebuilt the DRAM view.
+  // C byte-exact: the restart walk already rebuilt the DRAM view.
   for (int i = 0; i < n; ++i) {
     const auto& g = sc.prev[static_cast<std::size_t>(i)];
     if (std::memcmp(sc.chunks[static_cast<std::size_t>(i)]->data(), g.data(),

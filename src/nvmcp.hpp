@@ -13,7 +13,7 @@
 #include "alloc/nvmalloc.hpp"     // nvalloc / chunks / Table III API
 #include "common/units.hpp"       // KiB/MiB/GiB, formatting
 #include "core/manager.hpp"       // CheckpointManager, policies
-#include "core/remote.hpp"        // RemoteCheckpointer, restore_with_remote
+#include "core/remote.hpp"        // RemoteCheckpointer
 #include "core/restart.hpp"       // RestartCoordinator
 #include "ecc/parity_group.hpp"   // erasure-coded remote checkpoints
 #include "fault/campaign.hpp"     // chaos campaigns (CampaignRunner)

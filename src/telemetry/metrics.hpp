@@ -1,8 +1,8 @@
 // MetricRegistry: thread-safe named counters, gauges, and histograms.
 //
 // One registry is the single home for a component's measurements; the
-// scattered ad-hoc stats structs (core::CheckpointStats, RemoteStats, ...)
-// are thin snapshot views over their owner's registry. Lookup by name is
+// remaining legacy stats struct (core::CheckpointStats) is a thin
+// snapshot view over its owner's registry. Lookup by name is
 // mutex-guarded and meant for construction time; the returned handles are
 // stable for the registry's lifetime and updates on them are lock-free
 // (counters, gauges) or behind a per-metric mutex (histograms), so hot

@@ -140,7 +140,7 @@ TEST(Container, FreeListIsRebuiltAtAttach) {
   // No live region went on the free list: both epochs committed before the
   // reopen still restore byte-exact after seven new slots were filled.
   for (const std::uint64_t e : {8u, 9u}) {
-    EXPECT_EQ(allocator.restore_chunk_epoch(*ch, e), RestoreStatus::kOkStale)
+    EXPECT_EQ(allocator.restore_chunk(*ch, e), RestoreStatus::kOkStale)
         << "epoch " << e;
     EXPECT_TRUE(holds_epoch(*ch, e)) << "epoch " << e;
   }

@@ -72,10 +72,10 @@ TEST(Driver, RemoteCheckpointingShipsData) {
   cfg.remote.interval = 0.08;
   cfg.remote.scan_period = 2e-3;
   const DriverResult r = run_workload(cfg);
-  EXPECT_GT(r.remote.bytes_sent, 0u);
+  EXPECT_GT(r.metrics->counter("remote.bytes_sent").value(), 0u);
   EXPECT_GT(r.link.checkpoint_bytes, 0u);
   EXPECT_GT(r.peak_ckpt_link_rate, 0.0);
-  EXPECT_GE(r.remote.coordinations, 1u);
+  EXPECT_GE(r.metrics->counter("remote.coordinations").value(), 1u);
 }
 
 TEST(Driver, EfficiencyBelowOneButPositive) {

@@ -132,14 +132,14 @@ TEST(VersionRing, RetainsLastNEpochsAndRollsBack) {
   EXPECT_EQ(epochs[4], 2u);
   // Every retained epoch restores byte-exact; the newest is a plain kOk,
   // older ones are explicitly stale.
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 6), RestoreStatus::kOk);
+  EXPECT_EQ(s.alloc->restore_chunk(*c, 6), RestoreStatus::kOk);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 6));
   for (std::uint64_t e = 2; e <= 5; ++e) {
-    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, e), RestoreStatus::kOkStale);
+    EXPECT_EQ(s.alloc->restore_chunk(*c, e), RestoreStatus::kOkStale);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), e));
   }
   // A reclaimed epoch is gone, detectably.
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 1), RestoreStatus::kNoData);
+  EXPECT_EQ(s.alloc->restore_chunk(*c, 1), RestoreStatus::kNoData);
   // The record still answers for the newest version (legacy consumers).
   EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 6));
@@ -167,14 +167,14 @@ TEST(VersionRing, DepthOneRetainsOneOrTwoEpochsAndRestoresEach) {
     EXPECT_EQ(ring->allocated_slots(), 2u);
     // Both retained epochs restore byte-exact: the newest as kOk, the
     // previous one as explicitly stale.
-    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, e - 1),
+    EXPECT_EQ(s.alloc->restore_chunk(*c, e - 1),
               RestoreStatus::kOkStale);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), e - 1));
-    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, e), RestoreStatus::kOk);
+    EXPECT_EQ(s.alloc->restore_chunk(*c, e), RestoreStatus::kOk);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), e));
     // The epoch before that was reused, detectably.
     if (e > 2) {
-      EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, e - 2),
+      EXPECT_EQ(s.alloc->restore_chunk(*c, e - 2),
                 RestoreStatus::kNoData);
     }
   }
@@ -308,7 +308,7 @@ TEST(EpochDirectory, DepthOneFileReopensAtDepthFourAndBack) {
     alloc::Chunk* c = s.alloc->nvalloc("depths", 64 * KiB, true);
     EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), 103));
-    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 2), RestoreStatus::kOkStale);
+    EXPECT_EQ(s.alloc->restore_chunk(*c, 2), RestoreStatus::kOkStale);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), 102));
     for (std::uint64_t e = 4; e <= 7; ++e) {
       fill_pattern(c->data(), c->size(), 100 + e);
@@ -322,7 +322,7 @@ TEST(EpochDirectory, DepthOneFileReopensAtDepthFourAndBack) {
     alloc::Chunk* c = s.alloc->nvalloc("depths", 64 * KiB, true);
     EXPECT_EQ(c->restore_status(), RestoreStatus::kOk);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), 107));
-    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 6), RestoreStatus::kOkStale);
+    EXPECT_EQ(s.alloc->restore_chunk(*c, 6), RestoreStatus::kOkStale);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), 106));
     // Commits at depth 1 keep working over the slots depth 4 left, and
     // the first one frees every slot past the depth-1 budget of two.
@@ -335,7 +335,7 @@ TEST(EpochDirectory, DepthOneFileReopensAtDepthFourAndBack) {
     fill_pattern(c->data(), c->size(), 0);
     EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), 108));
-    EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 7), RestoreStatus::kOkStale);
+    EXPECT_EQ(s.alloc->restore_chunk(*c, 7), RestoreStatus::kOkStale);
     EXPECT_TRUE(check_pattern(c->data(), c->size(), 107));
   }
   fs::remove(path);
@@ -461,9 +461,9 @@ TEST(EpochGc, ReclaimsOldestFirstDownToTheFloorNeverTheNewest) {
   EXPECT_EQ(epochs[0], 8u);  // the newest epoch is never reclaimed
   EXPECT_EQ(epochs[1], 7u);
   // The survivors still restore byte-exact.
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 7), RestoreStatus::kOkStale);
+  EXPECT_EQ(s.alloc->restore_chunk(*c, 7), RestoreStatus::kOkStale);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 7));
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 5), RestoreStatus::kNoData);
+  EXPECT_EQ(s.alloc->restore_chunk(*c, 5), RestoreStatus::kNoData);
 }
 
 TEST(EpochGc, PinnedEpochsSurviveSaturation) {
@@ -474,15 +474,15 @@ TEST(EpochGc, PinnedEpochsSurviveSaturation) {
     s.alloc->checkpoint_chunk(*c, e);
   }
   auto* dir = s.alloc->epoch_directory();
-  // Pin epoch 2 (as a streaming restore would), then saturate hard with a
-  // floor of 1: everything unpinned except the newest goes.
+  // Pin epoch 2 (as an explicit-epoch restart does), then saturate hard
+  // with a floor of 1: everything unpinned except the newest goes.
   s.alloc->pin_epoch(*c, 2);
   dir->gc_pass(/*watermark=*/0.01, /*floor=*/1);
   auto epochs = s.alloc->retained_epochs(*c);
   EXPECT_NE(std::find(epochs.begin(), epochs.end(), 2u), epochs.end())
       << "the GC reclaimed a pinned restore source";
   EXPECT_EQ(epochs[0], 6u);
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 2), RestoreStatus::kOkStale);
+  EXPECT_EQ(s.alloc->restore_chunk(*c, 2), RestoreStatus::kOkStale);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 2));
   // Unpinned, the next saturated pass may take it.
   s.alloc->unpin_epoch(*c, 2);
@@ -508,9 +508,9 @@ TEST(EpochGc, WatermarkRespectsOtherChunksSharingTheDevice) {
   dir->gc_pass(/*watermark=*/0.01, /*floor=*/2);
   EXPECT_EQ(s.alloc->retained_epochs(*a).size(), 2u);
   EXPECT_EQ(s.alloc->retained_epochs(*b).size(), 2u);
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*a, 3), RestoreStatus::kOkStale);
+  EXPECT_EQ(s.alloc->restore_chunk(*a, 3), RestoreStatus::kOkStale);
   EXPECT_TRUE(check_pattern(a->data(), a->size(), 13));
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*b, 3), RestoreStatus::kOkStale);
+  EXPECT_EQ(s.alloc->restore_chunk(*b, 3), RestoreStatus::kOkStale);
   EXPECT_TRUE(check_pattern(b->data(), b->size(), 23));
 }
 
@@ -532,7 +532,7 @@ TEST(VersionRing, CorruptedNewestSlotIsDetectedNotLaundered) {
   fill_pattern(c->data(), c->size(), 99);
   EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kChecksumMismatch);
   // ...but older retained epochs still recover the chunk byte-exact.
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 2), RestoreStatus::kOkStale);
+  EXPECT_EQ(s.alloc->restore_chunk(*c, 2), RestoreStatus::kOkStale);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 2));
 }
 
@@ -738,7 +738,7 @@ TEST(VersionRing, DepthOneShedsASpillBackToItsBudget) {
   fill_pattern(c->data(), c->size(), 0);
   EXPECT_EQ(s.alloc->restore_chunk(*c), RestoreStatus::kOk);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 7));
-  EXPECT_EQ(s.alloc->restore_chunk_epoch(*c, 6), RestoreStatus::kOkStale);
+  EXPECT_EQ(s.alloc->restore_chunk(*c, 6), RestoreStatus::kOkStale);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 6));
 }
 

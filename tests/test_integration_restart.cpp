@@ -9,8 +9,9 @@
 #include <vector>
 
 #include "common/rng.hpp"
+#include "compress/codec.hpp"
 #include "core/manager.hpp"
-#include "core/remote.hpp"
+#include "core/restart.hpp"
 
 namespace nvmcp {
 namespace {
@@ -109,7 +110,10 @@ TEST(IntegrationRestart, FileBackedRestartAcrossSessions) {
     core::CheckpointManager mgr(allocator, core::CheckpointConfig{});
     mgr.nvchkptall();
     fill_pattern(a->data(), a->size(), 44);
-    EXPECT_EQ(mgr.restore_all(), RestoreStatus::kOk);
+    EXPECT_EQ(core::RestartCoordinator(mgr, nullptr)
+                  .restart_after(core::FailureKind::kSoft)
+                  .status,
+              RestoreStatus::kOk);
     EXPECT_TRUE(check_pattern(a->data(), a->size(), 33));
   }
   fs::remove(path);
@@ -183,7 +187,9 @@ TEST(IntegrationRestart, CorruptLocalFallsBackToRemote) {
   dev.data()[rec.slot_off[1] + 11] ^= std::byte{0xFF};
 
   fill_pattern(c->data(), c->size(), 99);
-  EXPECT_EQ(core::restore_with_remote(mgr, remote),
+  EXPECT_EQ(core::RestartCoordinator(mgr, &remote)
+                .restart_after(core::FailureKind::kSoft)
+                .status,
             RestoreStatus::kOkFromRemote);
   EXPECT_TRUE(check_pattern(c->data(), c->size(), 77));
 }
@@ -205,7 +211,9 @@ TEST(IntegrationRestart, NoDataAnywhereIsReported) {
   net::RemoteMemory remote(link, store);
 
   allocator.nvalloc("fresh", 32 * KiB, true);
-  const RestoreStatus st = core::restore_with_remote(mgr, remote);
+  const RestoreStatus st = core::RestartCoordinator(mgr, &remote)
+                               .restart_after(core::FailureKind::kSoft)
+                               .status;
   EXPECT_TRUE(st == RestoreStatus::kNoData ||
               st == RestoreStatus::kChecksumMismatch);
 }

@@ -1,6 +1,7 @@
 // Tests for CheckpointManager: coordinated checkpoints, commit-from-precopy
 // vs recopy vs skip outcomes, the pre-copy engine for each policy, learned
-// interval/data estimates, and restore.
+// interval/data estimates, and restore through RestartCoordinator's walk
+// (explicit epochs, walk-back, the admission window).
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -17,10 +18,24 @@
 #include "common/clock.hpp"
 #include "common/rng.hpp"
 #include "core/manager.hpp"
+#include "core/restart.hpp"
 #include "vmem/protection.hpp"
 
 namespace nvmcp::core {
 namespace {
+
+/// Soft restart of every persistent chunk from local NVM alone.
+RestoreStatus restore_local(CheckpointManager& m) {
+  return RestartCoordinator(m, nullptr)
+      .restart_after(FailureKind::kSoft)
+      .status;
+}
+
+/// Chunks a report accounts for, whatever their source.
+int chunks_counted(const RestartReport& r) {
+  return r.chunks_local + r.chunks_remote + r.chunks_parity +
+         r.chunks_lazy_armed + r.chunks_rolled_back + r.chunks_failed;
+}
 
 class ManagerTest : public ::testing::Test {
  protected:
@@ -91,7 +106,7 @@ TEST_F(ManagerTest, UnmodifiedChunkSkippedOnSecondCheckpoint) {
   EXPECT_EQ(s.chunks_skipped_unmodified, 1u);
   // The committed version still restores the correct (old) data.
   fill(*a, 9);
-  EXPECT_EQ(mgr->restore_all(), RestoreStatus::kOk);
+  EXPECT_EQ(restore_local(*mgr), RestoreStatus::kOk);
 }
 
 TEST_F(ManagerTest, EpochAdvancesPerCheckpoint) {
@@ -202,7 +217,7 @@ TEST_F(ManagerTest, RestoreAllRecoversEveryChunk) {
   std::memcpy(vb.data(), b->data(), b->size());
   fill(*a, 8);
   fill(*b, 9);
-  EXPECT_EQ(mgr->restore_all(), RestoreStatus::kOk);
+  EXPECT_EQ(restore_local(*mgr), RestoreStatus::kOk);
   EXPECT_EQ(0, std::memcmp(a->data(), va.data(), a->size()));
   EXPECT_EQ(0, std::memcmp(b->data(), vb.data(), b->size()));
 }
@@ -358,7 +373,7 @@ CommitObservation run_and_observe(std::size_t copy_threads) {
   // Scribble over DRAM, then restore and capture the recovered payloads
   // (the restart-path byte verification of the acceptance criteria).
   for (alloc::Chunk* c : s.chunks) fill_chunk(*c, 999);
-  EXPECT_EQ(s.mgr->restore_all(), RestoreStatus::kOk);
+  EXPECT_EQ(restore_local(*s.mgr), RestoreStatus::kOk);
   for (alloc::Chunk* c : s.chunks) {
     if (!c->persistent()) continue;
     std::vector<std::byte> bytes(c->size());
@@ -430,7 +445,7 @@ TEST_F(ManagerTest, ParallelCommitRacingPrecopyRestoresCleanly) {
   }
   s.mgr->stop();
   for (alloc::Chunk* c : s.chunks) fill_chunk(*c, 31337);
-  EXPECT_EQ(s.mgr->restore_all(), RestoreStatus::kOk);
+  EXPECT_EQ(restore_local(*s.mgr), RestoreStatus::kOk);
   for (std::size_t i = 0; i < s.chunks.size(); ++i) {
     if (!s.chunks[i]->persistent()) continue;
     EXPECT_EQ(0, std::memcmp(s.chunks[i]->data(), golden[i].data(),
@@ -523,7 +538,7 @@ ModeObservation run_mode(vmem::TrackMode mode) {
                         static_cast<std::byte*>(c->data()) + c->size());
   }
   for (alloc::Chunk* c : s.chunks) fill_chunk(*c, 424242);
-  EXPECT_EQ(s.mgr->restore_all(), RestoreStatus::kOk);
+  EXPECT_EQ(restore_local(*s.mgr), RestoreStatus::kOk);
   ModeObservation ob;
   ob.device_bytes_written = s.dev->stats().bytes_written;
   for (std::size_t i = 0; i < s.chunks.size(); ++i) {
@@ -580,7 +595,7 @@ TEST_F(ManagerTest, BatchRearmMatchesPerChunkRearmByteForByte) {
                           static_cast<std::byte*>(c->data()) + c->size());
     }
     for (alloc::Chunk* c : s.chunks) fill_chunk(*c, 171717);
-    EXPECT_EQ(s.mgr->restore_all(), RestoreStatus::kOk);
+    EXPECT_EQ(restore_local(*s.mgr), RestoreStatus::kOk);
     for (std::size_t i = 0; i < s.chunks.size(); ++i) {
       EXPECT_EQ(0, std::memcmp(s.chunks[i]->data(), golden[i].data(),
                                golden[i].size()))
@@ -680,7 +695,7 @@ bool matches_seed(const alloc::Chunk& c, std::uint64_t seed) {
   return true;
 }
 
-TEST(StreamingRestore, RestoresAnExplicitRetainedEpochByteExact) {
+TEST(RestartWalk, RestoresAnExplicitRetainedEpochByteExact) {
   RingStack s(4);
   std::vector<alloc::Chunk*> chunks;
   for (int i = 0; i < 3; ++i) {
@@ -695,9 +710,12 @@ TEST(StreamingRestore, RestoresAnExplicitRetainedEpochByteExact) {
   }
   for (auto* c : chunks) fill_seeded(*c, 999);  // scribble DRAM
 
-  auto rep = s.mgr->restore_streaming(2);
+  RestartCoordinator rc(*s.mgr, nullptr);
+  auto rep = rc.restart_after(FailureKind::kSoft, 2);
   EXPECT_EQ(rep.status, RestoreStatus::kOkStale);
-  EXPECT_EQ(rep.chunks, 3);
+  EXPECT_EQ(rep.epoch, 2u);
+  EXPECT_EQ(rep.chunks_local, 3);
+  EXPECT_EQ(chunks_counted(rep), 3);
   EXPECT_EQ(rep.chunks_rolled_back, 0);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     EXPECT_TRUE(matches_seed(*chunks[i], 100 * i + 2)) << "chunk " << i;
@@ -705,14 +723,15 @@ TEST(StreamingRestore, RestoresAnExplicitRetainedEpochByteExact) {
 
   // Epoch 0 = newest committed version; the ring detour above must not
   // have disturbed it.
-  rep = s.mgr->restore_streaming();
+  rep = rc.restart_after(FailureKind::kSoft);
   EXPECT_EQ(rep.status, RestoreStatus::kOk);
+  EXPECT_EQ(rep.epoch, 4u);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     EXPECT_TRUE(matches_seed(*chunks[i], 100 * i + 4)) << "chunk " << i;
   }
 }
 
-TEST(StreamingRestore, WalksBackWhenTheTargetEpochFailsVerification) {
+TEST(RestartWalk, WalksBackWhenTheTargetEpochFailsVerification) {
   RingStack s(4);
   alloc::Chunk* a = s.alloc->nvalloc("wa", 256 * KiB, true);
   alloc::Chunk* b = s.alloc->nvalloc("wb", 256 * KiB, true);
@@ -728,9 +747,12 @@ TEST(StreamingRestore, WalksBackWhenTheTargetEpochFailsVerification) {
   fill_seeded(*a, 999);
   fill_seeded(*b, 999);
   const std::uint64_t reads0 = s.dev->stats().read_calls;
-  const auto rep = s.mgr->restore_streaming();
+  const auto rep =
+      RestartCoordinator(*s.mgr, nullptr).restart_after(FailureKind::kSoft);
   EXPECT_EQ(rep.status, RestoreStatus::kOkStale);
   EXPECT_EQ(rep.chunks_rolled_back, 1);
+  EXPECT_EQ(rep.rollback_epoch, 2u);
+  EXPECT_EQ(rep.chunks_local, 1);
   // a reads its corrupt newest slot once, then walks straight to the
   // epoch below it (2 reads); b reads its newest slot (1 read).
   EXPECT_EQ(s.dev->stats().read_calls - reads0, 2u + 1u);
@@ -740,10 +762,11 @@ TEST(StreamingRestore, WalksBackWhenTheTargetEpochFailsVerification) {
   EXPECT_TRUE(matches_seed(*b, 20 + 3));
 }
 
-TEST(StreamingRestore, DepthOneRollsBackOneEpochThenReportsLoss) {
+TEST(RestartWalk, DepthOneRollsBackOneEpochThenReportsLoss) {
   // Depth 1 retains the previous epoch between commits: a corrupted
   // newest slot rolls back one epoch; with both retained slots corrupted
-  // the loss is detected and nothing is rolled back.
+  // the loss is detected (the chunk fails, settling the report at
+  // kNoData) and nothing is rolled back.
   RingStack s(1);
   alloc::Chunk* a = s.alloc->nvalloc("d1", 256 * KiB, true);
   fill_seeded(*a, 1);
@@ -752,15 +775,18 @@ TEST(StreamingRestore, DepthOneRollsBackOneEpochThenReportsLoss) {
   s.mgr->nvchkptall();
   const auto& rec = a->record();
   s.dev->data()[rec.slot_off[rec.committed] + 100] ^= std::byte{0x40};
-  auto rep = s.mgr->restore_streaming();
+  RestartCoordinator rc(*s.mgr, nullptr);
+  auto rep = rc.restart_after(FailureKind::kSoft);
   EXPECT_EQ(rep.status, RestoreStatus::kOkStale);
   EXPECT_EQ(rep.chunks_rolled_back, 1);
+  EXPECT_EQ(rep.rollback_epoch, 1u);
   EXPECT_TRUE(matches_seed(*a, 1));
 
   // Depth 1 cycles through slots 0 and 1: corrupt the other one too.
   s.dev->data()[rec.slot_off[1 - rec.committed] + 100] ^= std::byte{0x40};
-  rep = s.mgr->restore_streaming();
-  EXPECT_EQ(rep.status, RestoreStatus::kChecksumMismatch);
+  rep = rc.restart_after(FailureKind::kSoft);
+  EXPECT_EQ(rep.status, RestoreStatus::kNoData);
+  EXPECT_EQ(rep.chunks_failed, 1);
   EXPECT_EQ(rep.chunks_rolled_back, 0);
 }
 
@@ -820,12 +846,12 @@ TEST(RestartEpochs, ReopenedManagerContinuesEpochsAndSparesTheCommittedSlot) {
   }
 }
 
-// The admission rule: while a streaming restore is in flight, nvchkptall
+// The admission rule: while a restart walk is in flight, nvchkptall
 // defers chunks whose payload has not arrived yet instead of committing
 // garbage, and counts every deferral. The throttled device pins the
 // restore window open long enough for concurrent checkpoint rounds to
 // observe pending chunks deterministically.
-TEST(StreamingRestore, CommitsAreDeferredWhileChunksStillStreamIn) {
+TEST(RestartWalk, CommitsAreDeferredWhileChunksStillStreamIn) {
   RingStack s(2, /*bw_scale=*/0.005);  // read ~40 MB/s: 2 MiB ~= 50 ms
   std::vector<alloc::Chunk*> chunks;
   for (int i = 0; i < 8; ++i) {
@@ -840,10 +866,11 @@ TEST(StreamingRestore, CommitsAreDeferredWhileChunksStillStreamIn) {
 
   const std::uint64_t seeded_epoch = s.mgr->committed_epoch();
 
-  CheckpointManager::StreamingRestoreReport rep;
+  RestartReport rep;
   std::atomic<bool> done{false};
   std::thread restorer([&] {
-    rep = s.mgr->restore_streaming();
+    rep = RestartCoordinator(*s.mgr, nullptr)
+              .restart_after(FailureKind::kSoft);
     done.store(true, std::memory_order_release);
   });
   // The application keeps taking coordinated checkpoints throughout the
@@ -860,7 +887,8 @@ TEST(StreamingRestore, CommitsAreDeferredWhileChunksStillStreamIn) {
 
   EXPECT_EQ(rep.status, RestoreStatus::kOk);
   EXPECT_EQ(rep.epoch, seeded_epoch);
-  EXPECT_EQ(rep.chunks, 8);
+  EXPECT_EQ(rep.chunks_local, 8);
+  EXPECT_EQ(chunks_counted(rep), 8);
   EXPECT_GT(rep.commits_deferred, 0u);
   EXPECT_EQ(s.mgr->metrics().counter("ckpt.chunks_deferred_restoring")
                 .value(),
@@ -875,7 +903,7 @@ TEST(StreamingRestore, CommitsAreDeferredWhileChunksStillStreamIn) {
     fill_seeded(*chunks[i], 400 + i);
   }
   s.mgr->nvchkptall();
-  EXPECT_EQ(s.mgr->restore_all(), RestoreStatus::kOk);
+  EXPECT_EQ(restore_local(*s.mgr), RestoreStatus::kOk);
   for (std::size_t i = 0; i < chunks.size(); ++i) {
     EXPECT_TRUE(matches_seed(*chunks[i], 400 + i)) << "chunk " << i;
   }

@@ -11,6 +11,7 @@
 #include "alloc/nvmalloc.hpp"
 #include "common/rng.hpp"
 #include "core/manager.hpp"
+#include "core/restart.hpp"
 #include "vmem/protection.hpp"
 
 namespace nvmcp {
@@ -201,7 +202,10 @@ TEST_F(PagedAllocTest, ManagerWorksInPageMode) {
   mgr.nvchkptall();
   fill(*c, 5);
   mgr.nvchkptall();
-  EXPECT_EQ(mgr.restore_all(), RestoreStatus::kOk);
+  EXPECT_EQ(core::RestartCoordinator(mgr, nullptr)
+                .restart_after(core::FailureKind::kSoft)
+                .status,
+            RestoreStatus::kOk);
 }
 
 }  // namespace

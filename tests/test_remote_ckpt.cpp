@@ -1,5 +1,5 @@
 // RemoteCheckpointer: eager pre-copy of committed chunks, coordination
-// rounds producing a consistent remote cut, helper stats, retry/degraded
+// rounds producing a consistent remote cut, helper metrics, retry/degraded
 // behaviour under injected transport faults, and multi-rank coverage.
 #include <gtest/gtest.h>
 
@@ -13,6 +13,10 @@
 
 namespace nvmcp::core {
 namespace {
+
+std::uint64_t counter(RemoteCheckpointer& helper, const char* name) {
+  return helper.metrics().counter(name).value();
+}
 
 class RemoteCkptTest : public ::testing::Test {
  protected:
@@ -85,11 +89,10 @@ TEST_F(RemoteCkptTest, CoordinationShipsAllCommittedChunks) {
                                       chunks[static_cast<std::size_t>(r)]->id()),
               1u);
   }
-  const RemoteStats s = helper.stats();
-  EXPECT_EQ(s.coordinations, 1u);
-  EXPECT_GE(s.bytes_sent, 2 * 128 * KiB);
-  EXPECT_EQ(s.precopy_puts, 0u);
-  EXPECT_GT(s.coordinated_puts, 0u);
+  EXPECT_EQ(counter(helper, "remote.coordinations"), 1u);
+  EXPECT_GE(counter(helper, "remote.bytes_sent"), 2 * 128 * KiB);
+  EXPECT_EQ(counter(helper, "remote.precopy_puts"), 0u);
+  EXPECT_GT(counter(helper, "remote.coordinated_puts"), 0u);
   // No local commit landed mid-round: phase 1 shipped everything, so the
   // commit pass re-put nothing while holding the commit mutexes.
   EXPECT_EQ(helper.metrics().counter("remote.phase2_resends").value(), 0u);
@@ -120,7 +123,9 @@ TEST_F(RemoteCkptTest, RemoteRestoreMatchesLocalCommit) {
   const auto& rec = c->record();
   devices_[0]->data()[rec.slot_off[0] + 5] ^= std::byte{0xFF};
   devices_[0]->data()[rec.slot_off[1] + 5] ^= std::byte{0xFF};
-  EXPECT_EQ(restore_with_remote(*managers_[0], *remote_mem_),
+  EXPECT_EQ(RestartCoordinator(*managers_[0], remote_mem_.get())
+                .restart_after(FailureKind::kSoft)
+                .status,
             RestoreStatus::kOkFromRemote);
 
   Rng rng(42);
@@ -140,9 +145,9 @@ TEST_F(RemoteCkptTest, SecondCoordinationSkipsUnchangedChunks) {
   fill(*c, 1);
   managers_[0]->nvchkptall();
   helper.coordinate_now();
-  const std::uint64_t sent_before = helper.stats().bytes_sent;
+  const std::uint64_t sent_before = counter(helper, "remote.bytes_sent");
   helper.coordinate_now();  // nothing changed locally
-  EXPECT_EQ(helper.stats().bytes_sent, sent_before);
+  EXPECT_EQ(counter(helper, "remote.bytes_sent"), sent_before);
 }
 
 TEST_F(RemoteCkptTest, NewLocalEpochIsReshippedAndRecommitted) {
@@ -172,11 +177,11 @@ TEST_F(RemoteCkptTest, BackgroundHelperPrecopiesEagerly) {
 
   helper.start();
   const Stopwatch sw;
-  while (helper.stats().precopy_puts == 0 && sw.elapsed() < 2.0) {
+  while (counter(helper, "remote.precopy_puts") == 0 && sw.elapsed() < 2.0) {
     precise_sleep(1e-3);
   }
   helper.stop();
-  EXPECT_GT(helper.stats().precopy_puts, 0u);
+  EXPECT_GT(counter(helper, "remote.precopy_puts"), 0u);
   // Pre-copied but not committed: a coordination is what seals the cut.
   EXPECT_EQ(store_->committed_epoch(0, c->id()), 0u);
 }
@@ -194,7 +199,7 @@ TEST_F(RemoteCkptTest, DelayedPolicyWaitsForGate) {
   helper.start();
   precise_sleep(0.05);
   helper.stop();
-  EXPECT_EQ(helper.stats().precopy_puts, 0u);
+  EXPECT_EQ(counter(helper, "remote.precopy_puts"), 0u);
 }
 
 TEST_F(RemoteCkptTest, HelperUtilizationTracked) {
@@ -207,10 +212,11 @@ TEST_F(RemoteCkptTest, HelperUtilizationTracked) {
   precise_sleep(0.02);
   helper.coordinate_now();
   helper.stop();
-  const RemoteStats s = helper.stats();
-  EXPECT_GT(s.busy_seconds, 0.0);
-  EXPECT_GT(s.wall_seconds, 0.0);
-  EXPECT_LE(s.helper_utilization(), 1.0 + 1e-9);
+  const double busy = helper.metrics().gauge("remote.busy_seconds").value();
+  const double wall = helper.metrics().gauge("remote.wall_seconds").value();
+  EXPECT_GT(busy, 0.0);
+  EXPECT_GT(wall, 0.0);  // set by stop()
+  EXPECT_LE(busy / wall, 1.0 + 1e-9);
 }
 
 // Pacing meters only unattended helper work. These tests set a pace that
@@ -432,11 +438,11 @@ TEST_F(RemoteCkptTest, ExternalCoordinationResetsHelperDeadline) {
   const Stopwatch sw;
   while (sw.elapsed() < 0.3) precise_sleep(5e-3);
   helper.coordinate_now();  // external round at ~0.3 s
-  EXPECT_EQ(helper.stats().coordinations, 1u);
+  EXPECT_EQ(counter(helper, "remote.coordinations"), 1u);
   // The helper's next round is now due at ~1.3 s. With the old cached
   // deadline it fired again at ~1.0 s (a double burst).
   while (sw.elapsed() < 1.12) precise_sleep(5e-3);
-  EXPECT_EQ(helper.stats().coordinations, 1u);
+  EXPECT_EQ(counter(helper, "remote.coordinations"), 1u);
   helper.stop();
 }
 

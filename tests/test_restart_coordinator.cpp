@@ -1,8 +1,10 @@
 // RestartCoordinator: soft vs hard failure paths, lazy-local mode,
-// remote fallback accounting, and behaviour without a buddy store.
+// remote fallback accounting, behaviour without a buddy store, and the
+// walk's sharding and epoch argument.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
 
 #include "common/rng.hpp"
 #include "core/remote.hpp"
@@ -295,10 +297,9 @@ TEST_F(RestartCoordinatorTest, IsolatedBuddyWithoutParityStillFetches) {
   EXPECT_TRUE(matches(*c, 33));
 }
 
-// Regression: restore_with_remote used to reimplement the soft path by
-// hand, with no parity fallback. As a RestartCoordinator wrapper it now
-// recovers even when both the local slots and the buddy fail.
-TEST_F(RestartCoordinatorTest, RestoreWithRemoteUsesParityFallback) {
+// A soft restart whose local slots and buddy both fail recovers through
+// the parity hook.
+TEST_F(RestartCoordinatorTest, SoftRestartUsesParityFallback) {
   alloc::Chunk* c = checkpointed_chunk("spmd", 41, /*ship_remote=*/false);
 
   NvmConfig cfg2;
@@ -328,9 +329,141 @@ TEST_F(RestartCoordinatorTest, RestoreWithRemoteUsesParityFallback) {
 
   RestartCoordinator::Options opts;
   opts.parity_rebuild = [&] { return group.recover_ranks({0}); };
-  EXPECT_EQ(restore_with_remote(*mgr_, *remote_, opts),
-            RestoreStatus::kOkFromRemote);
+  const RestartReport rep =
+      RestartCoordinator(*mgr_, remote_.get(), opts)
+          .restart_after(FailureKind::kSoft);
+  EXPECT_EQ(rep.status, RestoreStatus::kOkFromRemote);
+  EXPECT_EQ(rep.chunks_parity, 1);
   EXPECT_TRUE(matches(*c, 41));
+}
+
+// The buddy holds only the newest cut, so a hard restart at an explicit
+// epoch is refused before any chunk is touched.
+TEST_F(RestartCoordinatorTest, HardRestartAtAnEpochThrowsAndLeavesDram) {
+  alloc::Chunk* c = checkpointed_chunk("pinned", 51, /*ship_remote=*/true);
+  fill(*c, 52);
+  RestartCoordinator rc(*mgr_, remote_.get());
+  EXPECT_THROW(rc.restart_after(FailureKind::kHard, 3), NvmcpError);
+  EXPECT_TRUE(matches(*c, 52));
+  EXPECT_FALSE(mgr_->restoring());
+}
+
+std::uint64_t walk_seed(std::size_t chunk, std::uint64_t epoch) {
+  return 1000 * (chunk + 1) + epoch;
+}
+
+void fill_walk(alloc::Chunk& c, std::uint64_t seed) {
+  Rng rng(seed);
+  auto* p = static_cast<std::byte*>(c.data());
+  for (std::size_t i = 0; i + 8 <= c.size(); i += 8) {
+    const std::uint64_t v = rng.next_u64();
+    std::memcpy(p + i, &v, 8);
+  }
+}
+
+bool holds_walk(const alloc::Chunk& c, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto* p = static_cast<const std::byte*>(c.data());
+  for (std::size_t i = 0; i + 8 <= c.size(); i += 8) {
+    const std::uint64_t v = rng.next_u64();
+    if (std::memcmp(p + i, &v, 8) != 0) return false;
+  }
+  return true;
+}
+
+int chunks_counted(const RestartReport& r) {
+  return r.chunks_local + r.chunks_remote + r.chunks_parity +
+         r.chunks_lazy_armed + r.chunks_rolled_back + r.chunks_failed;
+}
+
+// One walk at one and at four workers, over eight chunks of different
+// sizes: a soft restart in which two chunks roll back to different
+// epochs, then a hard restart from the buddy. Every chunk is byte-exact,
+// the chunk counters sum to the chunk count, and rollback_epoch is the
+// oldest epoch any chunk rolled back to.
+TEST(RestartWalk, SoftAndHardWalksAreByteExactAtOneAndFourWorkers) {
+  constexpr std::size_t kChunks = 8;
+  constexpr std::uint64_t kEpochs = 3;
+  for (const std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("copy_threads " + std::to_string(workers));
+    NvmConfig cfg;
+    cfg.capacity = 64 * MiB;
+    cfg.throttle = false;
+    NvmDevice dev(cfg);
+    vmem::Container cont(dev);
+    alloc::ChunkAllocator::Options aopts;
+    aopts.ring_depth = 4;
+    alloc::ChunkAllocator allocator(cont, aopts);
+    CheckpointConfig ccfg;
+    ccfg.rank = 5;
+    ccfg.local_policy = PrecopyPolicy::kNone;
+    ccfg.copy_threads = workers;
+    ccfg.epoch_gc_background = false;
+    ccfg.codec_mode = CodecMode::kRaw;
+    CheckpointManager mgr(allocator, ccfg);
+    ASSERT_EQ(mgr.copy_threads(), workers);
+
+    std::vector<alloc::Chunk*> chunks;
+    for (std::size_t i = 0; i < kChunks; ++i) {
+      chunks.push_back(allocator.nvalloc("walk" + std::to_string(i),
+                                         (16 + 24 * i) * KiB, true));
+    }
+    for (std::uint64_t e = 1; e <= kEpochs; ++e) {
+      for (std::size_t i = 0; i < kChunks; ++i) {
+        fill_walk(*chunks[i], walk_seed(i, e));
+      }
+      mgr.nvchkptall();
+    }
+    net::Interconnect link(2.0e9, 0.1);
+    NvmConfig scfg;
+    scfg.capacity = 64 * MiB;
+    scfg.throttle = false;
+    net::RemoteStore store(scfg);
+    net::RemoteMemory remote(link, store);
+    {
+      RemoteConfig rcfg;
+      rcfg.policy = PrecopyPolicy::kNone;
+      RemoteCheckpointer helper({&mgr}, remote, rcfg);
+      ASSERT_FALSE(helper.coordinate_now().degraded);
+    }
+
+    // Chunk 2 loses epoch 3, chunk 5 epochs 3 and 2: without a buddy the
+    // soft walk rolls them back to epochs 2 and 1.
+    auto corrupt = [&](std::size_t i, std::uint64_t epoch) {
+      epoch::RingSlot slot;
+      ASSERT_TRUE(allocator.epoch_directory()
+                      ->ring(chunks[i]->id())
+                      ->find_epoch(epoch, &slot));
+      dev.data()[slot.off + 7] ^= std::byte{0x20};
+    };
+    corrupt(2, 3);
+    corrupt(5, 3);
+    corrupt(5, 2);
+    for (alloc::Chunk* c : chunks) fill_walk(*c, 99);
+    const RestartReport soft =
+        RestartCoordinator(mgr, nullptr).restart_after(FailureKind::kSoft);
+    EXPECT_EQ(soft.status, RestoreStatus::kOkStale);
+    EXPECT_EQ(soft.epoch, kEpochs);
+    EXPECT_EQ(soft.chunks_local, 6);
+    EXPECT_EQ(soft.chunks_rolled_back, 2);
+    EXPECT_EQ(chunks_counted(soft), static_cast<int>(kChunks));
+    EXPECT_EQ(soft.rollback_epoch, 1u);
+    for (std::size_t i = 0; i < kChunks; ++i) {
+      const std::uint64_t e = i == 2 ? 2 : i == 5 ? 1 : kEpochs;
+      EXPECT_TRUE(holds_walk(*chunks[i], walk_seed(i, e))) << "chunk " << i;
+    }
+
+    for (alloc::Chunk* c : chunks) fill_walk(*c, 98);
+    const RestartReport hard =
+        RestartCoordinator(mgr, &remote).restart_after(FailureKind::kHard);
+    EXPECT_EQ(hard.status, RestoreStatus::kOkFromRemote);
+    EXPECT_EQ(hard.chunks_remote, static_cast<int>(kChunks));
+    EXPECT_EQ(chunks_counted(hard), static_cast<int>(kChunks));
+    for (std::size_t i = 0; i < kChunks; ++i) {
+      EXPECT_TRUE(holds_walk(*chunks[i], walk_seed(i, kEpochs)))
+          << "chunk " << i;
+    }
+  }
 }
 
 }  // namespace

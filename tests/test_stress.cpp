@@ -149,6 +149,77 @@ TEST(Stress, RemoteHelperVsLocalCommits) {
   EXPECT_EQ(cut_epoch, mgr.committed_epoch());
 }
 
+/// The remote helper pre-copies, and another thread coordinates, while
+/// the application allocates, commits and deletes a transient chunk in a
+/// loop. The helper touches a listed chunk only under
+/// ChunkAllocator::with_live, so no scan, send or pin release reads a
+/// freed chunk (ASan checks that), and the chunks that survive the churn
+/// hard-restore byte-exact from the buddy.
+TEST(Stress, RemoteHelperVsTransientChunkDelete) {
+  NvmConfig cfg;
+  cfg.capacity = 64 * MiB;
+  cfg.throttle = false;
+  NvmDevice dev(cfg);
+  vmem::Container container(dev);
+  alloc::ChunkAllocator allocator(container);
+  core::CheckpointConfig ccfg;
+  ccfg.local_policy = core::PrecopyPolicy::kNone;
+  core::CheckpointManager mgr(allocator, ccfg);
+
+  net::Interconnect link(4.0e9, 0.1);
+  NvmConfig scfg;
+  scfg.capacity = 64 * MiB;
+  scfg.throttle = false;
+  net::RemoteStore store(scfg);
+  net::RemoteMemory remote(link, store);
+  core::RemoteConfig rcfg;
+  rcfg.policy = core::PrecopyPolicy::kCpc;
+  rcfg.interval = 0.01;
+  rcfg.scan_period = 2e-4;
+  core::RemoteCheckpointer helper({&mgr}, remote, rcfg);
+
+  constexpr int kSurvivors = 3;
+  std::vector<alloc::Chunk*> survivors;
+  for (int i = 0; i < kSurvivors; ++i) {
+    survivors.push_back(allocator.nvalloc("keep_" + std::to_string(i),
+                                          32 * KiB, true));
+    std::memset(survivors.back()->data(), 0x30 + i, 32 * KiB);
+  }
+  mgr.nvchkptall();
+  helper.start();
+
+  std::atomic<bool> stop{false};
+  std::thread coordinator([&] {
+    while (!stop.load(std::memory_order_relaxed)) helper.coordinate_now();
+  });
+  const Stopwatch sw;
+  for (int round = 0; round < 300 || sw.elapsed() < 0.3; ++round) {
+    alloc::Chunk* t = allocator.nvalloc("transient", 64 * KiB, true);
+    std::memset(t->data(), round & 0xFF, t->size());
+    mgr.nvchkptall();
+    allocator.nvdelete(t->id());
+  }
+  stop.store(true);
+  coordinator.join();
+  ASSERT_FALSE(helper.coordinate_now().degraded);
+  helper.stop();
+
+  // The node dies: its DRAM goes, and the survivors come back from the
+  // buddy alone.
+  for (alloc::Chunk* c : survivors) std::memset(c->data(), 0xEE, c->size());
+  const core::RestartReport rep =
+      core::RestartCoordinator(mgr, &remote)
+          .restart_after(core::FailureKind::kHard);
+  EXPECT_EQ(rep.status, RestoreStatus::kOkFromRemote);
+  EXPECT_EQ(rep.chunks_remote, kSurvivors);
+  for (int i = 0; i < kSurvivors; ++i) {
+    std::vector<std::byte> expect(32 * KiB, std::byte(0x30 + i));
+    EXPECT_EQ(0, std::memcmp(survivors[i]->data(), expect.data(),
+                             expect.size()))
+        << "survivor " << i;
+  }
+}
+
 /// Allocation and deletion racing the pre-copy engine's chunk scans.
 TEST(Stress, AllocDeleteChurnWithEngine) {
   NvmConfig cfg;
@@ -317,7 +388,7 @@ TEST(Stress, RingGcVsCommitChurn) {
 
   // The pinned epoch outlived 24 saturated rounds past its commit and
   // still restores byte-exact.
-  EXPECT_EQ(allocator.restore_chunk_epoch(*chunks[0], kPinEpoch),
+  EXPECT_EQ(allocator.restore_chunk(*chunks[0], kPinEpoch),
             RestoreStatus::kOkStale);
   EXPECT_TRUE(matches(chunks[0]->data(), seed(0, kPinEpoch)));
   allocator.unpin_epoch(*chunks[0], kPinEpoch);

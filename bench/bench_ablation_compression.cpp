@@ -7,8 +7,10 @@
 // three payload shapes, for each wire codec:
 //
 //   lz     self-contained LZ frame
-//   delta  XOR against the previous epoch's payload, then LZ -- the frame
-//          the helper ships when the version ring retains a base
+//   delta  XOR against the previous epoch's payload, then LZ. The helper
+//          ships no delta (its base would live only in the sender's
+//          ring, which a hard failure loses); this row is the evidence a
+//          delta against versions the buddy keeps would need.
 //
 // and reports the achieved ratio, encode/decode throughput, and the
 // modeled ship time vs raw at two link bandwidths (encode_time +
@@ -120,7 +122,8 @@ int main() {
   std::printf(
       "\nExpected shape: LZ wins on structured payloads and slow links; "
       "delta collapses the sparse-update epoch to near-nothing; random "
-      "data degrades to framed-raw (ratio ~100%%) and should ship raw -- "
-      "which is exactly what the CodecTuner's cost model decides online.\n");
+      "data degrades to framed-raw (ratio ~100%%) and should ship raw. "
+      "The CodecTuner decides raw vs. LZ online; the transport ships no "
+      "delta, whose base would live only in the sender's ring.\n");
   return ok ? 0 : 1;
 }

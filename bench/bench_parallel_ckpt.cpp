@@ -14,9 +14,10 @@
 // a buddy store over a deliberately slow (100 MB/s) link, once per
 // transport codec mode. Columns are aggregate commit throughput (local
 // commit + remote coordination, per round) and the bytes that actually
-// crossed the link -- raw ships the payload, lz/delta/adaptive ship
-// frames. The payload is compressible (structured runs), the case the
-// codec exists for.
+// crossed the link -- raw ships raw frames, lz/adaptive ship LZ frames
+// where they shrink the payload. The payload is compressible (structured
+// runs), the case the codec exists for. After each mode's rounds a fresh
+// stack hard-restores the cut from the buddy alone.
 //
 // Output: console table + bench_parallel_ckpt.csv + a RunReport JSON.
 //
@@ -24,7 +25,9 @@
 // threads and exits 1 if the 4-thread blocking time is not >= 1.5x better
 // than serial. The codec sweep adds two more gates: adaptive must not
 // lose to raw on aggregate commit throughput (>= 1.0x), and on this
-// compressible payload it must cut the link bytes at least 2x.
+// compressible payload it must cut the link bytes at least 2x. In every
+// mode, smoke or not, each chunk of the hard-restored cut must be
+// byte-exact, or the bench exits 1.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -132,7 +135,39 @@ struct CodecPoint {
   double seconds = 0;          // measured rounds, commit + coordinate
   double tput = 0;             // payload bytes committed / seconds
   std::uint64_t link_bytes = 0;  // wire bytes over the measured rounds
+  RestoreStatus restore = RestoreStatus::kNoData;  // hard restore status
+  std::size_t exact = 0;       // chunks the hard restore got byte-exact
 };
+
+/// Hard failure of the node behind `rmem`: a fresh device, allocator and
+/// manager (same config and ring depth) restore `chunks` from the buddy
+/// alone. Records the status and how many chunks came back byte-exact.
+void hard_restore(const std::vector<alloc::Chunk*>& chunks,
+                  const alloc::ChunkAllocator::Options& aopts,
+                  const core::CheckpointConfig& ccfg,
+                  net::RemoteMemory& rmem, CodecPoint* p) {
+  NvmConfig ncfg;
+  ncfg.capacity = 256 * MiB;
+  ncfg.throttle = false;
+  NvmDevice dev(ncfg);
+  vmem::Container cont(dev);
+  alloc::ChunkAllocator allocator(cont, aopts);
+  core::CheckpointManager mgr(allocator, ccfg);
+  std::vector<alloc::Chunk*> fresh;
+  for (std::size_t j = 0; j < chunks.size(); ++j) {
+    fresh.push_back(allocator.nvalloc("codec_chunk" + std::to_string(j),
+                                      chunks[j]->size(), true));
+  }
+  p->restore = core::RestartCoordinator(mgr, &rmem)
+                   .restart_after(core::FailureKind::kHard)
+                   .status;
+  for (std::size_t j = 0; j < chunks.size(); ++j) {
+    if (std::memcmp(fresh[j]->data(), chunks[j]->data(),
+                    chunks[j]->size()) == 0) {
+      ++p->exact;
+    }
+  }
+}
 
 CodecPoint measure_codec(core::CodecMode mode, int rounds) {
   NvmConfig ncfg;
@@ -141,7 +176,7 @@ CodecPoint measure_codec(core::CodecMode mode, int rounds) {
   NvmDevice dev(ncfg);
   vmem::Container cont(dev);
   alloc::ChunkAllocator::Options aopts;
-  aopts.ring_depth = 4;  // retained epochs give delta its base
+  aopts.ring_depth = 4;  // a frame must restore without the sender's ring
   alloc::ChunkAllocator allocator(cont, aopts);
   core::CheckpointConfig ccfg;
   ccfg.local_policy = core::PrecopyPolicy::kNone;
@@ -186,6 +221,7 @@ CodecPoint measure_codec(core::CodecMode mode, int rounds) {
   p.link_bytes = link.stats().checkpoint_bytes - base_bytes;
   p.tput = static_cast<double>(kCodecChunks * kCodecChunkBytes) *
            static_cast<double>(rounds) / p.seconds;
+  hard_restore(chunks, aopts, ccfg, rmem, &p);
   return p;
 }
 
@@ -253,9 +289,9 @@ int run(bool smoke) {
   const std::vector<core::CodecMode> codec_modes =
       smoke ? std::vector<core::CodecMode>{core::CodecMode::kRaw,
                                            core::CodecMode::kAdaptive}
-            : std::vector<core::CodecMode>{
-                  core::CodecMode::kRaw, core::CodecMode::kLz,
-                  core::CodecMode::kDelta, core::CodecMode::kAdaptive};
+            : std::vector<core::CodecMode>{core::CodecMode::kRaw,
+                                           core::CodecMode::kLz,
+                                           core::CodecMode::kAdaptive};
   const int codec_rounds = smoke ? 2 : 3;
 
   TableWriter codec_table(
@@ -290,25 +326,36 @@ int run(bool smoke) {
     point["link_bytes"] = p.link_bytes;
     point["byte_cut_vs_raw"] = byte_cut;
     point["tput_vs_raw"] = tput_ratio;
+    point["hard_restore"] = to_string(p.restore);
+    point["hard_restore_exact_chunks"] = static_cast<std::uint64_t>(p.exact);
     codec_points.push_back(std::move(point));
+
+    const bool restored =
+        p.restore == RestoreStatus::kOkFromRemote && p.exact == kCodecChunks;
+    std::printf("  hard restore (%s): %s, %zu/%zu chunks byte-exact %s\n",
+                core::to_string(mode), to_string(p.restore), p.exact,
+                kCodecChunks, restored ? "OK" : "FAIL");
+    codec_ok = codec_ok && restored;
 
     if (mode == core::CodecMode::kAdaptive) {
       // Adaptive must never lose to raw on aggregate commit throughput,
       // and on this compressible sweep it must cut link bytes >= 2x.
+      bool gates_ok = true;
       if (p.tput < raw_point.tput) {
         std::printf("  codec gate FAIL: adaptive tput %.2fx of raw "
                     "(need >= 1.00x)\n", tput_ratio);
-        codec_ok = false;
+        gates_ok = false;
       }
       if (p.link_bytes * 2 > raw_point.link_bytes) {
         std::printf("  codec gate FAIL: adaptive link bytes %.2fx cut "
                     "(need >= 2.00x)\n", byte_cut);
-        codec_ok = false;
+        gates_ok = false;
       }
-      if (codec_ok) {
+      if (gates_ok) {
         std::printf("  codec gates: adaptive %.2fx tput, %.2fx byte cut "
                     "vs raw OK\n", tput_ratio, byte_cut);
       }
+      codec_ok = codec_ok && gates_ok;
     }
   }
   codec_table.print();

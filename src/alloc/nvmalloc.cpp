@@ -546,12 +546,6 @@ std::vector<std::uint64_t> ChunkAllocator::retained_epochs(
   return c.ring_->retained_epochs();
 }
 
-bool ChunkAllocator::read_retained(Chunk& c, std::uint64_t epoch,
-                                   void* dst) {
-  const RestoreStatus st = read_slot(c, epoch, dst);
-  return st == RestoreStatus::kOk || st == RestoreStatus::kOkStale;
-}
-
 void ChunkAllocator::pin_epoch(Chunk& c, std::uint64_t epoch) {
   if (epoch) c.ring_->pin_epoch(epoch);
 }

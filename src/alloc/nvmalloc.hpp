@@ -212,15 +212,8 @@ class ChunkAllocator {
   /// Returns that epoch, or 0 when none does.
   std::uint64_t restore_older_epoch(Chunk& c, std::uint64_t epoch);
 
-  /// Read the payload of any retained epoch into caller memory without
-  /// touching the chunk's DRAM buffer (delta-codec base reads: the remote
-  /// sender XORs against it, restore decode re-reads it). Epoch 0 is
-  /// read_committed. Returns false when the epoch is not retained or fails
-  /// verification.
-  bool read_retained(Chunk& c, std::uint64_t epoch, void* dst);
-
   /// Pin/unpin a retained epoch against reclamation (the restart walk's
-  /// explicit-epoch sources, shipped delta-frame bases). No-ops for epoch 0.
+  /// explicit-epoch sources). No-ops for epoch 0.
   void pin_epoch(Chunk& c, std::uint64_t epoch);
   void unpin_epoch(Chunk& c, std::uint64_t epoch);
 

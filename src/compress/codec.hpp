@@ -14,10 +14,11 @@
 //           degrades to when encoding does not shrink the payload)
 //   kLz     header + lz_compress(payload)
 //   kDelta  header + lz_compress(payload XOR base), where base is the
-//           retained epoch `base_epoch` of the same chunk. Decoding needs
-//           that epoch readable on the restoring node; the sender pins it
-//           in the local version ring so GC cannot reclaim it while a
-//           shipped frame references it.
+//           retained epoch `base_epoch` of the same chunk, and decoding
+//           needs that epoch's payload. The remote transport ships only
+//           raw and LZ frames, which decode on their own, and its sender
+//           pins no base; kDelta stays in the grammar for the codec
+//           ablation and the benchmark probes.
 #pragma once
 
 #include <cstddef>

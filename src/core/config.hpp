@@ -34,26 +34,23 @@ inline const char* to_string(PrecopyPolicy p) {
 /// Remote-transport payload codec (the adaptive-codec stage fused into
 /// the parallel checkpoint pipeline). Local NVM slots always hold raw
 /// bytes; the codec applies to what the remote helper *ships*, which is
-/// always a compress:: frame (header with the decoded-payload CRC, then
-/// the body):
+/// always a self-contained compress:: frame (header with the
+/// decoded-payload CRC, then the body), so the buddy's copy alone
+/// restores a chunk after a hard failure:
 ///   kUnset    - resolve from NVMCP_CODEC (unset env = kRaw)
 ///   kRaw      - every send a raw frame (payload verbatim)
 ///   kLz       - every send framed + LZ-compressed (raw fallback when the
 ///               payload does not shrink)
-///   kDelta    - every send framed + XOR-delta against the previous
-///               retained epoch when one is available (else LZ/raw)
-///   kAdaptive - per-chunk choice raw/LZ/delta from the sampled-entropy
-///               probe, the DCPCP modification predictor and the
-///               CodecTuner's observed encode-throughput-vs-link cost
-///               model
-enum class CodecMode : std::uint8_t { kUnset, kRaw, kLz, kDelta, kAdaptive };
+///   kAdaptive - per-chunk choice raw/LZ from the sampled-entropy probe
+///               and the CodecTuner's observed encode-throughput-vs-link
+///               cost model
+enum class CodecMode : std::uint8_t { kUnset, kRaw, kLz, kAdaptive };
 
 inline const char* to_string(CodecMode m) {
   switch (m) {
     case CodecMode::kUnset: return "unset";
     case CodecMode::kRaw: return "raw";
     case CodecMode::kLz: return "lz";
-    case CodecMode::kDelta: return "delta";
     case CodecMode::kAdaptive: return "adaptive";
   }
   return "?";
@@ -136,7 +133,7 @@ std::size_t resolve_copy_threads(std::size_t configured);
 bool resolve_batch_rearm(int configured);
 
 /// Resolve CheckpointConfig::codec_mode: kUnset consults NVMCP_CODEC
-/// ("raw" / "lz" / "delta" / "adaptive"; unset or unrecognized = raw),
+/// ("raw" / "lz" / "adaptive"; unset or unrecognized = raw),
 /// any pinned value is returned unchanged.
 CodecMode resolve_codec_mode(CodecMode configured);
 

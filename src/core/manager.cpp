@@ -47,7 +47,6 @@ CodecMode resolve_codec_mode(CodecMode configured) {
   if (configured != CodecMode::kUnset) return configured;
   const std::string v = env::get_string("NVMCP_CODEC", "raw");
   if (v == "lz") return CodecMode::kLz;
-  if (v == "delta") return CodecMode::kDelta;
   if (v == "adaptive") return CodecMode::kAdaptive;
   return CodecMode::kRaw;
 }

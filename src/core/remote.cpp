@@ -87,7 +87,6 @@ RemoteCheckpointer::RemoteCheckpointer(
   m_.codec_bytes_out = &metrics_.counter("codec.bytes_out");
   m_.codec_choice[0] = &metrics_.counter("codec.choice.raw");
   m_.codec_choice[1] = &metrics_.counter("codec.choice.lz");
-  m_.codec_choice[2] = &metrics_.counter("codec.choice.delta");
   m_.codec_encode_seconds = &metrics_.gauge("codec.encode_seconds");
   m_.codec_ratio = &metrics_.gauge("codec.ratio");
   codec_mode_.reserve(managers_.size());
@@ -102,10 +101,7 @@ RemoteCheckpointer::RemoteCheckpointer(
   }
 }
 
-RemoteCheckpointer::~RemoteCheckpointer() {
-  stop();
-  release_base_pins();
-}
+RemoteCheckpointer::~RemoteCheckpointer() { stop(); }
 
 void RemoteCheckpointer::start() {
   bool expected = false;
@@ -210,64 +206,6 @@ std::vector<StaleChunk> RemoteCheckpointer::stale() const {
   return stale_;
 }
 
-void RemoteCheckpointer::force_raw_reship() {
-  force_raw_.store(true, std::memory_order_release);
-  std::lock_guard<std::mutex> lock(round_mu_);
-  // Forgetting what was sent makes the next round re-put everything; with
-  // the raw latch up, every re-put is a self-contained raw frame.
-  sent_epoch_.clear();
-}
-
-void RemoteCheckpointer::set_inflight_base(const Key& key, alloc::Chunk& c,
-                                           std::uint64_t base_epoch) {
-  auto& a = managers_[key.mgr]->allocator();
-  std::lock_guard<std::mutex> lock(pin_mu_);
-  auto it = inflight_base_.find(key);
-  const std::uint64_t old = it != inflight_base_.end() ? it->second : 0;
-  // Pins nest, so this is plain counting: the previous inflight pin is
-  // released (even when old == base_epoch -- the caller's fresh pin
-  // replaces it) and the caller's pin is recorded.
-  if (old) a.unpin_epoch(c, old);
-  if (base_epoch) {
-    inflight_base_[key] = base_epoch;
-  } else if (it != inflight_base_.end()) {
-    inflight_base_.erase(it);
-  }
-}
-
-void RemoteCheckpointer::promote_base_pin(const Key& key, alloc::Chunk& c) {
-  auto& a = managers_[key.mgr]->allocator();
-  std::lock_guard<std::mutex> lock(pin_mu_);
-  auto cit = committed_base_.find(key);
-  const std::uint64_t old = cit != committed_base_.end() ? cit->second : 0;
-  auto iit = inflight_base_.find(key);
-  if (iit != inflight_base_.end()) {
-    committed_base_[key] = iit->second;  // pin transfers, no ring ops
-    inflight_base_.erase(iit);
-  } else if (cit != committed_base_.end()) {
-    committed_base_.erase(cit);  // new committed frame references no base
-  }
-  if (old) a.unpin_epoch(c, old);
-}
-
-void RemoteCheckpointer::release_base_pins() {
-  for (std::size_t m = 0; m < managers_.size(); ++m) {
-    alloc::ChunkAllocator& a = managers_[m]->allocator();
-    a.with_live(a.chunks(), [&](const std::vector<alloc::Chunk*>& live) {
-      std::lock_guard<std::mutex> lock(pin_mu_);
-      for (alloc::Chunk* c : live) {
-        for (auto* pins : {&inflight_base_, &committed_base_}) {
-          auto it = pins->find(Key{m, c->id()});
-          if (it != pins->end()) a.unpin_epoch(*c, it->second);
-        }
-      }
-    });
-  }
-  std::lock_guard<std::mutex> lock(pin_mu_);
-  inflight_base_.clear();
-  committed_base_.clear();
-}
-
 std::vector<RemoteCheckpointer::Committed>
 RemoteCheckpointer::committed_chunks(std::size_t m) const {
   const alloc::ChunkAllocator& a = managers_[m]->allocator();
@@ -283,101 +221,56 @@ RemoteCheckpointer::committed_chunks(std::size_t m) const {
   return out;
 }
 
-bool RemoteCheckpointer::with_chunk(std::size_t m, const Committed& e,
-                                    const std::function<void()>& fn) const {
-  bool live = false;
-  managers_[m]->allocator().with_live(
-      {e.chunk}, [&](const std::vector<alloc::Chunk*>& l) {
-        // A freed chunk's address may already hold another chunk.
-        live = !l.empty() && e.chunk->id() == e.id;
-        if (live) fn();
-      });
-  return live;
-}
-
 RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
-    std::size_t mgr_idx, alloc::Chunk& c, bool count_as_precopy, bool paced,
-    int max_attempts, double* backoff_budget) {
+    std::size_t mgr_idx, const Committed& e, bool count_as_precopy,
+    bool paced, int max_attempts, double* backoff_budget) {
   CheckpointManager& mgr = *managers_[mgr_idx];
-  if (!mgr.allocator().acknowledged(c)) {
-    return SendResult{SendStatus::kNothingCommitted};
-  }
-
   // Serialize with the other send path (helper pre-copy vs. external
   // coordination): the staging buffer, the pace limiter and the jitter
   // stream are all single-helper state.
   std::lock_guard<std::mutex> send_lock(send_mu_);
-  if (staging_.size() < c.size()) staging_.resize(c.size());
+
   // Read the acknowledged payload from local NVM ("shared NVM support")
   // and ship the epoch read with that slot. A commit copies into another
   // slot; a read overtaken by two commits fails its CRC, and the commit
-  // pass re-verifies epochs under the commit mutex.
+  // pass re-verifies epochs under the commit mutex. The read is the only
+  // touch of the chunk, so only it runs under with_live: a concurrent
+  // nvalloc or nvdelete waits for the read, never for the pace wait or
+  // the put.
+  alloc::ChunkAllocator& a = mgr.allocator();
+  SendStatus read = SendStatus::kNothingCommitted;
+  std::size_t raw_n = 0;
   std::uint64_t epoch = 0;
-  if (!mgr.allocator().read_committed(c, staging_.data(), &epoch)) {
-    return SendResult{SendStatus::kLocalReadFailed};
-  }
+  a.with_live({e.chunk}, [&](const std::vector<alloc::Chunk*>& live) {
+    // A freed chunk's address may already hold another chunk.
+    if (live.empty() || e.chunk->id() != e.id) return;
+    if (!a.acknowledged(*e.chunk)) return;
+    raw_n = e.chunk->size();
+    if (staging_.size() < raw_n) staging_.resize(raw_n);
+    read = a.read_committed(*e.chunk, staging_.data(), &epoch)
+               ? SendStatus::kOk
+               : SendStatus::kLocalReadFailed;
+  });
+  if (read != SendStatus::kOk) return SendResult{read};
 
   // --- codec stage (fused into the send the way CRC fused into the copy
   // pass): pick a codec, encode once into the frame buffer; retries
-  // re-ship the same frame bytes. kRaw mode ships a raw frame.
+  // re-ship the same frame bytes. Every frame is raw or LZ and decodes on
+  // its own, so the buddy's copy alone restores the chunk.
   const CodecMode mode = codec_mode_[mgr_idx];
-  const std::size_t raw_n = c.size();
-  auto want = compress::Codec::kRaw;
-  std::uint64_t base_epoch = 0;  // nonzero => we hold a temp pin on it
-  bool have_base = false;
-  // Raw mode, a degraded/isolated path and an explicit raw re-ship
-  // request all frame raw: a stale remote cut recovers fastest with
-  // self-contained frames no delta base can invalidate.
-  const bool raw_only = mode == CodecMode::kRaw ||
-                        force_raw_.load(std::memory_order_acquire) ||
-                        health(mgr_idx) != RemoteHealth::kHealthy;
-  if (!raw_only) {
-    // Delta base candidate: the newest retained epoch behind the one
-    // being shipped. Pinned before the read and held (on success) until
-    // the remote frame referencing it is itself superseded, so ring GC
-    // can never reclaim a base a shipped frame still needs.
-    auto& a = mgr.allocator();
-    if (a.ring_depth() > 1) {
-      for (std::uint64_t e : a.retained_epochs(c)) {
-        if (e < epoch) {
-          base_epoch = e;
-          break;
-        }
-      }
-    }
-    if (base_epoch) {
-      if (base_buf_.size() < raw_n) base_buf_.resize(raw_n);
-      a.pin_epoch(c, base_epoch);
-      if (a.read_retained(c, base_epoch, base_buf_.data())) {
-        have_base = true;
-      } else {
-        a.unpin_epoch(c, base_epoch);
-        base_epoch = 0;
-      }
-    }
-    // Only the adaptive tuner reads the entropy probe; it samples the
-    // committed payload just read, not live DRAM.
-    const double entropy =
-        mode == CodecMode::kAdaptive
-            ? compress::entropy_probe(staging_.data(), raw_n)
-            : 0.0;
-    want = tuner_.choose(mode, entropy, mgr.prediction().predicted(c.id()),
-                         raw_n, have_base);
-  }
+  // Only the adaptive tuner reads the entropy probe; it samples the
+  // committed payload just read, not live DRAM.
+  const double entropy =
+      mode == CodecMode::kAdaptive
+          ? compress::entropy_probe(staging_.data(), raw_n)
+          : 0.0;
   const Stopwatch enc_sw;
-  const auto fr = encoder_.encode(want, staging_.data(), raw_n,
-                                  have_base ? base_buf_.data() : nullptr,
-                                  base_epoch);
+  const auto fr = encoder_.encode(tuner_.choose(mode, entropy, raw_n),
+                                  staging_.data(), raw_n, nullptr, 0);
   const double encode_s = enc_sw.elapsed();
   const auto used = fr.codec;
   const std::byte* wire = encoder_.frame();
   const std::size_t wire_n = fr.frame_size;
-  if (used != compress::Codec::kDelta && base_epoch) {
-    // The tuner passed on delta (or the encoder fell back to raw
-    // framing): the candidate base is not referenced after all.
-    mgr.allocator().unpin_epoch(c, base_epoch);
-    base_epoch = 0;
-  }
 
   // Pace *before* the busy window: waiting for pace credit is idle time,
   // not helper work (Table V measures the helper core's utilization).
@@ -387,7 +280,6 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
   // once the caller's round commits, and the round needs send_mu_), and a
   // timer round's send goes ahead unpaced.
   if (paced && !pace_wait(wire_n) && count_as_precopy) {
-    if (base_epoch) mgr.allocator().unpin_epoch(c, base_epoch);
     m_.deferred_sends->add(1);
     return SendResult{SendStatus::kDeferred};
   }
@@ -432,7 +324,7 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
       telemetry::Span span(count_as_precopy ? "remote_precopy_put"
                                             : "remote_coordinated_put",
                            "ckpt.remote");
-      put = remote_.put(mgr.config().rank, c.id(), wire, wire_n,
+      put = remote_.put(mgr.config().rank, e.id, wire, wire_n,
                         compress::max_frame_size(raw_n), epoch,
                         /*commit=*/false);
     }
@@ -440,10 +332,6 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
     if (put.ok) {
       m_.bytes_sent->add(wire_n);
       tuner_.observe(used, raw_n, wire_n, encode_s, put.seconds);
-      // The frame now sits in the remote in-progress slot: its base pin
-      // (if delta) replaces whatever the previous inflight frame held.
-      set_inflight_base(Key{mgr_idx, c.id()}, c,
-                        used == compress::Codec::kDelta ? base_epoch : 0);
       if (count_as_precopy) {
         m_.precopy_puts->add(1);
       } else {
@@ -457,11 +345,7 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
     res.status = SendStatus::kDropped;  // lost in transit; retry
   }
   // Exhausted the retry allowance: a real transport failure, visible to
-  // the health machine and (via the caller) the round outcome. A delta
-  // frame that never arrived references nothing; drop its temp base pin.
-  if (used == compress::Codec::kDelta && base_epoch) {
-    mgr.allocator().unpin_epoch(c, base_epoch);
-  }
+  // the health machine and (via the caller) the round outcome.
   m_.put_failures->add(1);
   record_put_failure(mgr_idx);
   return res;
@@ -524,14 +408,9 @@ void RemoteCheckpointer::helper_loop() {
           if (it != sent_epoch_.end()) last_sent = it->second;
         }
         if (e.epoch <= last_sent) continue;
-        SendResult sent;
-        if (!with_chunk(m, e, [&] {
-              sent = send_chunk(m, *e.chunk, /*count_as_precopy=*/true,
-                                /*paced=*/true, /*max_attempts=*/1,
-                                /*backoff_budget=*/nullptr);
-            })) {
-          continue;  // nvdeleted since the scan
-        }
+        const SendResult sent =
+            send_chunk(m, e, /*count_as_precopy=*/true, /*paced=*/true,
+                       /*max_attempts=*/1, /*backoff_budget=*/nullptr);
         if (sent.status == SendStatus::kDeferred) {
           deferred = true;
           break;
@@ -607,15 +486,10 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
       // A timer round under a pre-copy policy smooths its top-up (no one
       // waits on it); a requested round ships at link speed, and kNone
       // bursts by definition.
-      SendResult sent;
-      if (!with_chunk(m, e, [&] {
-            sent = send_chunk(
-                m, *e.chunk, /*count_as_precopy=*/false,
-                /*paced=*/!requested && cfg_.policy != PrecopyPolicy::kNone,
-                retry_.max_attempts, &budget);
-          })) {
-        continue;  // nvdeleted since the scan
-      }
+      const SendResult sent = send_chunk(
+          m, e, /*count_as_precopy=*/false,
+          /*paced=*/!requested && cfg_.policy != PrecopyPolicy::kNone,
+          retry_.max_attempts, &budget);
       out.retries += std::max(0, sent.attempts - 1);
       if (sent.ok()) {
         sent_epoch_[key] = sent.epoch;
@@ -641,45 +515,37 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
   const Stopwatch hold_sw;
   int resends = 0;  // chunks re-put under the commit mutexes
   // The commit mutexes hold every acknowledged epoch still, so the scan's
-  // epochs are the cut; each chunk's work runs under with_chunk.
+  // epochs are the cut. The remote commit touches no chunk; only a
+  // resend reads one.
   for (std::size_t m = 0; m < managers_.size(); ++m) {
     const std::uint32_t rank = managers_[m]->config().rank;
     for (const Committed& e : committed_chunks(m)) {
       const Key key{m, e.id};
-      with_chunk(m, e, [&] {
-        auto it = sent_epoch_.find(key);
-        if (it == sent_epoch_.end() || it->second != e.epoch) {
-          ++resends;
-          const SendResult sent =
-              send_chunk(m, *e.chunk, /*count_as_precopy=*/false,
-                         /*paced=*/false, retry_.phase2_attempts, &budget);
-          out.retries += std::max(0, sent.attempts - 1);
-          if (!sent.ok()) {
-            if (sent.status == SendStatus::kStalled ||
-                sent.status == SendStatus::kDropped) {
-              ++out.failed_sends;
-            }
-            auto re = remote_epoch_.find(key);
-            stale_.push_back(StaleChunk{
-                rank, e.id, e.epoch,
-                re != remote_epoch_.end() ? re->second : 0});
-            return;  // never commit an epoch whose payload is not there
+      auto it = sent_epoch_.find(key);
+      if (it == sent_epoch_.end() || it->second != e.epoch) {
+        const SendResult sent =
+            send_chunk(m, e, /*count_as_precopy=*/false, /*paced=*/false,
+                       retry_.phase2_attempts, &budget);
+        if (sent.status == SendStatus::kNothingCommitted) continue;
+        ++resends;
+        out.retries += std::max(0, sent.attempts - 1);
+        if (!sent.ok()) {
+          if (sent.status == SendStatus::kStalled ||
+              sent.status == SendStatus::kDropped) {
+            ++out.failed_sends;
           }
-          sent_epoch_[key] = sent.epoch;
+          auto re = remote_epoch_.find(key);
+          stale_.push_back(StaleChunk{
+              rank, e.id, e.epoch,
+              re != remote_epoch_.end() ? re->second : 0});
+          continue;  // never commit an epoch whose payload is not there
         }
-        auto re = remote_epoch_.find(key);
-        const bool advanced =
-            re == remote_epoch_.end() || re->second != e.epoch;
-        remote_.commit(rank, e.id, e.epoch);
-        // Bookkeeping advances only after a delivered put + commit, so
-        // remote_epoch_ exactly tracks the store's committed ground truth.
-        remote_epoch_[key] = e.epoch;
-        // The committed remote frame is now the one we last put: its
-        // delta base pin (if any) moves from the inflight slot to the
-        // committed slot, releasing the pin of the superseded committed
-        // frame.
-        if (advanced) promote_base_pin(key, *e.chunk);
-      });
+        sent_epoch_[key] = sent.epoch;
+      }
+      remote_.commit(rank, e.id, e.epoch);
+      // Bookkeeping advances only after a delivered put + commit, so
+      // remote_epoch_ exactly tracks the store's committed ground truth.
+      remote_epoch_[key] = e.epoch;
     }
   }
   locks.clear();
@@ -688,11 +554,6 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
 
   out.degraded = !stale_.empty();
   out.stale_chunks = static_cast<int>(stale_.size());
-  if (!out.degraded) {
-    // A converged round means the raw re-ship (if one was requested)
-    // completed: adaptive encoding may resume.
-    force_raw_.store(false, std::memory_order_release);
-  }
   m_.coordinations->add(1);
   m_.last_round_seconds->set(round_sw.elapsed());
   m_.stale_chunks->set(static_cast<double>(stale_.size()));

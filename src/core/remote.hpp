@@ -38,7 +38,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <thread>
@@ -129,13 +128,6 @@ class RemoteCheckpointer {
     return codec_mode_[mgr_idx];
   }
 
-  /// Force the next coordination round to re-ship every chunk as a raw
-  /// frame (self-contained, no delta base to chase). The recovery lever
-  /// when a shipped delta's base was lost or corrupted on the source node:
-  /// one raw round makes the remote cut restorable again. The flag clears
-  /// itself after the next non-degraded round.
-  void force_raw_reship();
-
  private:
   struct Key {
     std::size_t mgr;
@@ -148,8 +140,9 @@ class RemoteCheckpointer {
   /// How one chunk send ended (after retries, for the failure states).
   enum class SendStatus : std::uint8_t {
     kOk,                // payload delivered; epoch is valid
-    kNothingCommitted,  // chunk has no committed local version (not a
-                        // failure; there is nothing to protect yet)
+    kNothingCommitted,  // chunk has no committed local version, or was
+                        // nvdeleted since the scan (not a failure; there
+                        // is nothing to protect)
     kLocalReadFailed,   // committed local read failed verification
     kStalled,           // every attempt hit a helper stall/kill window
     kDropped,           // every attempt was lost in transit
@@ -166,33 +159,30 @@ class RemoteCheckpointer {
   void helper_loop();
   /// A persistent chunk with a committed version, as a scan listed it.
   struct Committed {
-    alloc::Chunk* chunk;  // may dangle after the scan: see with_chunk
+    alloc::Chunk* chunk;  // may dangle after the scan: see send_chunk
     std::uint64_t id;
     std::uint64_t epoch;  // acknowledged epoch at scan time
   };
   /// Manager m's committed chunks, listed under one
   /// ChunkAllocator::with_live.
   std::vector<Committed> committed_chunks(std::size_t m) const;
-  /// Run fn() under ChunkAllocator::with_live unless the listed chunk was
-  /// nvdeleted since (then return false). A concurrent nvdelete waits for
-  /// fn, so every touch of a listed chunk -- a whole send included -- goes
-  /// through here. fn must not take round_mu_ (see the lock order).
-  bool with_chunk(std::size_t m, const Committed& e,
-                  const std::function<void()>& fn) const;
   /// One coordination round. `requested` is true for coordinate_now(),
   /// whose caller waits on the result (phase 1 unpaced), and false for the
   /// helper's timer-fired rounds (phase 1 paced under pre-copy policies).
   CoordinationOutcome coordinate(bool requested);
-  /// Send the committed payload of a chunk to the remote in-progress slot,
-  /// retrying transport failures up to `max_attempts` times under the
-  /// policy's backoff/deadline. `backoff_budget` (may be null) is the
+  /// Send the committed payload of a listed chunk to the remote
+  /// in-progress slot, retrying transport failures up to `max_attempts`
+  /// times under the policy's backoff/deadline. Only the payload read runs
+  /// under ChunkAllocator::with_live, so a concurrent nvdelete never waits
+  /// for the pace wait or the put; a chunk nvdeleted since the scan
+  /// returns kNothingCommitted. `backoff_budget` (may be null) is the
   /// round's remaining retry-sleep allowance; sleeps draw it down and no
   /// retry sleeps once it is spent. `paced` spreads the transfer at the
   /// learned rate (pre-copy smoothing); the commit pass sends unpaced
   /// because it runs under the commit mutexes. When a paced wait is cut
   /// short, an eager send (`count_as_precopy`) returns kDeferred and a
   /// round's send goes ahead unpaced.
-  SendResult send_chunk(std::size_t mgr_idx, alloc::Chunk& c,
+  SendResult send_chunk(std::size_t mgr_idx, const Committed& e,
                         bool count_as_precopy, bool paced, int max_attempts,
                         double* backoff_budget);
   /// Wait for `bytes` of pace credit. Returns false, without waiting out
@@ -240,46 +230,21 @@ class RemoteCheckpointer {
 
   // The helper moves one chunk at a time (the paper's single helper core):
   // send_mu_ serializes sends from the background pre-copy loop and an
-  // external coordinate_now(), and guards staging_/base_buf_, the frame
-  // encoder, the codec tuner and the jitter stream.
-  // Lock order: round_mu_ -> commit mutexes -> allocator (with_chunk) ->
-  // send_mu_ -> cv_mu_, and send_mu_ -> pin_mu_. coordinate_now() takes
-  // cv_mu_ alone, before round_mu_, to announce itself.
+  // external coordinate_now(), and guards staging_, the frame encoder, the
+  // codec tuner and the jitter stream.
+  // Lock order: round_mu_ -> commit mutexes -> send_mu_ -> allocator
+  // (with_live), and send_mu_ -> cv_mu_. A send holds the allocator only
+  // for its payload read, never across the pace wait or the put.
+  // coordinate_now() takes cv_mu_ alone, before round_mu_, to announce
+  // itself.
   std::mutex send_mu_;
   std::vector<std::byte> staging_;
-  std::vector<std::byte> base_buf_;  // delta base payload (read_retained)
   compress::FrameEncoder encoder_;
   CodecTuner tuner_;
   Rng retry_rng_{0x7e721e5};  // backoff jitter only; never affects data
 
-  // Adaptive-codec state. codec_mode_ is resolved per manager at
-  // construction; force_raw_ is the raw re-ship latch (see
-  // force_raw_reship).
+  // Codec mode per manager, resolved at construction.
   std::vector<CodecMode> codec_mode_;
-  std::atomic<bool> force_raw_{false};
-
-  // Version-ring pins protecting shipped delta bases from GC. A delta
-  // frame is useless without its base epoch readable on the source node,
-  // so the sender holds one pin per referenced base: inflight_base_ for
-  // the frame sitting (uncommitted) in the remote in-progress slot,
-  // committed_base_ for the remotely committed frame. A remote commit
-  // transfers the inflight pin to the committed slot (pins nest, so the
-  // bookkeeping is plain counting). Guarded by pin_mu_ because sends
-  // (send_mu_) and the commit pass (round_mu_) both touch them.
-  std::mutex pin_mu_;
-  std::map<Key, std::uint64_t> inflight_base_;
-  std::map<Key, std::uint64_t> committed_base_;
-  /// Record `base_epoch` (0 = none) as the inflight delta base of `key`,
-  /// releasing the pin on any previous inflight base. The caller has
-  /// already pinned `base_epoch` once; that pin transfers in.
-  void set_inflight_base(const Key& key, alloc::Chunk& c,
-                         std::uint64_t base_epoch);
-  /// Remote commit advanced for `key`: the inflight base pin (if any)
-  /// becomes the committed base pin, and the previous committed pin is
-  /// released.
-  void promote_base_pin(const Key& key, alloc::Chunk& c);
-  /// Drop every pin (destructor; chunks already deleted are skipped).
-  void release_base_pins();
 
   // Per-rank transport health (index == manager index).
   struct HealthSlot {
@@ -312,7 +277,8 @@ class RemoteCheckpointer {
     telemetry::Gauge* stale_chunks;
     telemetry::Counter* codec_bytes_in;
     telemetry::Counter* codec_bytes_out;
-    telemetry::Counter* codec_choice[3];  // indexed by compress::Codec
+    telemetry::Counter* codec_choice[2];  // indexed by compress::Codec
+                                          // (raw, lz)
     telemetry::Gauge* codec_encode_seconds;
     telemetry::Gauge* codec_ratio;
   } m_{};

@@ -38,22 +38,10 @@ bool RestartCoordinator::fetch_remote(alloc::Chunk& c,
       hdr.raw_size != c.size()) {
     return false;
   }
-  std::vector<std::byte> base;
-  const void* base_p = nullptr;
-  if (hdr.codec == static_cast<std::uint8_t>(compress::Codec::kDelta)) {
-    // Walk back to the delta's base epoch in the local version ring.
-    // The sender pinned it against GC, but pins are runtime state: a
-    // hard crash (or a corrupted ring slot) can still lose the base,
-    // in which case the chunk legitimately falls through to
-    // rollback/parity and the helper re-ships raw.
-    base.resize(c.size());
-    if (!mgr_->allocator().read_retained(c, hdr.base_epoch, base.data())) {
-      return false;
-    }
-    base_p = base.data();
-  }
+  // Every frame the helper ships decodes on its own. A delta frame left
+  // in an older store needs a base and is rejected as need-base below.
   const compress::DecodeStatus st =
-      compress::decode_frame(frame.data(), fn, base_p, c.data(), c.size());
+      compress::decode_frame(frame.data(), fn, nullptr, c.data(), c.size());
   if (st != compress::DecodeStatus::kOk) {
     // Detected, never laundered: the frame's raw CRC (or its structure)
     // ruled the decoded bytes out, so this source is rejected outright.

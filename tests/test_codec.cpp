@@ -1,7 +1,7 @@
 // Adaptive transport codec: xor_delta, frame format, CodecTuner policy,
-// and the fused remote pipeline -- raw-mode frames and their hard restore,
-// LZ and delta restores (including the ring walk-back to a delta base),
-// and rollback to a retained epoch that was shipped delta-encoded.
+// and the fused remote pipeline -- the frames of every codec mode and
+// their hard restore from the buddy alone at ring depths 1, 2 and 4, and
+// LZ and adaptive restores.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -173,34 +173,19 @@ TEST(CodecFrame, EntropyProbeExtremes) {
 
 TEST(CodecTuner, FixedModesPassThrough) {
   core::CodecTuner t;
-  EXPECT_EQ(t.choose(core::CodecMode::kRaw, 2.0, 0, 1 * MiB, true),
-            Codec::kRaw);
-  EXPECT_EQ(t.choose(core::CodecMode::kLz, 8.0, 0, 1 * MiB, true),
-            Codec::kLz);
-  EXPECT_EQ(t.choose(core::CodecMode::kDelta, 8.0, 0, 1 * MiB, true),
-            Codec::kDelta);
-  // Delta with no retained base degrades to LZ, never to a broken frame.
-  EXPECT_EQ(t.choose(core::CodecMode::kDelta, 8.0, 0, 1 * MiB, false),
-            Codec::kLz);
+  EXPECT_EQ(t.choose(core::CodecMode::kRaw, 2.0, 1 * MiB), Codec::kRaw);
+  EXPECT_EQ(t.choose(core::CodecMode::kLz, 8.0, 1 * MiB), Codec::kLz);
 }
 
-TEST(CodecTuner, AdaptiveGatesOnEntropyChurnAndBandwidth) {
+TEST(CodecTuner, AdaptiveGatesOnEntropyAndBandwidth) {
   core::CodecTuner t;
   // Teach it a slow link (1 MiB ships in 10 ms ~ 100 MB/s): compression
   // is now worth helper CPU.
   t.observe(Codec::kRaw, 1 * MiB, 1 * MiB, 0.0, 0.010);
   // Near-random payload: the entropy gate keeps it raw.
-  EXPECT_EQ(t.choose(core::CodecMode::kAdaptive, 7.9, 0, 1 * MiB, false),
-            Codec::kRaw);
-  // Compressible payload, no base: LZ.
-  EXPECT_EQ(t.choose(core::CodecMode::kAdaptive, 2.0, 0, 1 * MiB, false),
-            Codec::kLz);
-  // Low predicted churn + retained base: delta beats both.
-  EXPECT_EQ(t.choose(core::CodecMode::kAdaptive, 2.0, 4, 1 * MiB, true),
-            Codec::kDelta);
-  // Churn past the gate (200 pages of a 256-page chunk): no delta.
-  EXPECT_NE(t.choose(core::CodecMode::kAdaptive, 2.0, 200, 1 * MiB, true),
-            Codec::kDelta);
+  EXPECT_EQ(t.choose(core::CodecMode::kAdaptive, 7.9, 1 * MiB), Codec::kRaw);
+  // Compressible payload: LZ.
+  EXPECT_EQ(t.choose(core::CodecMode::kAdaptive, 2.0, 1 * MiB), Codec::kLz);
 }
 
 TEST(CodecTuner, AdaptivePrefersRawOnFastLink) {
@@ -208,8 +193,7 @@ TEST(CodecTuner, AdaptivePrefersRawOnFastLink) {
   // 10 GB/s observed link: even a 4x shrink cannot beat just shipping.
   t.observe(Codec::kRaw, 1 * MiB, 1 * MiB, 0.0, 1e-4);
   t.observe(Codec::kLz, 1 * MiB, 256 * KiB, 0.004, 0.0);  // 256 MB/s encode
-  EXPECT_EQ(t.choose(core::CodecMode::kAdaptive, 2.0, 0, 1 * MiB, false),
-            Codec::kRaw);
+  EXPECT_EQ(t.choose(core::CodecMode::kAdaptive, 2.0, 1 * MiB), Codec::kRaw);
 }
 
 TEST(CodecTuner, ObserveLearnsRatioAndBandwidth) {
@@ -228,9 +212,9 @@ TEST(CodecConfig, EnvResolution) {
   setenv("NVMCP_CODEC", "adaptive", 1);
   EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kUnset),
             core::CodecMode::kAdaptive);
-  setenv("NVMCP_CODEC", "delta", 1);
+  setenv("NVMCP_CODEC", "delta", 1);  // no delta mode: unrecognized
   EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kUnset),
-            core::CodecMode::kDelta);
+            core::CodecMode::kRaw);
   setenv("NVMCP_CODEC", "lz", 1);
   EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kUnset),
             core::CodecMode::kLz);
@@ -298,61 +282,93 @@ struct Rig {
   std::unique_ptr<core::RemoteCheckpointer> helper;
 };
 
-TEST(CodecPipeline, RawModeShipsRawFramesThatHardRestoreExactly) {
-  // NVMCP_CODEC=raw ships raw frames: every put counts as a raw choice,
-  // each frame is header + payload, and a hard restart into a fresh stack
-  // decodes every chunk byte-exactly.
-  Rig rig(core::CodecMode::kRaw);
-  const std::size_t sizes[] = {64 * KiB, 96 * KiB, 32 * KiB};
+// Two clean rounds, the second a 2 KiB splice into each chunk, then a
+// hard restart into a fresh stack at the same ring depth: every chunk
+// comes back byte-exact from the buddy's frames alone. The 512 KiB chunk
+// is incompressible, so only a delta against the sender's ring could
+// shrink its second round -- and that base dies with the node.
+void expect_hard_restore_exact(core::CodecMode mode,
+                               std::uint32_t ring_depth) {
+  SCOPED_TRACE(std::string(core::to_string(mode)) + " at depth " +
+               std::to_string(ring_depth));
+  Rig rig(mode, ring_depth, /*link_bw=*/50e6);
+  const std::size_t sizes[] = {64 * KiB, 96 * KiB, 32 * KiB, 512 * KiB};
+  constexpr int kChunks = 4;
   std::vector<alloc::Chunk*> chunks;
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kChunks; ++i) {
     chunks.push_back(rig.allocator->nvalloc("img_" + std::to_string(i),
                                             sizes[i], true));
-    rig.fill(*chunks[i], 40 + static_cast<std::uint64_t>(i), i % 2 == 0);
+    rig.fill(*chunks[i], 40 + static_cast<std::uint64_t>(i),
+             /*compressible=*/i % 2 == 0);
   }
   rig.mgr->nvchkptall();
   ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-  auto& m = rig.helper->metrics();
-  EXPECT_EQ(m.counter("remote.coordinated_puts").value() +
-                m.counter("remote.precopy_puts").value(),
-            3u);
-  EXPECT_EQ(m.counter("codec.choice.raw").value(), 3u);
-  EXPECT_EQ(m.counter("codec.bytes_out").value(),
-            m.counter("codec.bytes_in").value() +
-                3 * compress::kCodecHeaderSize);
+  for (alloc::Chunk* c : chunks) {
+    std::memset(static_cast<std::byte*>(c->data()) + 1024, 0x77, 2 * KiB);
+    c->notify_write();
+  }
+  rig.mgr->nvchkptall();
+  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
 
-  // A stored raw frame verifies itself: a bit flipped in its body is
-  // rejected at decode by the header's raw CRC.
-  std::vector<std::byte> frame(compress::max_frame_size(sizes[0]));
-  const std::size_t fn = rig.remote->get(
-      rig.mgr->config().rank, chunks[0]->id(), frame.data(), frame.size());
-  ASSERT_EQ(fn, frame.size());
-  frame[compress::kCodecHeaderSize + 100] ^= std::byte{0x04};
-  std::vector<std::byte> out(sizes[0]);
-  EXPECT_EQ(compress::decode_frame(frame.data(), fn, nullptr, out.data(),
-                                   out.size()),
-            compress::DecodeStatus::kCrcMismatch);
+  if (mode == core::CodecMode::kRaw) {
+    // Raw mode ships raw frames: every put counts as a raw choice, and
+    // each frame is header + payload.
+    auto& m = rig.helper->metrics();
+    EXPECT_EQ(m.counter("remote.coordinated_puts").value() +
+                  m.counter("remote.precopy_puts").value(),
+              2u * kChunks);
+    EXPECT_EQ(m.counter("codec.choice.raw").value(), 2u * kChunks);
+    EXPECT_EQ(m.counter("codec.bytes_out").value(),
+              m.counter("codec.bytes_in").value() +
+                  2 * kChunks * compress::kCodecHeaderSize);
 
-  // Hard failure: a fresh stack (device, allocator, manager; same rank).
+    // A stored raw frame verifies itself: a bit flipped in its body is
+    // rejected at decode by the header's raw CRC.
+    std::vector<std::byte> frame(compress::max_frame_size(sizes[0]));
+    const std::size_t fn = rig.remote->get(
+        rig.mgr->config().rank, chunks[0]->id(), frame.data(), frame.size());
+    ASSERT_EQ(fn, frame.size());
+    frame[compress::kCodecHeaderSize + 100] ^= std::byte{0x04};
+    std::vector<std::byte> out(sizes[0]);
+    EXPECT_EQ(compress::decode_frame(frame.data(), fn, nullptr, out.data(),
+                                     out.size()),
+              compress::DecodeStatus::kCrcMismatch);
+  }
+
+  // Hard failure: a fresh stack (device, allocator, manager; same rank
+  // and ring depth).
   NvmConfig cfg;
   cfg.capacity = 64 * MiB;
   cfg.throttle = false;
   NvmDevice dev(cfg);
   vmem::Container container(dev);
-  alloc::ChunkAllocator allocator(container);
+  alloc::ChunkAllocator::Options aopts;
+  aopts.ring_depth = static_cast<int>(ring_depth);
+  alloc::ChunkAllocator allocator(container, aopts);
   core::CheckpointManager mgr(allocator, rig.mgr->config());
-  for (int i = 0; i < 3; ++i) {
+  for (int i = 0; i < kChunks; ++i) {
     allocator.nvalloc("img_" + std::to_string(i), sizes[i], true);
   }
   core::RestartCoordinator rc(mgr, rig.remote.get());
   const auto rep = rc.restart_after(core::FailureKind::kHard);
-  EXPECT_EQ(rep.status, RestoreStatus::kOkFromRemote);
-  EXPECT_EQ(rep.chunks_remote, 3);
-  for (int i = 0; i < 3; ++i) {
+  EXPECT_EQ(rep.status, RestoreStatus::kOkFromRemote)
+      << to_string(rep.status);
+  EXPECT_EQ(rep.chunks_remote, kChunks);
+  for (int i = 0; i < kChunks; ++i) {
     EXPECT_EQ(std::memcmp(allocator.find(chunks[i]->id())->data(),
                           chunks[i]->data(), sizes[i]),
               0)
         << "chunk " << i;
+  }
+}
+
+TEST(CodecPipeline, EveryModeShipsFramesThatHardRestoreExactly) {
+  for (const core::CodecMode mode :
+       {core::CodecMode::kRaw, core::CodecMode::kLz,
+        core::CodecMode::kAdaptive}) {
+    for (const std::uint32_t depth : {1u, 2u, 4u}) {
+      expect_hard_restore_exact(mode, depth);
+    }
   }
 }
 
@@ -377,62 +393,6 @@ TEST(CodecPipeline, LzModeShrinksLinkBytesAndRestoresExactly) {
   EXPECT_EQ(rep.status, RestoreStatus::kOkFromRemote);
   EXPECT_EQ(rep.chunks_remote, 1);
   EXPECT_TRUE(rig.matches(*c, 50, true));
-}
-
-TEST(CodecPipeline, DeltaModeWalksBackToRingBaseOnRestore) {
-  Rig rig(core::CodecMode::kDelta, /*ring_depth=*/4);
-  auto* c = rig.allocator->nvalloc("delta_chunk", 512 * KiB, true);
-  rig.fill(*c, 60, /*compressible=*/false);  // incompressible payload:
-  rig.mgr->nvchkptall();                     // only a delta can shrink it
-  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-
-  // Epoch 2: touch a small slice; the delta against epoch 1 is tiny even
-  // though the payload itself is incompressible.
-  std::memset(static_cast<std::byte*>(c->data()) + 1024, 0x77, 2048);
-  c->notify_write();
-  rig.mgr->nvchkptall();
-  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-
-  auto& m = rig.helper->metrics();
-  EXPECT_GE(m.counter("codec.choice.delta").value(), 1u);
-
-  // Newest local slot dies; restore must fetch the remote *delta* frame
-  // and walk back to its base epoch in the local version ring.
-  rig.corrupt_newest_local(*c);
-  rig.fill(*c, 99, false);
-  core::RestartCoordinator rc(*rig.mgr, rig.remote.get());
-  const auto rep = rc.restart_after(core::FailureKind::kSoft);
-  EXPECT_EQ(rep.status, RestoreStatus::kOkFromRemote);
-  EXPECT_EQ(rep.chunks_remote, 1);
-  // Byte-verify epoch 2's exact payload (pattern 60 + the 0x77 splice).
-  auto expect = pattern(c->size(), 60, false);
-  std::memset(expect.data() + 1024, 0x77, 2048);
-  EXPECT_EQ(std::memcmp(c->data(), expect.data(), expect.size()), 0);
-}
-
-TEST(CodecPipeline, RollbackToEpochShippedAsDeltaBase) {
-  // The ring keeps serving rollbacks while its newest epochs are shipped
-  // delta-encoded: lose the newest local slot with no buddy reachable and
-  // the restart walks back to the retained epoch that doubled as the
-  // shipped delta's base.
-  Rig rig(core::CodecMode::kDelta, /*ring_depth=*/4);
-  auto* c = rig.allocator->nvalloc("rb_chunk", 256 * KiB, true);
-  rig.fill(*c, 70, true);
-  rig.mgr->nvchkptall();  // epoch 1: the future delta base
-  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-  std::memset(static_cast<std::byte*>(c->data()) + 4096, 0x3c, 512);
-  c->notify_write();
-  rig.mgr->nvchkptall();  // epoch 2: shipped as a delta against epoch 1
-  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-  ASSERT_GE(rig.helper->metrics().counter("codec.choice.delta").value(), 1u);
-
-  rig.corrupt_newest_local(*c);
-  rig.fill(*c, 99, false);
-  core::RestartCoordinator rc(*rig.mgr, /*remote=*/nullptr);
-  const auto rep = rc.restart_after(core::FailureKind::kSoft);
-  EXPECT_EQ(rep.status, RestoreStatus::kOkStale);
-  EXPECT_EQ(rep.chunks_rolled_back, 1);
-  EXPECT_TRUE(rig.matches(*c, 70, true));  // epoch 1's bytes, exactly
 }
 
 TEST(CodecPipeline, AdaptiveLearnsLzOnSlowLink) {

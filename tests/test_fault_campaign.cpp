@@ -476,22 +476,18 @@ TEST(CampaignRunner, DepthOneRollsBackOneEpochAtMost) {
 }
 
 // --- directed codec chaos --------------------------------------------
-// The campaign hits encoded remote payloads statistically; these two
-// scenarios pin the specific laundering hazards the frame format exists
-// to close: a flipped bit inside an encoded frame, and a delta whose
-// local base epoch is gone.
+// The campaign hits encoded remote payloads statistically; this scenario
+// pins the laundering hazard the frame format exists to close: a flipped
+// bit inside a stored frame, LZ or raw.
 
 struct CodecChaosRig {
-  explicit CodecChaosRig(core::CodecMode mode, int ring_depth)
-      : link(2.0e9, 0.1) {
+  explicit CodecChaosRig(core::CodecMode mode) : link(2.0e9, 0.1) {
     NvmConfig cfg;
     cfg.capacity = 64 * MiB;
     cfg.throttle = false;
     dev = std::make_unique<NvmDevice>(cfg);
     container = std::make_unique<vmem::Container>(*dev);
-    alloc::ChunkAllocator::Options aopts;
-    aopts.ring_depth = ring_depth;
-    allocator = std::make_unique<alloc::ChunkAllocator>(*container, aopts);
+    allocator = std::make_unique<alloc::ChunkAllocator>(*container);
     core::CheckpointConfig ccfg;
     ccfg.codec_mode = mode;
     mgr = std::make_unique<core::CheckpointManager>(*allocator, ccfg);
@@ -516,16 +512,6 @@ struct CodecChaosRig {
     c.notify_write();
   }
 
-  bool matches(const alloc::Chunk& c, std::uint64_t seed) {
-    Rng rng(seed);
-    const auto* p = static_cast<const std::byte*>(c.data());
-    for (std::size_t i = 0; i + 8 <= c.size(); i += 8) {
-      const std::uint64_t v = rng.next_u64();
-      if (std::memcmp(p + i, &v, 8) != 0) return false;
-    }
-    return true;
-  }
-
   void corrupt_newest_local(alloc::Chunk& c) {
     const auto& rec = c.record();
     dev->data()[rec.slot_off[rec.committed] + 17] ^= std::byte{0xFF};
@@ -547,7 +533,7 @@ struct CodecChaosRig {
 void expect_frame_bit_flip_detected(core::CodecMode mode,
                                     const char* choice_counter) {
   SCOPED_TRACE(choice_counter);
-  CodecChaosRig rig(mode, /*ring_depth=*/1);
+  CodecChaosRig rig(mode);
   auto* c = rig.allocator->nvalloc("flip", 64 * KiB, true);
   // Runs + seeded noise: compressible enough that the frame really is LZ.
   std::memset(c->data(), 0x2a, c->size() / 2);
@@ -591,61 +577,6 @@ void expect_frame_bit_flip_detected(core::CodecMode mode,
 TEST(CodecChaos, BitFlipInEncodedFrameIsDetectedNeverLaundered) {
   expect_frame_bit_flip_detected(core::CodecMode::kLz, "codec.choice.lz");
   expect_frame_bit_flip_detected(core::CodecMode::kRaw, "codec.choice.raw");
-}
-
-TEST(CodecChaos, LostDeltaBaseFallsBackThenRawReshipRecovers) {
-  // A shipped delta frame references a local retained epoch. Corrupt that
-  // base (standing in for a GC'd or rotted epoch) along with the newest
-  // slot: the remote delta cannot decode, the ring cannot roll back, and
-  // the restore must say so. Recovery is force_raw_reship(): the next
-  // round ships a self-contained raw frame and restores succeed again.
-  CodecChaosRig rig(core::CodecMode::kDelta, /*ring_depth=*/4);
-  auto* c = rig.allocator->nvalloc("base_lost", 64 * KiB, true);
-  rig.fill(*c, 21);
-  rig.mgr->nvchkptall();  // epoch 1: the future delta base
-  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-
-  // Small update -> epoch 2 ships as a delta against epoch 1.
-  std::memset(static_cast<std::byte*>(c->data()) + 2048, 0x5c, 256);
-  c->notify_write();
-  rig.mgr->nvchkptall();
-  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-  ASSERT_GE(rig.helper->metrics().counter("codec.choice.delta").value(), 1u);
-  std::vector<std::byte> golden(c->size());
-  ASSERT_TRUE(rig.allocator->read_committed(*c, golden.data()));
-
-  // Kill every local committed epoch: newest slot and the delta's base.
-  const auto slots =
-      rig.allocator->epoch_directory()->ring(c->id())->snapshot_slots();
-  for (const auto& s : slots) {
-    if (s.committed()) rig.dev->data()[s.off + 33] ^= std::byte{0xFF};
-  }
-  std::memset(c->data(), 0xcd, c->size());
-
-  core::RestartCoordinator rc(*rig.mgr, rig.remote.get());
-  const core::RestartReport rep = rc.restart_after(core::FailureKind::kSoft);
-  EXPECT_EQ(rep.chunks_failed, 1)
-      << "delta decode without its base must fail, not improvise";
-  EXPECT_EQ(rep.chunks_remote, 0);
-
-  // Raw re-ship: the latch forces the next round to self-contained frames
-  // and clears the stale send cursors so the chunk goes out again.
-  rig.helper->force_raw_reship();
-  std::memcpy(c->data(), golden.data(), golden.size());
-  c->notify_write();
-  rig.mgr->nvchkptall();
-  const auto before =
-      rig.helper->metrics().counter("codec.choice.delta").value();
-  ASSERT_FALSE(rig.helper->coordinate_now().degraded);
-  EXPECT_EQ(rig.helper->metrics().counter("codec.choice.delta").value(),
-            before)
-      << "forced raw round still chose delta";
-
-  rig.corrupt_newest_local(*c);
-  std::memset(c->data(), 0xcd, c->size());
-  const core::RestartReport rep2 = rc.restart_after(core::FailureKind::kSoft);
-  EXPECT_EQ(rep2.status, RestoreStatus::kOkFromRemote);
-  EXPECT_EQ(std::memcmp(c->data(), golden.data(), golden.size()), 0);
 }
 
 // Acceptance: 200 mixed soft/hard trials, no undetected loss, every trial

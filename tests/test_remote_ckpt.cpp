@@ -3,8 +3,10 @@
 // behaviour under injected transport faults, and multi-rank coverage.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <thread>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
@@ -271,6 +273,26 @@ TEST_F(PacedPrecopyTest, StopDoesNotWaitForPaceCredit) {
   const Stopwatch sw;
   helper_.stop();
   EXPECT_LT(sw.elapsed(), 1.0);
+}
+
+// The application's allocator calls never wait for the helper's pace
+// wait: a send holds the allocator only while it reads the payload. A
+// call that does wait returns at stop(), so the test fails, not hangs.
+TEST_F(PacedPrecopyTest, AllocatorCallsDoNotWaitForAPaceWait) {
+  std::atomic<bool> done{false};
+  double secs = 0;
+  std::thread app([&] {
+    const Stopwatch sw;
+    alloc::Chunk* c = allocators_[0]->nvalloc("app", 64 * KiB, true);
+    allocators_[0]->nvdelete(c->id());
+    secs = sw.elapsed();
+    done.store(true);
+  });
+  const Stopwatch wait;
+  while (!done.load() && wait.elapsed() < 2.0) precise_sleep(1e-3);
+  helper_.stop();
+  app.join();
+  EXPECT_LT(secs, 1.0);
 }
 
 // A RemoteConfig with a small, deterministic retry policy for fault tests.

@@ -152,9 +152,9 @@ TEST(Stress, RemoteHelperVsLocalCommits) {
 /// The remote helper pre-copies, and another thread coordinates, while
 /// the application allocates, commits and deletes a transient chunk in a
 /// loop. The helper touches a listed chunk only under
-/// ChunkAllocator::with_live, so no scan, send or pin release reads a
-/// freed chunk (ASan checks that), and the chunks that survive the churn
-/// hard-restore byte-exact from the buddy.
+/// ChunkAllocator::with_live, so no scan or send reads a freed chunk
+/// (ASan checks that), and the chunks that survive the churn hard-restore
+/// byte-exact from the buddy.
 TEST(Stress, RemoteHelperVsTransientChunkDelete) {
   NvmConfig cfg;
   cfg.capacity = 64 * MiB;

@@ -119,7 +119,7 @@ class Chunk {
   // ranges (a faulted page run or logged write stays pending for a slot
   // until copied into it), one list per slot within the ring's budget of
   // depth + 1. Guarded by the manager's checkpoint mutex.
-  std::vector<std::vector<vmem::DirtyRange>> slot_ranges_pending_;
+  std::vector<std::vector<DirtyRange>> slot_ranges_pending_;
 
   // This chunk's version ring, plus the ring slot acquired by the last
   // pre-copy and not yet committed (kNoRingSlot when none).

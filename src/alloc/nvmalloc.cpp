@@ -166,7 +166,7 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
 void ChunkAllocator::reset_pending_lists(Chunk& c) {
   if (!tracks_ranges(c.mode_)) return;
   c.slot_ranges_pending_.assign(c.ring_->slot_budget(),
-                                std::vector<vmem::DirtyRange>{{0, c.size_}});
+                                std::vector<DirtyRange>{{0, c.size_}});
 }
 
 void ChunkAllocator::reset_pending_slot(Chunk& c, std::uint32_t slot) {
@@ -304,14 +304,17 @@ std::size_t ChunkAllocator::arm_chunks(const std::vector<Chunk*>& cs) {
   return vmem::ProtectionManager::instance().protect_batch(handles);
 }
 
-double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
-                                     BandwidthLimiter* stream,
-                                     bool skip_arm) {
+ChunkAllocator::Copied ChunkAllocator::precopy_chunk(
+    Chunk& c, std::uint64_t epoch, BandwidthLimiter* stream, bool skip_arm) {
   // Acquire the slot first: a refused acquisition (every reusable slot
   // pinned, or the quota exhausted) then throws with the dirty flags
   // untouched, so the chunk is retried next round, not skipped as clean.
   // The slot holding the acknowledged version is never the one acquired.
   auto& dev = container_->device();
+  // A reused slot that still holds an older committed epoch, with the
+  // checksum that epoch was published with: a range copy into it folds
+  // its clean bytes and verifies them first (copy_dirty_ranges_locked).
+  std::optional<std::uint64_t> published;
   if (c.ring_slot_ == Chunk::kNoRingSlot) {
     const auto acq = c.ring_->acquire_for_commit();
     c.ring_slot_ = acq.index;
@@ -319,18 +322,7 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
     if (acq.fresh) {
       reset_pending_slot(c, acq.index);
     } else if (acq.had_committed && has_pending_list(c, acq.index)) {
-      // Reusing a slot that still holds an older committed epoch: the
-      // incremental range copy folds the slot's clean bytes into the new
-      // checksum, which would launder any in-place corruption of those
-      // bytes into a committed-consistent state. Verify the slot against
-      // the checksum it was committed with and downgrade to a whole-chunk
-      // copy if it no longer matches.
-      std::uint64_t vsum = crc64_init();
-      vsum = crc64_update(vsum, dev.data() + acq.off, c.size_);
-      if (crc64_final(vsum) != acq.prev_checksum) {
-        dir_->note_slot_corruption();
-        reset_pending_slot(c, acq.index);
-      }
+      published = acq.prev_checksum;
     }
   }
 
@@ -361,24 +353,29 @@ double ChunkAllocator::precopy_chunk(Chunk& c, std::uint64_t epoch,
   // CRC-then-copy order had a tear window between the two passes.)
   const std::uint64_t dst_off = c.ring_slot_off_;
   std::uint64_t sum = crc64_init();
-  double secs;
+  Copied done;
   if (tracks_ranges(c.mode_)) {
-    secs = copy_dirty_ranges_locked(c, c.ring_slot_, dst_off, stream, &sum);
+    done = copy_dirty_ranges_locked(c, c.ring_slot_, dst_off, stream,
+                                    published, &sum);
   } else {
-    secs = dev.write(dst_off, c.dram_, c.size_, stream, &sum);
+    done = {dev.write(dst_off, c.dram_, c.size_, stream, &sum), c.size_};
   }
   dev.flush(dst_off, c.size_);
   c.pending_checksum_ = crc64_final(sum);
   c.precopied_epoch_ = epoch;
-  return secs;
+  return done;
 }
 
-double ChunkAllocator::copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
-                                                std::uint64_t dst_off,
-                                                BandwidthLimiter* stream,
-                                                std::uint64_t* crc_state) {
+ChunkAllocator::Copied ChunkAllocator::copy_dirty_ranges_locked(
+    Chunk& c, std::uint32_t slot, std::uint64_t dst_off,
+    BandwidthLimiter* stream, std::optional<std::uint64_t> published,
+    std::uint64_t* crc_state) {
   auto& prot = vmem::ProtectionManager::instance();
   auto& dev = container_->device();
+  auto whole = [&] {
+    return Copied{dev.write(dst_off, c.dram_, c.size_, stream, crc_state),
+                  c.size_};
+  };
 
   // Ranges dirtied since the last collection (logged writes, or faulted
   // page runs) become pending for EVERY slot: each slot independently
@@ -387,7 +384,7 @@ double ChunkAllocator::copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
   if (collected.whole) {
     for (auto& ranges : c.slot_ranges_pending_) ranges = {{0, c.size_}};
   } else {
-    for (const vmem::DirtyRange& r : collected.ranges) {
+    for (const DirtyRange& r : collected.ranges) {
       if (r.off >= c.size_ || r.len == 0) continue;
       const std::uint64_t len = std::min<std::uint64_t>(r.len,
                                                         c.size_ - r.off);
@@ -396,47 +393,48 @@ double ChunkAllocator::copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
       }
     }
   }
-  if (!has_pending_list(c, slot)) {
-    // The all-pinned spill slot past the ring's budget keeps no list.
-    return dev.write(dst_off, c.dram_, c.size_, stream, crc_state);
-  }
+  // The all-pinned spill slot past the ring's budget keeps no list.
+  if (!has_pending_list(c, slot)) return whole();
 
   auto& pending = c.slot_ranges_pending_[slot];
   vmem::merge_dirty_ranges(pending, log_merge_gap_);
 
   std::uint64_t covered = 0;
-  for (const vmem::DirtyRange& r : pending) covered += r.len;
+  for (const DirtyRange& r : pending) covered += r.len;
   if (covered >= static_cast<std::uint64_t>(
                      log_max_coverage_ * static_cast<double>(c.size_)) &&
       covered > 0) {
-    // Dense enough that one sequential whole-chunk write beats many small
-    // ones (and the CRC pass is paid either way).
+    // Dense enough to copy the whole chunk: it moves at most 1/coverage
+    // times the dirty bytes, folds no slot byte (so needs no scrub), and
+    // the CRC pass is paid either way.
     pending.clear();
-    return dev.write(dst_off, c.dram_, c.size_, stream, crc_state);
+    return whole();
   }
 
-  // Walk the payload in offset order, alternating dirty ranges (written,
-  // CRC fused) and clean gaps. Clean gaps feed the CRC from the slot's
+  // The range copy folds the slot's clean bytes into the new checksum,
+  // which would launder any in-place corruption of those bytes into a
+  // committed-consistent state. Verify a reused slot against the checksum
+  // it was committed with first, and copy the whole chunk if it no longer
+  // matches.
+  if (published) {
+    std::uint64_t vsum = crc64_init();
+    vsum = crc64_update(vsum, dev.data() + dst_off, c.size_);
+    if (crc64_final(vsum) != *published) {
+      dir_->note_slot_corruption();
+      pending.clear();
+      return whole();
+    }
+  }
+
+  // One vectored write walks the payload in offset order, copying the
+  // dirty ranges and folding the clean gaps into the CRC from the slot's
   // own bytes, not from DRAM: a store racing this walk could change DRAM
   // after the gap was classified clean, and the checksum must describe
   // the slot content the commit will publish.
-  double secs = 0;
-  std::uint64_t pos = 0;
-  for (const vmem::DirtyRange& r : pending) {
-    if (crc_state && r.off > pos) {
-      *crc_state = crc64_update(*crc_state, dev.data() + dst_off + pos,
-                                r.off - pos);
-    }
-    secs += dev.write(dst_off + r.off, c.dram_ + r.off, r.len, stream,
-                      crc_state);
-    pos = r.end();
-  }
-  if (crc_state && pos < c.size_) {
-    *crc_state = crc64_update(*crc_state, dev.data() + dst_off + pos,
-                              c.size_ - pos);
-  }
+  const double secs =
+      dev.write_ranges(dst_off, c.dram_, c.size_, pending, stream, crc_state);
   pending.clear();
-  return secs;
+  return {secs, covered};
 }
 
 void ChunkAllocator::commit_chunk(Chunk& c, std::uint64_t epoch) {
@@ -453,12 +451,11 @@ void ChunkAllocator::commit_chunk(Chunk& c, std::uint64_t epoch) {
   c.precopied_epoch_ = 0;
 }
 
-double ChunkAllocator::checkpoint_chunk(Chunk& c, std::uint64_t epoch,
-                                        BandwidthLimiter* stream,
-                                        bool skip_arm) {
-  const double secs = precopy_chunk(c, epoch, stream, skip_arm);
+ChunkAllocator::Copied ChunkAllocator::checkpoint_chunk(
+    Chunk& c, std::uint64_t epoch, BandwidthLimiter* stream, bool skip_arm) {
+  const Copied done = precopy_chunk(c, epoch, stream, skip_arm);
   commit_chunk(c, epoch);
-  return secs;
+  return done;
 }
 
 RestoreStatus ChunkAllocator::read_slot(const Chunk& c, std::uint64_t epoch,

@@ -128,6 +128,14 @@ class ChunkAllocator {
   vmem::Container& container() { return *container_; }
 
   // --- checkpoint primitives -------------------------------------------
+  /// What one chunk copy did: seconds spent, and payload bytes moved to
+  /// the device (the merged dirty ranges of a range copy, the chunk size
+  /// of a whole copy).
+  struct Copied {
+    double seconds = 0;
+    std::uint64_t bytes = 0;
+  };
+
   /// Copy the DRAM payload into a ring slot acquired for the next commit
   /// and flush it; records the payload checksum and `epoch` in the chunk
   /// (not yet in the persistent record). The checksum is computed inline with the copy
@@ -139,8 +147,8 @@ class ChunkAllocator {
   /// With `skip_arm` the caller promises the chunk was armed by a
   /// preceding arm_chunks() batch; the per-chunk re-arm is then elided
   /// unless a fault or notify may have disarmed it (detected via the
-  /// event-count snapshot arm_chunks took). Returns seconds spent.
-  double precopy_chunk(Chunk& c, std::uint64_t epoch,
+  /// event-count snapshot arm_chunks took).
+  Copied precopy_chunk(Chunk& c, std::uint64_t epoch,
                        BandwidthLimiter* stream = nullptr,
                        bool skip_arm = false);
 
@@ -160,7 +168,7 @@ class ChunkAllocator {
   void commit_chunk(Chunk& c, std::uint64_t epoch);
 
   /// Convenience for the coordinated path: precopy + commit.
-  double checkpoint_chunk(Chunk& c, std::uint64_t epoch,
+  Copied checkpoint_chunk(Chunk& c, std::uint64_t epoch,
                           BandwidthLimiter* stream = nullptr,
                           bool skip_arm = false);
 
@@ -241,12 +249,17 @@ class ChunkAllocator {
   /// kMprotectPage and kWriteLog: copy only the dirty byte ranges pending
   /// for ring slot `slot` (merged, clamped, with whole-chunk fallback past
   /// the coverage threshold or for a slot past the ring's budget, which
-  /// keeps no list) into the device region at `dst_off`,
-  /// folding every payload byte (copied or clean) into `crc_state` so the
-  /// whole-chunk checksum comes out of the same pass.
-  double copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
+  /// keeps no list) into the device region at `dst_off` in one vectored
+  /// write, folding every payload byte (copied or clean) into `crc_state`
+  /// so the whole-chunk checksum comes out of the same pass. `published`
+  /// is the checksum a reused slot was committed with, when it still has
+  /// to be verified: a range copy verifies the slot against it before
+  /// folding its clean bytes and copies the whole chunk on a mismatch; a
+  /// whole copy folds no slot byte and skips it.
+  Copied copy_dirty_ranges_locked(Chunk& c, std::uint32_t slot,
                                   std::uint64_t dst_off,
                                   BandwidthLimiter* stream,
+                                  std::optional<std::uint64_t> published,
                                   std::uint64_t* crc_state);
 
   vmem::Container* container_;

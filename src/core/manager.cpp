@@ -254,9 +254,9 @@ void CheckpointManager::precopy_batch(
     if (batched) alloc_->arm_chunks(live);
     run_sharded(live, [&, batched](alloc::Chunk& c, BandwidthLimiter* s) {
       if (!c.dirty_local()) return;  // raced with the coordinated step
-      double secs;
+      alloc::ChunkAllocator::Copied done;
       try {
-        secs = alloc_->precopy_chunk(c, epoch, s, batched);
+        done = alloc_->precopy_chunk(c, epoch, s, batched);
       } catch (const NvmcpError&) {
         // No ring slot to be had (the tenant's quota or the device is
         // spent, or every reusable slot is pinned). The chunk stays
@@ -268,9 +268,9 @@ void CheckpointManager::precopy_batch(
         refused.fetch_add(1, std::memory_order_relaxed);
         return;
       }
-      bytes.fetch_add(c.size(), std::memory_order_relaxed);
+      bytes.fetch_add(done.bytes, std::memory_order_relaxed);
       passes.fetch_add(1, std::memory_order_relaxed);
-      nanos.fetch_add(static_cast<std::uint64_t>(secs * 1e9),
+      nanos.fetch_add(static_cast<std::uint64_t>(done.seconds * 1e9),
                       std::memory_order_relaxed);
     });
   });
@@ -291,7 +291,8 @@ double CheckpointManager::nvchkptall() {
   const double interval_len = now_seconds() - interval_start_;
   const std::uint64_t epoch = next_epoch();
 
-  std::uint64_t bytes_this_step = 0;
+  // Chunk sizes committed this round, pre-copied or recopied: DCPC's
+  // learned data size. The bytes this step moves are tallied by the copies.
   std::uint64_t bytes_committed_total = 0;
   std::uint64_t committed_precopy = 0, recopied = 0, skipped = 0;
   std::vector<alloc::Chunk*> residual;
@@ -322,7 +323,6 @@ double CheckpointManager::nvchkptall() {
     } else if (dirty || !alloc_->acknowledged(*c)) {
       // Residual dirty data: this is the copying the blocking step pays.
       residual.push_back(c);
-      bytes_this_step += c->size();
       bytes_committed_total += c->size();
       ++recopied;
     } else {
@@ -352,11 +352,13 @@ double CheckpointManager::nvchkptall() {
   // quota cannot hold back the chunks sharded after it. The epoch
   // advances either way: the chunks committed this round hold it, and a
   // retry numbered the same would leave two slots of one ring with it.
+  std::atomic<std::uint64_t> moved{0};
   std::mutex refused_mu;
   std::exception_ptr refused;
   run_sharded(residual, [&](alloc::Chunk& c, BandwidthLimiter* s) {
     try {
-      alloc_->checkpoint_chunk(c, epoch, s, batched);
+      moved.fetch_add(alloc_->checkpoint_chunk(c, epoch, s, batched).bytes,
+                      std::memory_order_relaxed);
     } catch (const NvmcpError&) {
       c.tracker().dirty_local.store(true, std::memory_order_release);
       std::lock_guard<std::mutex> g(refused_mu);
@@ -366,6 +368,7 @@ double CheckpointManager::nvchkptall() {
   next_epoch_.fetch_add(1, std::memory_order_acq_rel);
   if (refused) std::rethrow_exception(refused);
   const double blocking = sw.elapsed();
+  const std::uint64_t bytes_this_step = moved.load(std::memory_order_relaxed);
 
   refresh_vmem_metrics();
   m_.local_checkpoints->add(1);
@@ -403,9 +406,10 @@ double CheckpointManager::nvchkptid(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(ckpt_mu_);
   telemetry::Span span("nvchkptid", "ckpt.local");
   const std::uint64_t epoch = next_epoch();
-  const double secs = alloc_->checkpoint_chunk(*c, epoch, stream(0));
-  m_.bytes_coordinated->add(c->size());
-  return secs;
+  const alloc::ChunkAllocator::Copied done =
+      alloc_->checkpoint_chunk(*c, epoch, stream(0));
+  m_.bytes_coordinated->add(done.bytes);
+  return done.seconds;
 }
 
 bool CheckpointManager::restore_deferred(std::uint64_t id) const {

@@ -15,10 +15,12 @@ struct CheckpointStats {
   // Local coordinated step.
   std::uint64_t local_checkpoints = 0;
   double local_blocking_seconds = 0;  // app-visible checkpoint time
-  std::uint64_t bytes_coordinated = 0;  // copied during the blocking step
+  // Payload bytes moved to NVM during the blocking step: the merged dirty
+  // ranges of a range copy, the chunk size of a whole copy.
+  std::uint64_t bytes_coordinated = 0;
 
   // Background pre-copy.
-  std::uint64_t bytes_precopied = 0;
+  std::uint64_t bytes_precopied = 0;  // moved by the engine, counted alike
   double precopy_seconds = 0;  // background thread time in copies
   std::uint64_t precopy_passes = 0;  // chunk copies done by the engine
 

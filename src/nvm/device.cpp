@@ -8,6 +8,7 @@
 #include <cerrno>
 #include <cstring>
 
+#include "common/checksum.hpp"
 #include "common/clock.hpp"
 #include "common/log.hpp"
 #include "fault/injector.hpp"
@@ -126,20 +127,36 @@ void NvmDevice::touch_pages(std::size_t off, std::size_t n) {
 
 double NvmDevice::write(std::size_t off, const void* src, std::size_t n,
                         BandwidthLimiter* stream, std::uint64_t* crc_state) {
+  const DirtyRange all{0, n};
+  return write_ranges(off, src, n, {&all, 1}, stream, crc_state);
+}
+
+double NvmDevice::write_ranges(std::size_t off, const void* src,
+                               std::size_t n,
+                               std::span<const DirtyRange> ranges,
+                               BandwidthLimiter* stream,
+                               std::uint64_t* crc_state) {
   check_range(off, n);
-  if (n == 0) return 0.0;
+  const std::uint64_t moved = ThrottledCopier::check_ranges(n, ranges);
+  if (moved == 0) {
+    if (crc_state) *crc_state = crc64_update(*crc_state, data_ + off, n);
+    return 0.0;
+  }
   telemetry::Span span("nvm_write", "nvm");
   const Stopwatch sw;
+  // One pipelined request: its first page pays the write latency, and the
+  // later pages stream behind the bandwidth term.
   if (cfg_.throttle) precise_sleep(cfg_.spec.page_write_latency);
-  ThrottledCopier::copy(data_ + off, src, n,
+  ThrottledCopier::copy(data_ + off, src, n, ranges,
                         cfg_.throttle ? &write_limiter_ : nullptr, stream,
                         crc_state);
-  if (injector_ && injector_->armed()) {
-    injector_->maybe_tear_write(data_ + off, n);
+  const bool tear = injector_ && injector_->armed();
+  for (const DirtyRange& r : ranges) {
+    if (tear) injector_->maybe_tear_write(data_ + off + r.off, r.len);
+    touch_pages(off + r.off, r.len);
   }
-  touch_pages(off, n);
   const double secs = sw.elapsed();
-  bytes_written_.fetch_add(n, std::memory_order_relaxed);
+  bytes_written_.fetch_add(moved, std::memory_order_relaxed);
   write_calls_.fetch_add(1, std::memory_order_relaxed);
   write_ns_.fetch_add(static_cast<std::uint64_t>(secs * 1e9),
                       std::memory_order_relaxed);

@@ -19,6 +19,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -85,16 +86,32 @@ class NvmDevice {
   std::uint64_t root() const;
   void set_root(std::uint64_t off);
 
-  /// Throttled persistent write of n bytes at arena offset `off`.
-  /// `stream` optionally imposes an additional per-core/per-stream rate
-  /// (the paper's NVMBW_core knob). When `crc_state` is non-null it is
-  /// advanced over the bytes placed in the arena, inline with the copy
-  /// (fused single-pass checksum). Fault injection tears the arena only
-  /// *after* the CRC is taken, so a torn write is still caught at
-  /// restore. Returns seconds spent.
+  /// Throttled persistent write of n bytes at arena offset `off`: the
+  /// one-range case of write_ranges.
   double write(std::size_t off, const void* src, std::size_t n,
                BandwidthLimiter* stream = nullptr,
                std::uint64_t* crc_state = nullptr);
+
+  /// Vectored write: one device request that moves the `ranges` of an
+  /// n-byte span from src into the arena at `off` (range r moves
+  /// src[r.off, r.end()) to off + r.off). `ranges` must be sorted by
+  /// offset, disjoint and inside the span; otherwise this throws before a
+  /// byte moves. `stream` optionally imposes an additional per-core rate
+  /// (the paper's NVMBW_core knob). On a throttled device the request pays
+  /// page_write_latency once, then its moved bytes at the limiters' rates.
+  /// When `crc_state` is non-null it is advanced over the whole span in
+  /// offset order, inline with the copy (fused single-pass checksum): a
+  /// clean gap from the arena's bytes, a range from the bytes just placed
+  /// there. Each range is then its own write to the fault injector, which
+  /// may tear it, and to the wear and unflushed-page accounting; a torn
+  /// write is still caught at restore, because the CRC was taken first.
+  /// The call counts once in write_calls and moves the ranges' bytes; with
+  /// no byte to move it is no request (no latency, no call counted) and
+  /// only the CRC covers the span. Returns seconds spent.
+  double write_ranges(std::size_t off, const void* src, std::size_t n,
+                      std::span<const DirtyRange> ranges,
+                      BandwidthLimiter* stream = nullptr,
+                      std::uint64_t* crc_state = nullptr);
 
   /// Throttled read into dst. Reads are fast (Table I) but still modeled.
   /// A non-null `crc_state` is advanced over the bytes read, fused with

@@ -18,7 +18,9 @@ struct NvmSpec {
   std::string name = "PCM";
   double write_bandwidth = 2.0e9;   // bytes/sec, device aggregate
   double read_bandwidth = 8.0e9;    // bytes/sec (reads ~DRAM speed)
-  double page_write_latency = 1e-6; // sec, per touched page on the write path
+  double page_write_latency = 1e-6; // sec, once per device write call: one
+                                    // pipelined request, whose later pages
+                                    // stream behind the bandwidth term
   double page_read_latency = 50e-9; // sec
   double write_endurance = 1e8;     // writes/cell before wear-out
   double write_energy_ratio = 40.0; // x DRAM energy per bit (reporting only)

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 
 #include "common/checksum.hpp"
+#include "common/error.hpp"
 
 namespace nvmcp {
 
@@ -11,8 +13,10 @@ TimePoint BandwidthLimiter::acquire(std::size_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   const TimePoint now = Clock::now();
   if (rate_ <= 0.0) return now;  // unlimited
+  const double secs = static_cast<double>(bytes) / rate_;
+  reserved_seconds_ += secs;
   const auto duration = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(static_cast<double>(bytes) / rate_));
+      std::chrono::duration<double>(secs));
   const TimePoint start = std::max(now, next_free_);
   next_free_ = start + duration;
   return next_free_;
@@ -40,44 +44,111 @@ void BandwidthLimiter::set_rate(double bytes_per_sec) {
 
 namespace {
 
-template <typename BlockFn>
-double run_throttled(std::size_t n, BandwidthLimiter* a, BandwidthLimiter* b,
-                     BlockFn&& block_fn) {
-  const Stopwatch sw;
-  std::size_t off = 0;
-  while (off < n) {
-    const std::size_t len = std::min(ThrottledCopier::kBlockSize, n - off);
-    block_fn(off, len);
-    TimePoint deadline = Clock::now();
-    if (a) deadline = std::max(deadline, a->acquire(len));
-    if (b) deadline = std::max(deadline, b->acquire(len));
-    sleep_until(deadline);
-    off += len;
+/// Pays for moved bytes one kBlockSize at a time: a full block is
+/// reserved on the limiters and slept to its latest deadline, and
+/// finish() pays for the last partial block.
+class BlockPacer {
+ public:
+  BlockPacer(BandwidthLimiter* a, BandwidthLimiter* b) : a_(a), b_(b) {}
+
+  /// Bytes the current block can still take.
+  std::size_t room() const { return ThrottledCopier::kBlockSize - unpaid_; }
+
+  /// Note len <= room() bytes moved; a full block is paid at once.
+  void moved(std::size_t len) {
+    unpaid_ += len;
+    if (unpaid_ == ThrottledCopier::kBlockSize) finish();
   }
-  return sw.elapsed();
-}
+
+  void finish() {
+    if (unpaid_ == 0) return;
+    if (a_ || b_) {
+      TimePoint deadline = Clock::now();
+      if (a_) deadline = std::max(deadline, a_->acquire(unpaid_));
+      if (b_) deadline = std::max(deadline, b_->acquire(unpaid_));
+      sleep_until(deadline);
+    }
+    unpaid_ = 0;
+  }
+
+ private:
+  BandwidthLimiter* a_;
+  BandwidthLimiter* b_;
+  std::size_t unpaid_ = 0;
+};
 
 }  // namespace
 
 double ThrottledCopier::copy(void* dst, const void* src, std::size_t n,
+                             std::span<const DirtyRange> ranges,
                              BandwidthLimiter* a, BandwidthLimiter* b,
                              std::uint64_t* crc_state) {
+  const Stopwatch sw;
   auto* d = static_cast<unsigned char*>(dst);
   const auto* s = static_cast<const unsigned char*>(src);
-  return run_throttled(n, a, b, [&](std::size_t off, std::size_t len) {
-    std::memcpy(d + off, s + off, len);
-    // CRC the destination, not the source: the source may be a live
-    // application buffer, and a store landing between the memcpy and a
-    // second source read would make the checksum disagree with the bytes
-    // actually placed in dst. The destination block is private to this
-    // copy (still cache-hot), so checksum == delivered bytes, always.
-    if (crc_state) *crc_state = crc64_update(*crc_state, d + off, len);
-  });
+  auto fold = [&](std::uint64_t off, std::uint64_t len) {
+    if (crc_state && len) *crc_state = crc64_update(*crc_state, d + off, len);
+  };
+  BlockPacer pacer(a, b);
+  std::uint64_t pos = 0;
+  for (const DirtyRange& r : ranges) {
+    fold(pos, r.off - pos);  // clean gap: the bytes dst already holds
+    for (std::uint64_t off = r.off; off < r.end();) {
+      const std::size_t len = static_cast<std::size_t>(
+          std::min<std::uint64_t>(pacer.room(), r.end() - off));
+      std::memcpy(d + off, s + off, len);
+      // CRC the destination, not the source: a store landing in a live
+      // source between the memcpy and a second source read would make the
+      // checksum disagree with the bytes actually placed in dst. The
+      // destination block is private to this copy (still cache-hot), so
+      // checksum == delivered bytes, always.
+      fold(off, len);
+      pacer.moved(len);
+      off += len;
+    }
+    pos = r.end();
+  }
+  pacer.finish();
+  fold(pos, n - pos);
+  return sw.elapsed();
+}
+
+double ThrottledCopier::copy(void* dst, const void* src, std::size_t n,
+                             BandwidthLimiter* a, BandwidthLimiter* b,
+                             std::uint64_t* crc_state) {
+  const DirtyRange all{0, n};
+  return copy(dst, src, n, {&all, 1}, a, b, crc_state);
+}
+
+std::uint64_t ThrottledCopier::check_ranges(
+    std::size_t n, std::span<const DirtyRange> ranges) {
+  std::uint64_t pos = 0;
+  std::uint64_t bytes = 0;
+  for (const DirtyRange& r : ranges) {
+    if (r.off < pos || r.off > n || r.len > n - r.off) {
+      throw NvmcpError(
+          "ThrottledCopier: ranges must be sorted, disjoint and inside the "
+          "span (off=" + std::to_string(r.off) +
+          " len=" + std::to_string(r.len) + " span=" + std::to_string(n) +
+          ")");
+    }
+    pos = r.end();
+    bytes += r.len;
+  }
+  return bytes;
 }
 
 double ThrottledCopier::consume(std::size_t n, BandwidthLimiter* a,
                                 BandwidthLimiter* b) {
-  return run_throttled(n, a, b, [](std::size_t, std::size_t) {});
+  const Stopwatch sw;
+  BlockPacer pacer(a, b);
+  for (std::size_t off = 0; off < n;) {
+    const std::size_t len = std::min(pacer.room(), n - off);
+    pacer.moved(len);
+    off += len;
+  }
+  pacer.finish();
+  return sw.elapsed();
 }
 
 }  // namespace nvmcp

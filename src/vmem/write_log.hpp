@@ -23,21 +23,16 @@
 #include <mutex>
 #include <vector>
 
+#include "nvm/throttle.hpp"
+
 namespace nvmcp::vmem {
 
 struct WriteTracker;
 
-/// A half-open dirty byte range [off, off+len) within a chunk's working
-/// buffer.
-struct DirtyRange {
-  std::uint64_t off = 0;
-  std::uint64_t len = 0;
-  std::uint64_t end() const { return off + len; }
-};
-
 /// Sort `ranges` by offset and merge overlapping ranges plus neighbours
-/// whose gap is <= merge_gap bytes (copying a small clean gap is cheaper
-/// than issuing two device writes).
+/// whose gap is <= merge_gap bytes. A commit hands all of them to one
+/// vectored device write either way; a merge trades up to merge_gap more
+/// bytes moved for one range fewer to walk, account and keep pending.
 void merge_dirty_ranges(std::vector<DirtyRange>& ranges,
                         std::uint64_t merge_gap);
 

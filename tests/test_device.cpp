@@ -1,6 +1,6 @@
 // Unit tests for the emulated NVM device: arena access, throttled write
-// timing, wear counters, the flush/crash durability model, and file-backed
-// persistence.
+// timing, vectored writes, wear counters, the flush/crash durability model,
+// and file-backed persistence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <filesystem>
 #include <vector>
 
+#include "common/checksum.hpp"
 #include "common/rng.hpp"
 #include "nvm/device.hpp"
 #include "nvm/throttle.hpp"
@@ -97,6 +98,156 @@ TEST(NvmDevice, StatsCountBytes) {
   EXPECT_EQ(s.bytes_read, 10 * KiB);
   EXPECT_EQ(s.write_calls, 1u);
   EXPECT_EQ(s.read_calls, 1u);
+}
+
+std::vector<std::byte> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<std::byte> out(n);
+  Rng rng(seed);
+  for (auto& b : out) b = static_cast<std::byte>(rng.next_u64());
+  return out;
+}
+
+// Sorted, disjoint ranges of a 64 KiB span: one crosses a page boundary,
+// two share a page, one ends the span.
+const std::vector<DirtyRange> kSpanRanges = {
+    {100, 50}, {4000, 200}, {4300, 10}, {20000, 5000}, {65000, 536}};
+constexpr std::size_t kSpan = 64 * KiB;
+constexpr std::size_t kSpanOff = 8 * KiB;
+
+TEST(NvmDevice, VectoredWriteMatchesOneWritePerRange) {
+  NvmDevice vec(small_config());
+  NvmDevice each(small_config());
+  const std::vector<std::byte> old_bytes = random_bytes(kSpan, 11);
+  std::memcpy(vec.data() + kSpanOff, old_bytes.data(), kSpan);
+  std::memcpy(each.data() + kSpanOff, old_bytes.data(), kSpan);
+  const std::vector<std::byte> src = random_bytes(kSpan, 12);
+
+  std::uint64_t vec_crc = crc64_init();
+  vec.write_ranges(kSpanOff, src.data(), kSpan, kSpanRanges, nullptr,
+                   &vec_crc);
+
+  // The range commit before vectored writes: a gap CRC from the arena,
+  // then one write per range.
+  std::uint64_t each_crc = crc64_init();
+  std::uint64_t pos = 0;
+  for (const DirtyRange& r : kSpanRanges) {
+    each_crc = crc64_update(each_crc, each.data() + kSpanOff + pos,
+                            r.off - pos);
+    each.write(kSpanOff + r.off, src.data() + r.off, r.len, nullptr,
+               &each_crc);
+    pos = r.end();
+  }
+  each_crc =
+      crc64_update(each_crc, each.data() + kSpanOff + pos, kSpan - pos);
+
+  EXPECT_EQ(0, std::memcmp(vec.data(), each.data(), vec.capacity()));
+  EXPECT_EQ(vec_crc, each_crc);
+  EXPECT_EQ(crc64_final(vec_crc), crc64(vec.data() + kSpanOff, kSpan));
+  EXPECT_EQ(vec.unflushed_page_count(), each.unflushed_page_count());
+  for (std::size_t p = 0; p < vec.page_count(); ++p) {
+    ASSERT_EQ(vec.page_flushed(p), each.page_flushed(p)) << "page " << p;
+  }
+  const NvmDeviceStats v = vec.stats();
+  const NvmDeviceStats e = each.stats();
+  // Ranges 2 and 3 share a page, which each write wears once.
+  EXPECT_EQ(v.max_page_wear, 2u);
+  EXPECT_EQ(v.max_page_wear, e.max_page_wear);
+  EXPECT_EQ(v.bytes_written, e.bytes_written);
+  EXPECT_EQ(v.bytes_written, 50u + 200 + 10 + 5000 + 536);
+  EXPECT_EQ(v.write_calls, 1u);
+  EXPECT_EQ(e.write_calls, kSpanRanges.size());
+}
+
+TEST(NvmDevice, VectoredWriteWithNoRangesOnlyFoldsTheSpan) {
+  NvmDevice dev(small_config());
+  const std::vector<std::byte> old_bytes = random_bytes(kSpan, 13);
+  std::memcpy(dev.data() + kSpanOff, old_bytes.data(), kSpan);
+  const std::vector<std::byte> src = random_bytes(kSpan, 14);
+  std::uint64_t crc = crc64_init();
+  dev.write_ranges(kSpanOff, src.data(), kSpan, {}, nullptr, &crc);
+  EXPECT_EQ(crc64_final(crc), crc64(old_bytes.data(), kSpan));
+  EXPECT_EQ(0, std::memcmp(dev.data() + kSpanOff, old_bytes.data(), kSpan));
+  EXPECT_EQ(dev.unflushed_page_count(), 0u);
+  EXPECT_EQ(dev.stats().bytes_written, 0u);
+  EXPECT_EQ(dev.stats().max_page_wear, 0u);
+  EXPECT_EQ(dev.stats().write_calls, 0u);
+}
+
+TEST(NvmDevice, VectoredWriteRejectsBadRangesBeforeAnyByteMoves) {
+  NvmDevice dev(small_config());
+  const std::vector<std::byte> before(dev.data(),
+                                      dev.data() + dev.capacity());
+  const std::vector<std::byte> src = random_bytes(kSpan, 15);
+  const std::vector<std::vector<DirtyRange>> bad = {
+      {{4000, 200}, {100, 50}},         // unsorted
+      {{100, 50}, {120, 10}},           // overlapping
+      {{100, 50}, {kSpan - 8, 16}},     // past the span's end
+      {{kSpan + 1, 0}},                 // starts past the span
+      {{100, ~std::uint64_t{0} - 50}},  // length wraps around
+  };
+  for (const auto& ranges : bad) {
+    std::uint64_t crc = crc64_init();
+    EXPECT_THROW(dev.write_ranges(kSpanOff, src.data(), kSpan, ranges,
+                                  nullptr, &crc),
+                 NvmcpError);
+    EXPECT_EQ(crc, crc64_init());
+  }
+  // A span past the arena throws too, whatever its ranges.
+  EXPECT_THROW(dev.write_ranges(dev.capacity() - 4 * KiB, src.data(), kSpan,
+                                kSpanRanges),
+               NvmcpError);
+  EXPECT_EQ(0, std::memcmp(dev.data(), before.data(), before.size()));
+  EXPECT_EQ(dev.unflushed_page_count(), 0u);
+  EXPECT_EQ(dev.stats().bytes_written, 0u);
+  EXPECT_EQ(dev.stats().write_calls, 0u);
+}
+
+TEST(NvmDevice, ThrottledVectoredWriteIsOneLatencyPlusBytesOverRate) {
+  // Eight 40 KiB ranges spread over a 1 MiB span: 320 KiB moved, so the
+  // copier's 256 KiB blocks cross range boundaries.
+  const double rate = 256.0 * MiB;
+  const double latency = 5e-3;
+  NvmConfig cfg = small_config(/*throttle=*/true);
+  cfg.spec.write_bandwidth = rate;
+  cfg.spec.page_write_latency = latency;
+  NvmDevice dev(cfg);
+  std::vector<DirtyRange> ranges;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    ranges.push_back({i * 128 * KiB, 40 * KiB});
+  }
+  const std::vector<std::byte> src = random_bytes(1 * MiB, 16);
+  const double bytes = 8 * 40.0 * KiB;
+
+  // Modeled time: what the request reserves on the device limiter's
+  // timeline (bytes / rate), plus page_write_latency per counted call.
+  auto modeled = [&](auto&& write) {
+    const double r0 = dev.write_limiter().reserved_seconds();
+    const std::uint64_t c0 = dev.stats().write_calls;
+    const double secs = write();
+    const double model = dev.write_limiter().reserved_seconds() - r0 +
+                         static_cast<double>(dev.stats().write_calls - c0) *
+                             latency;
+    // Wall clock bounds the write from below only: a sleep can overshoot
+    // its deadline on a loaded host, never undershoot it.
+    EXPECT_GE(secs, 0.99 * model);
+    return model;
+  };
+  const double vectored = modeled([&] {
+    return dev.write_ranges(0, src.data(), src.size(), ranges);
+  });
+  EXPECT_NEAR(vectored, bytes / rate + latency, 1e-9);
+  EXPECT_EQ(dev.stats().write_calls, 1u);
+
+  // The same bytes as one write per range reserve the same bandwidth time
+  // but pay the latency eight times.
+  const double per_range = modeled([&] {
+    double secs = 0;
+    for (const DirtyRange& r : ranges) {
+      secs += dev.write(r.off, src.data() + r.off, r.len);
+    }
+    return secs;
+  });
+  EXPECT_NEAR(per_range, bytes / rate + 8 * latency, 1e-9);
 }
 
 TEST(NvmDevice, FlushClearsUnflushedSet) {

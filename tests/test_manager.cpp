@@ -569,6 +569,33 @@ TEST_F(ManagerTest, SubPageCommitMatchesWholeChunkByteForByte) {
   EXPECT_LT(ranges.device_bytes_written, whole.device_bytes_written);
 }
 
+// The byte counters count bytes moved: a range commit adds its merged
+// range, a whole copy its chunk size.
+TEST_F(ManagerTest, BytesCoordinatedCountsTheMergedRange) {
+  ModeStack s = make_mode_stack(vmem::TrackMode::kWriteLog, -1, 1);
+  alloc::Chunk* c = s.chunks[0];
+  auto store64 = [&](std::size_t off, std::uint64_t seed) {
+    auto* p = static_cast<std::byte*>(c->data());
+    for (std::size_t i = 0; i < 64; i += 8) {
+      std::memcpy(p + off + i, &seed, 8);
+    }
+    c->log_write(off, 64);
+  };
+  for (alloc::Chunk* ch : s.chunks) ch->log_write(0, ch->size());
+  s.mgr->nvchkptall();  // every chunk, whole, into its first slot
+  EXPECT_EQ(s.mgr->stats().bytes_coordinated, 6 * 16 * KiB);
+  store64(1000, 1);
+  s.mgr->nvchkptall();  // the first commit into the second slot is whole
+  EXPECT_EQ(s.mgr->stats().bytes_coordinated, 7 * 16 * KiB);
+  // The first slot takes both stores since its commit, merged into
+  // [1000, 1096).
+  store64(1032, 2);
+  s.mgr->nvchkptall();
+  EXPECT_EQ(s.mgr->stats().bytes_coordinated, 7 * 16 * KiB + 96);
+  EXPECT_EQ(s.mgr->stats().chunks_recopied_dirty, 8u);
+  EXPECT_EQ(restore_local(*s.mgr), RestoreStatus::kOk);
+}
+
 // Batched re-arm is a syscall-count optimisation only: with the identical
 // fault-driven schedule it must commit identical bytes while issuing no
 // more mprotect calls than the per-chunk path.

@@ -202,7 +202,7 @@ TEST_F(NvmallocTest, PerStreamLimiterThrottlesCheckpoint) {
   Chunk* c = allocator_->nvalloc("slow", 1 * MiB, true);
   fill(*c, 1);
   BandwidthLimiter stream(32.0 * MiB);
-  const double secs = allocator_->checkpoint_chunk(*c, 1, &stream);
+  const double secs = allocator_->checkpoint_chunk(*c, 1, &stream).seconds;
   const double expected = static_cast<double>(c->size()) / (32.0 * MiB);
   EXPECT_GT(secs, 0.6 * expected);
 }

@@ -128,21 +128,69 @@ TEST_F(PagedAllocTest, SecondCheckpointCopiesOnlyDirtyPages) {
   allocator_->checkpoint_chunk(*c, 1);  // slot A: full initial copy
   allocator_->checkpoint_chunk(*c, 2);  // slot B: full initial copy
 
-  const auto before = dev_->stats().bytes_written;
+  const NvmDeviceStats before = dev_->stats();
   // Touch exactly one page; the next checkpoint targets slot A again,
   // whose pending set now holds only that page (slots accumulate deltas
   // independently, so a slot two epochs behind would need both epochs').
   static_cast<std::byte*>(c->data())[5 * page + 9] = std::byte{0x77};
   allocator_->checkpoint_chunk(*c, 3);
-  const auto delta = dev_->stats().bytes_written - before;
+  const NvmDeviceStats after = dev_->stats();
+  const auto delta = after.bytes_written - before.bytes_written;
   EXPECT_LT(delta, 3 * page) << "one dirty page should move ~one page";
+  EXPECT_EQ(after.write_calls - before.write_calls, 1u);
 
   // And the restored image is still exact.
-  std::vector<std::byte> snapshot(c->size());
-  std::memcpy(snapshot.data(), c->data(), c->size());
-  fill(*c, 9);
-  EXPECT_EQ(allocator_->restore_chunk(*c), RestoreStatus::kOk);
-  EXPECT_EQ(0, std::memcmp(c->data(), snapshot.data(), c->size()));
+  auto restores_exactly = [&](alloc::ChunkAllocator& a, alloc::Chunk& ch) {
+    std::vector<std::byte> snapshot(ch.size());
+    std::memcpy(snapshot.data(), ch.data(), ch.size());
+    fill(ch, 9);
+    EXPECT_EQ(a.restore_chunk(ch), RestoreStatus::kOk);
+    EXPECT_EQ(0, std::memcmp(ch.data(), snapshot.data(), ch.size()));
+  };
+  restores_exactly(*allocator_, *c);
+
+  // Sparse runs below the coverage threshold (4 of 16 pages) still make
+  // one device write: the commit hands every run to one vectored write.
+  alloc::Chunk* sparse = allocator_->nvalloc("sparse", 16 * page, true);
+  fill(*sparse, 2);
+  allocator_->checkpoint_chunk(*sparse, 1);
+  allocator_->checkpoint_chunk(*sparse, 2);
+  for (const std::size_t pg : {1, 5, 9, 12}) {
+    static_cast<std::byte*>(sparse->data())[pg * page + 33] = std::byte{7};
+  }
+  const NvmDeviceStats s0 = dev_->stats();
+  allocator_->checkpoint_chunk(*sparse, 3);
+  const NvmDeviceStats s1 = dev_->stats();
+  EXPECT_EQ(s1.write_calls - s0.write_calls, 1u);
+  EXPECT_GE(s1.bytes_written - s0.bytes_written, 4 * page);
+  EXPECT_LT(s1.bytes_written - s0.bytes_written, 5 * page);
+  restores_exactly(*allocator_, *sparse);
+
+  // The write log's ranges take the same path: three logged stores, one
+  // device write.
+  NvmConfig cfg;
+  cfg.capacity = 8 * MiB;
+  cfg.throttle = false;
+  NvmDevice dev(cfg);
+  vmem::Container cont(dev);
+  alloc::ChunkAllocator::Options opts;
+  opts.track_mode = vmem::TrackMode::kWriteLog;
+  alloc::ChunkAllocator logged(cont, opts);
+  alloc::Chunk* lc = logged.nvalloc("logged", 16 * page, true);
+  fill(*lc, 3);
+  lc->log_write(0, lc->size());
+  logged.checkpoint_chunk(*lc, 1);
+  logged.checkpoint_chunk(*lc, 2);
+  for (const std::size_t off : {std::size_t{64}, 6 * page, 11 * page + 8}) {
+    std::memset(static_cast<std::byte*>(lc->data()) + off, 0x5c, 64);
+    lc->log_write(off, 64);
+  }
+  const NvmDeviceStats l0 = dev.stats();
+  logged.checkpoint_chunk(*lc, 3);
+  const NvmDeviceStats l1 = dev.stats();
+  EXPECT_EQ(l1.write_calls - l0.write_calls, 1u);
+  EXPECT_LT(l1.bytes_written - l0.bytes_written, page);
+  restores_exactly(logged, *lc);
 }
 
 TEST_F(PagedAllocTest, DenseDirtyPagesCommitInOneDeviceWrite) {

@@ -141,7 +141,7 @@ TEST(ThrottledCopier, SharedLimiterSplitsBandwidth) {
 
 TEST(ThrottledCopier, ZeroBytesIsFree) {
   BandwidthLimiter lim(1.0);  // absurdly slow
-  std::byte b;
+  std::byte b{};
   const double secs = ThrottledCopier::copy(&b, &b, 0, &lim);
   EXPECT_LT(secs, 0.01);
 }

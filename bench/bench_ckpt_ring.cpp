@@ -273,9 +273,8 @@ int run(bool smoke) {
   // End-to-end: WorkloadSpec::graph500() through the multi-rank driver.
   // The frontier-burst dirty set swings by orders of magnitude between
   // checkpoints, so ring slots fill with wildly different commit sizes --
-  // the shape the saturation-driven GC exists for. The ring depth rides
-  // the env knob here (the driver builds its own allocators), which also
-  // exercises the NVMCP_EPOCH_RING_DEPTH path end-to-end. Skipped under
+  // the shape the saturation-driven GC exists for. The ring depth reaches
+  // every rank's allocator through DriverConfig::ring_depth. Skipped under
   // --smoke: driver runs take seconds.
   if (!smoke) {
     Json& g500 = report.section("graph500_driver");
@@ -284,9 +283,9 @@ int run(bool smoke) {
         "iterations, checkpoint every %d) ==\n",
         apps::WorkloadSpec::graph500().iters_per_checkpoint);
     for (const int depth : {1, 4}) {
-      ::setenv("NVMCP_EPOCH_RING_DEPTH", std::to_string(depth).c_str(), 1);
       apps::DriverConfig dcfg;
       dcfg.spec = apps::WorkloadSpec::graph500();
+      dcfg.ring_depth = depth;
       dcfg.ranks = 2;
       dcfg.iterations = 16;
       dcfg.size_scale = 1.0 / 64;
@@ -306,7 +305,6 @@ int run(bool smoke) {
       row["efficiency"] = r.efficiency;
       g500.push_back(std::move(row));
     }
-    ::unsetenv("NVMCP_EPOCH_RING_DEPTH");
   }
 
   if (!csv.empty()) {

@@ -393,7 +393,6 @@ int run(bool smoke) {
       // whole-shard memcpy).
       dcfg.ckpt.nvm_bw_per_core = 400.0 * MiB;
       dcfg.track_mode = mode;
-      dcfg.track_mode_from_env = false;
       dcfg.seed = 42;
       const apps::DriverResult r = apps::run_workload(dcfg);
       std::printf(

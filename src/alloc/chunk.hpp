@@ -57,9 +57,6 @@ class Chunk {
   bool dirty_local() const {
     return tracker_.dirty_local.load(std::memory_order_acquire);
   }
-  bool dirty_remote() const {
-    return tracker_.dirty_remote.load(std::memory_order_acquire);
-  }
 
   /// Explicit write notification (software tracking mode, or to skip a
   /// protection fault the caller knows is coming).

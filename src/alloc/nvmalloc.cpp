@@ -7,7 +7,6 @@
 #include <cstring>
 
 #include "common/checksum.hpp"
-#include "common/env.hpp"
 #include "common/log.hpp"
 
 namespace nvmcp::alloc {
@@ -18,17 +17,6 @@ std::byte* map_dram(std::size_t bytes) {
                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
   if (p == MAP_FAILED) throw NvmcpError("nvalloc: mmap DRAM buffer failed");
   return static_cast<std::byte*>(p);
-}
-
-std::uint64_t resolve_merge_gap(long configured) {
-  if (configured >= 0) return static_cast<std::uint64_t>(configured);
-  return static_cast<std::uint64_t>(
-      env::get_i64("NVMCP_DIRTY_LOG_MERGE_GAP", 512, 0, INT64_MAX));
-}
-
-double resolve_max_coverage(double configured) {
-  if (configured >= 0) return std::clamp(configured, 0.0, 1.0);
-  return env::get_double("NVMCP_DIRTY_LOG_MAX_COVERAGE", 0.5, 0.0, 1.0);
 }
 
 /// Modes whose tracker hands the copier dirty byte ranges (page runs or
@@ -56,8 +44,9 @@ ChunkAllocator::ChunkAllocator(vmem::Container& container)
 ChunkAllocator::ChunkAllocator(vmem::Container& container, Options opts)
     : container_(&container),
       opts_(opts),
-      log_merge_gap_(resolve_merge_gap(opts.dirty_log_merge_gap)),
-      log_max_coverage_(resolve_max_coverage(opts.dirty_log_max_coverage)),
+      log_merge_gap_(static_cast<std::uint64_t>(
+          std::max(opts.dirty_log_merge_gap, 0L))),
+      log_max_coverage_(std::clamp(opts.dirty_log_max_coverage, 0.0, 1.0)),
       ring_depth_(epoch::resolve_ring_depth(opts.ring_depth)) {
   if (opts_.shared_dir) {
     // Arena mode: the directory (and its depth) belongs to the arena; all
@@ -140,7 +129,6 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
 
   // A new working buffer has never been checkpointed: consider it dirty.
   c.tracker_.dirty_local.store(true, std::memory_order_release);
-  c.tracker_.dirty_remote.store(true, std::memory_order_release);
 
   const std::size_t track_len = c.owns_dram_ ? c.dram_capacity_ : c.size_;
   c.prot_handle_ = vmem::ProtectionManager::instance().register_range(
@@ -307,7 +295,7 @@ std::size_t ChunkAllocator::arm_chunks(const std::vector<Chunk*>& cs) {
 ChunkAllocator::Copied ChunkAllocator::precopy_chunk(
     Chunk& c, std::uint64_t epoch, BandwidthLimiter* stream, bool skip_arm) {
   // Acquire the slot first: a refused acquisition (every reusable slot
-  // pinned, or the quota exhausted) then throws with the dirty flags
+  // pinned, or the quota exhausted) then throws with the dirty flag
   // untouched, so the chunk is retried next round, not skipped as clean.
   // The slot holding the acknowledged version is never the one acquired.
   auto& dev = container_->device();
@@ -328,7 +316,7 @@ ChunkAllocator::Copied ChunkAllocator::precopy_chunk(
 
   // Snapshot the tracker's event count, arm tracking, clear the dirty
   // flag, then verify no event raced the clear: faults, notifies and log
-  // appends bump the count *before* the dirty flags, so an unchanged count
+  // appends bump the count *before* the dirty flag, so an unchanged count
   // proves the cleared flag was not re-set. Snapshotting before the arm
   // means an event in between cannot be absorbed (leaving the chunk clean
   // and disarmed). A later store hits an armed range and re-marks the
@@ -339,7 +327,13 @@ ChunkAllocator::Copied ChunkAllocator::precopy_chunk(
     // chunk: re-arm it so the dance below is race-safe again.
     vmem::ProtectionManager::instance().protect(c.prot_handle_);
   }
-  c.tracker_.dirty_local.store(false, std::memory_order_release);
+  // The clear is a seq_cst read-modify-write, and the recheck's loads,
+  // the writers' count bumps and their flag stores are seq_cst too. A
+  // release clear followed by acquire loads of the count does not order
+  // the two: on x86 the clear can wait in the store buffer while the
+  // recheck reads the old count, and a writer's mark that lands in that
+  // window is then overwritten, leaving the chunk clean and disarmed.
+  c.tracker_.dirty_local.exchange(false, std::memory_order_seq_cst);
   if (c.tracker_.write_events() != f0) {
     c.tracker_.dirty_local.store(true, std::memory_order_release);
   }

@@ -57,18 +57,18 @@ class ChunkAllocator {
     bool verify_checksums = true;
     /// kWriteLog and kMprotectPage: merge dirty ranges (logged writes or
     /// faulted page runs) whose gap is <= this many bytes before copying
-    /// (-1: NVMCP_DIRTY_LOG_MERGE_GAP, default 512).
-    long dirty_log_merge_gap = -1;
+    /// (a negative gap counts as 0).
+    long dirty_log_merge_gap = 512;
     /// kWriteLog and kMprotectPage: fall back to a whole-chunk copy when
-    /// merged dirty coverage exceeds this fraction of the chunk (-1:
-    /// NVMCP_DIRTY_LOG_MAX_COVERAGE, default 0.5).
-    double dirty_log_max_coverage = -1;
-    /// Committed epochs retained per chunk (0: NVMCP_EPOCH_RING_DEPTH,
-    /// default 1). Every chunk keeps its versions in a per-chunk ring of
-    /// depth + 1 slots addressable through the epoch directory; depth 1
-    /// is the paper's two-slot alternation. Ring depths may change across
+    /// merged dirty coverage exceeds this fraction of the chunk (clamped
+    /// to [0, 1]).
+    double dirty_log_max_coverage = 0.5;
+    /// Committed epochs retained per chunk, clamped to [1, kMaxRingDepth].
+    /// Every chunk keeps its versions in a per-chunk ring of depth + 1
+    /// slots addressable through the epoch directory; depth 1 is the
+    /// paper's two-slot alternation. Ring depths may change across
     /// reopens (1 -> 4 -> 2).
-    int ring_depth = 0;
+    int ring_depth = 1;
     /// Multi-tenant arena mode: use this epoch directory (owned by the
     /// arena, shared by every tenant — a container's chunk records have
     /// exactly one directory) instead of creating one. Overrides

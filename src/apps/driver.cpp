@@ -51,9 +51,6 @@ DriverResult run_workload(const DriverConfig& cfg) {
   init_log_from_env();
   const int R = cfg.ranks;
   if (R <= 0) throw NvmcpError("driver: ranks must be positive");
-  const vmem::TrackMode tmode =
-      cfg.track_mode_from_env ? vmem::resolve_track_mode(cfg.track_mode)
-                              : cfg.track_mode;
 
   // Node-level fabric + buddy store.
   net::Interconnect link(cfg.link_bw, cfg.link_timeline_bucket);
@@ -80,7 +77,8 @@ DriverResult run_workload(const DriverConfig& cfg) {
     ctx.device = std::make_unique<NvmDevice>(ncfg);
     ctx.container = std::make_unique<vmem::Container>(*ctx.device);
     alloc::ChunkAllocator::Options aopts;
-    aopts.track_mode = tmode;
+    aopts.track_mode = cfg.track_mode;
+    aopts.ring_depth = cfg.ring_depth;
     ctx.allocator =
         std::make_unique<alloc::ChunkAllocator>(*ctx.container, aopts);
     core::CheckpointConfig ccfg = cfg.ckpt;
@@ -146,7 +144,7 @@ DriverResult run_workload(const DriverConfig& cfg) {
           const double target = t.frac * phase;
           const double now = phase_sw.elapsed();
           if (target > now) precise_sleep(target - now);
-          apply_touch(t, iter, ctx.rng, tmode);
+          apply_touch(t, iter, ctx.rng, cfg.track_mode);
         }
         const double left = phase - phase_sw.elapsed();
         if (left > 0) precise_sleep(left);

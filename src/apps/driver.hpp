@@ -40,9 +40,9 @@ struct DriverConfig {
   core::CheckpointConfig ckpt;   // per-rank policy + NVMBW_core
   bool checkpoint_enabled = true;
   vmem::TrackMode track_mode = vmem::TrackMode::kMprotect;
-  /// Consult NVMCP_TRACK_MODE (overriding track_mode when set). Benches
-  /// that sweep modes explicitly pin this to false.
-  bool track_mode_from_env = true;
+  /// Committed epochs retained per chunk in every rank's allocator
+  /// (ChunkAllocator::Options::ring_depth).
+  int ring_depth = 1;
 
   bool remote_enabled = false;
   core::RemoteConfig remote;

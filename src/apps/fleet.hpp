@@ -50,8 +50,8 @@ struct FleetConfig {
     c.throttle = false;
     return c;
   }();
-  int ring_depth = 0;     // 0: NVMCP_EPOCH_RING_DEPTH
-  int max_inflight = 0;   // 0: NVMCP_TENANT_MAX_INFLIGHT
+  int ring_depth = 1;     // TenantArena::Options::ring_depth
+  int max_inflight = 2;   // TenantArena::Options::max_inflight
   /// Total bandwidth the QoS scheduler partitions (<0: derive from the
   /// device, which with the default unthrottled device means unlimited).
   double scheduler_bw = -1;

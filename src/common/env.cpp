@@ -1,7 +1,6 @@
 #include "common/env.hpp"
 
 #include <cstdlib>
-#include <cstring>
 
 #include "common/log.hpp"
 
@@ -11,8 +10,6 @@ namespace {
 const char* raw(const char* name) { return std::getenv(name); }
 
 }  // namespace
-
-bool is_set(const char* name) { return raw(name) != nullptr; }
 
 std::string get_string(const char* name, const std::string& def) {
   const char* v = raw(name);
@@ -48,15 +45,6 @@ double get_double(const char* name, double def, double lo, double hi) {
   if (out > hi) out = hi;
   log_debug("env: %s=%g -> %g%s", name, parsed, out,
             parsed == out ? "" : " (clamped)");
-  return out;
-}
-
-bool get_bool(const char* name, bool def) {
-  const char* v = raw(name);
-  if (!v) return def;
-  const bool out = !(std::strcmp(v, "0") == 0 || std::strcmp(v, "off") == 0 ||
-                     std::strcmp(v, "false") == 0);
-  log_debug("env: %s=%s -> %s", name, v, out ? "true" : "false");
   return out;
 }
 

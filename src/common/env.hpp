@@ -1,7 +1,7 @@
-// Centralized NVMCP_* environment-knob resolution.
+// Typed NVMCP_* environment reads (the telemetry settings and the remote
+// retry overrides).
 //
-// Every knob follows the same contract, previously copy-pasted across
-// config/remote/dirty-tracking call sites:
+// Every read follows the same contract:
 //   - unset or unparsable  -> default value, no log line
 //   - parsable             -> clamped into [lo, hi], one debug log line
 //     showing the resolved value (and whether it was clamped)
@@ -14,9 +14,6 @@
 
 namespace nvmcp::env {
 
-// True when `name` is set in the environment (even if empty/unparsable).
-bool is_set(const char* name);
-
 // Raw string value, or `def` when unset.
 std::string get_string(const char* name, const std::string& def);
 
@@ -26,9 +23,5 @@ std::int64_t get_i64(const char* name, std::int64_t def,
 
 // Floating-point knob: unset/unparsable -> def; otherwise clamp to [lo, hi].
 double get_double(const char* name, double def, double lo, double hi);
-
-// Boolean knob: unset -> def; "0"/"off"/"false" -> false; anything else
-// that is set -> true (matches the historical NVMCP_BATCH_REARM contract).
-bool get_bool(const char* name, bool def);
 
 }  // namespace nvmcp::env

@@ -2,29 +2,26 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 #include "common/units.hpp"
 
 namespace nvmcp::core {
 
 using compress::Codec;
 
-CodecTuner::Options CodecTuner::resolve(Options o) {
-  if (o.entropy_max < 0) {
-    o.entropy_max = env::get_double("NVMCP_CODEC_ENTROPY_MAX", 7.2, 0.0, 8.0);
-  }
-  if (o.min_gain < 0) {
-    o.min_gain = env::get_double("NVMCP_CODEC_MIN_GAIN", 1.05, 1.0, 100.0);
-  }
+namespace {
+
+CodecTuner::Options clamped(CodecTuner::Options o) {
   o.entropy_max = std::clamp(o.entropy_max, 0.0, 8.0);
   o.min_gain = std::clamp(o.min_gain, 1.0, 100.0);
   o.alpha = std::clamp(o.alpha, 0.01, 1.0);
   return o;
 }
 
+}  // namespace
+
 CodecTuner::CodecTuner() : CodecTuner(Options{}) {}
 
-CodecTuner::CodecTuner(Options opts) : opts_(resolve(opts)) {
+CodecTuner::CodecTuner(Options opts) : opts_(clamped(opts)) {
   // Priors until feedback arrives: LZ on checkpoint payloads lands around
   // 2x and encodes at ~1 GiB/s. The first few observe() calls replace
   // these with measurements.
@@ -37,7 +34,6 @@ CodecTuner::CodecTuner(Options opts) : opts_(resolve(opts)) {
 compress::Codec CodecTuner::choose(CodecMode mode, double entropy_bits,
                                    std::size_t chunk_bytes) const {
   switch (mode) {
-    case CodecMode::kUnset:
     case CodecMode::kRaw:
       return Codec::kRaw;
     case CodecMode::kLz:

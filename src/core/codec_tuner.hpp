@@ -27,20 +27,16 @@ class CodecTuner {
  public:
   struct Options {
     /// Entropy (bits/byte) above which LZ is not attempted: near-random
-    /// payloads do not shrink and the probe already told us so (-1 =
-    /// NVMCP_CODEC_ENTROPY_MAX, default 7.2).
-    double entropy_max = -1;
+    /// payloads do not shrink and the probe already told us so. Clamped
+    /// to [0, 8].
+    double entropy_max = 7.2;
     /// Minimum predicted wire shrink (raw/wire) before an encoder is
-    /// worth its CPU when the link is not the bottleneck (-1 =
-    /// NVMCP_CODEC_MIN_GAIN, default 1.05).
-    double min_gain = -1;
+    /// worth its CPU when the link is not the bottleneck. Clamped to
+    /// [1, 100].
+    double min_gain = 1.05;
     /// EMA smoothing for observed ratios/throughputs.
     double alpha = 0.3;
   };
-
-  /// Apply NVMCP_CODEC_* environment overrides to the -1 fields and clamp
-  /// everything to sane ranges.
-  static Options resolve(Options opts);
 
   CodecTuner();
   explicit CodecTuner(Options opts);

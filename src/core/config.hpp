@@ -37,18 +37,16 @@ inline const char* to_string(PrecopyPolicy p) {
 /// always a self-contained compress:: frame (header with the
 /// decoded-payload CRC, then the body), so the buddy's copy alone
 /// restores a chunk after a hard failure:
-///   kUnset    - resolve from NVMCP_CODEC (unset env = kRaw)
 ///   kRaw      - every send a raw frame (payload verbatim)
 ///   kLz       - every send framed + LZ-compressed (raw fallback when the
 ///               payload does not shrink)
 ///   kAdaptive - per-chunk choice raw/LZ from the sampled-entropy probe
 ///               and the CodecTuner's observed encode-throughput-vs-link
 ///               cost model
-enum class CodecMode : std::uint8_t { kUnset, kRaw, kLz, kAdaptive };
+enum class CodecMode : std::uint8_t { kRaw, kLz, kAdaptive };
 
 inline const char* to_string(CodecMode m) {
   switch (m) {
-    case CodecMode::kUnset: return "unset";
     case CodecMode::kRaw: return "raw";
     case CodecMode::kLz: return "lz";
     case CodecMode::kAdaptive: return "adaptive";
@@ -68,10 +66,9 @@ struct CheckpointConfig {
   /// walk and the background pre-copy scan: the calling thread plus
   /// copy_threads - 1 others. Each commit worker drives its own NVMBW_core
   /// stream limiter (the paper's concurrent-copier model, Fig 4) while
-  /// the device-global limiter still caps the aggregate. 0 = resolve from
-  /// the NVMCP_COPY_THREADS environment variable, defaulting to 1 (the
-  /// caller alone); an explicit value ignores the environment.
-  std::size_t copy_threads = 0;
+  /// the device-global limiter still caps the aggregate. 1 (and 0) is the
+  /// caller alone.
+  std::size_t copy_threads = 1;
 
   /// Cadence of the background pre-copy scan loop.
   double precopy_scan_period = 2e-3;
@@ -95,17 +92,17 @@ struct CheckpointConfig {
   /// Batched re-arm of dirty tracking: the coordinated step and the
   /// pre-copy batches protect their chunks through
   /// ChunkAllocator::arm_chunks, which coalesces address-adjacent ranges
-  /// into O(runs) mprotect calls instead of one per chunk.
-  /// -1 = resolve from NVMCP_BATCH_REARM (default on); 0/1 pin it.
-  int batch_rearm = -1;
+  /// into O(runs) mprotect calls instead of one per chunk. Any nonzero
+  /// value enables it; 0 re-arms chunk by chunk.
+  int batch_rearm = 1;
 
   /// Background epoch-ring GC (only active when the allocator runs with
   /// ring depth > 1): device-occupancy watermark above which old retained
-  /// epochs are reclaimed oldest-first (-1 = NVMCP_EPOCH_GC_WATERMARK,
-  /// default 0.85) and the per-chunk retention floor the GC never digs
-  /// below (-1 = NVMCP_EPOCH_GC_FLOOR, default 2, clamped to the depth).
-  double epoch_gc_watermark = -1;
-  int epoch_gc_floor = -1;
+  /// epochs are reclaimed oldest-first (clamped to [0.05, 1]) and the
+  /// per-chunk retention floor the GC never digs below (clamped to
+  /// [1, ring depth]).
+  double epoch_gc_watermark = 0.85;
+  int epoch_gc_floor = 2;
   /// Seconds between GC occupancy checks.
   double epoch_gc_period = 2e-3;
   /// Run the GC on a background thread between start()/stop(). Harnesses
@@ -114,28 +111,11 @@ struct CheckpointConfig {
   bool epoch_gc_background = true;
 
   /// Remote-transport codec for this rank's chunks (see CodecMode).
-  /// kUnset consults the NVMCP_CODEC environment knob; unset there too
-  /// means kRaw (raw frames).
-  CodecMode codec_mode = CodecMode::kUnset;
+  CodecMode codec_mode = CodecMode::kRaw;
 
   /// Rank of this process within its node (used for remote put keys).
   std::uint32_t rank = 0;
 };
-
-/// Resolve CheckpointConfig::copy_threads: 0 consults NVMCP_COPY_THREADS
-/// (clamped to [1, 64]; unset or unparsable means 1), anything else is
-/// returned unchanged.
-std::size_t resolve_copy_threads(std::size_t configured);
-
-/// Resolve CheckpointConfig::batch_rearm: -1 consults NVMCP_BATCH_REARM
-/// ("0"/"off"/"false" disables, anything else -- including unset -- means
-/// enabled); 0/1 are returned as false/true regardless of the environment.
-bool resolve_batch_rearm(int configured);
-
-/// Resolve CheckpointConfig::codec_mode: kUnset consults NVMCP_CODEC
-/// ("raw" / "lz" / "adaptive"; unset or unrecognized = raw),
-/// any pinned value is returned unchanged.
-CodecMode resolve_codec_mode(CodecMode configured);
 
 /// Health of one rank's remote-replication path. Transitions are driven by
 /// the helper's send outcomes (see RemoteCheckpointer):
@@ -200,9 +180,10 @@ struct RemoteConfig {
   double delay_fraction = 0.4;
   /// Retry/backoff policy for remote puts.
   RemoteRetryPolicy retry;
-  /// When true (default), NVMCP_REMOTE_* environment knobs override the
-  /// configured retry fields (ops tuning without a rebuild). Deterministic
-  /// harnesses (chaos campaigns, replay tests) pin this to false.
+  /// When true (default), the environment knobs of resolve_remote_retry
+  /// override the configured retry fields (ops tuning without a rebuild).
+  /// Deterministic harnesses (chaos campaigns, replay tests) pin this to
+  /// false.
   bool retry_from_env = true;
 };
 

@@ -6,7 +6,6 @@
 #include <future>
 
 #include "common/clock.hpp"
-#include "common/env.hpp"
 #include "common/log.hpp"
 #include "telemetry/trace.hpp"
 
@@ -31,31 +30,11 @@ std::vector<std::vector<alloc::Chunk*>> shard_by_size(
   return out;
 }
 
-std::size_t resolve_copy_threads(std::size_t configured) {
-  if (configured != 0) return configured;
-  const std::int64_t v = env::get_i64("NVMCP_COPY_THREADS", 0, 0, 64);
-  return v <= 0 ? 1 : static_cast<std::size_t>(v);
-}
-
-bool resolve_batch_rearm(int configured) {
-  if (configured == 0) return false;
-  if (configured > 0) return true;
-  return env::get_bool("NVMCP_BATCH_REARM", true);
-}
-
-CodecMode resolve_codec_mode(CodecMode configured) {
-  if (configured != CodecMode::kUnset) return configured;
-  const std::string v = env::get_string("NVMCP_CODEC", "raw");
-  if (v == "lz") return CodecMode::kLz;
-  if (v == "adaptive") return CodecMode::kAdaptive;
-  return CodecMode::kRaw;
-}
-
 CheckpointManager::CheckpointManager(alloc::ChunkAllocator& allocator,
                                      CheckpointConfig cfg)
     : alloc_(&allocator), cfg_(cfg), prediction_(cfg.learn_alpha),
-      copy_threads_(resolve_copy_threads(cfg.copy_threads)),
-      batch_rearm_(resolve_batch_rearm(cfg.batch_rearm)) {
+      copy_threads_(std::max<std::size_t>(cfg.copy_threads, 1)),
+      batch_rearm_(cfg.batch_rearm != 0) {
   // Worker 0 is whichever thread calls in; the pool runs the others.
   if (copy_threads_ > 1) {
     pool_ = std::make_unique<ThreadPool>(copy_threads_ - 1);

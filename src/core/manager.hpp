@@ -123,7 +123,7 @@ class CheckpointManager {
   /// restores the private streams.
   void set_shared_stream(BandwidthLimiter* trunk) { shared_stream_ = trunk; }
 
-  /// Resolved copier-thread count (config knob or NVMCP_COPY_THREADS):
+  /// Copier-thread count (CheckpointConfig::copy_threads, at least 1):
   /// commit, restore and pre-copy shard their chunks over this many
   /// workers. Commit and pre-copy run on the calling thread plus
   /// copy_threads() - 1 pool threads, one NVMBW_core stream per worker;

@@ -89,10 +89,6 @@ RemoteCheckpointer::RemoteCheckpointer(
   m_.codec_choice[1] = &metrics_.counter("codec.choice.lz");
   m_.codec_encode_seconds = &metrics_.gauge("codec.encode_seconds");
   m_.codec_ratio = &metrics_.gauge("codec.ratio");
-  codec_mode_.reserve(managers_.size());
-  for (CheckpointManager* m : managers_) {
-    codec_mode_.push_back(resolve_codec_mode(m->config().codec_mode));
-  }
   health_.resize(managers_.size());
   for (std::size_t i = 0; i < managers_.size(); ++i) {
     health_[i].gauge = &metrics_.gauge(
@@ -257,7 +253,7 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
   // pass): pick a codec, encode once into the frame buffer; retries
   // re-ship the same frame bytes. Every frame is raw or LZ and decodes on
   // its own, so the buddy's copy alone restores the chunk.
-  const CodecMode mode = codec_mode_[mgr_idx];
+  const CodecMode mode = codec_mode(mgr_idx);
   // Only the adaptive tuner reads the entropy probe; it samples the
   // committed payload just read, not live DRAM.
   const double entropy =

@@ -105,7 +105,7 @@ class RemoteCheckpointer {
   /// Transport health of one manager's replication path (index into the
   /// constructor's manager list).
   RemoteHealth health(std::size_t mgr_idx) const;
-  /// Resolved retry policy (config + NVMCP_REMOTE_* overrides).
+  /// Resolved retry policy (config + resolve_remote_retry's overrides).
   const RemoteRetryPolicy& retry_policy() const { return retry_; }
 
   /// This helper's metric registry ("remote.*" counters/gauges; the
@@ -122,10 +122,10 @@ class RemoteCheckpointer {
   /// cut, and every rank's health drops to kIsolated. nullptr detaches.
   void set_fault_injector(fault::FaultInjector* fi) { injector_ = fi; }
 
-  /// Resolved codec mode of one manager's replication stream (config +
-  /// NVMCP_CODEC). kRaw ships raw frames.
+  /// Codec mode of one manager's replication stream (its
+  /// CheckpointConfig::codec_mode). kRaw ships raw frames.
   CodecMode codec_mode(std::size_t mgr_idx) const {
-    return codec_mode_[mgr_idx];
+    return managers_[mgr_idx]->config().codec_mode;
   }
 
  private:
@@ -242,9 +242,6 @@ class RemoteCheckpointer {
   compress::FrameEncoder encoder_;
   CodecTuner tuner_;
   Rng retry_rng_{0x7e721e5};  // backoff jitter only; never affects data
-
-  // Codec mode per manager, resolved at construction.
-  std::vector<CodecMode> codec_mode_;
 
   // Per-rank transport health (index == manager index).
   struct HealthSlot {

@@ -2,28 +2,22 @@
 
 #include <algorithm>
 
-#include "common/env.hpp"
 #include "common/log.hpp"
 
 namespace nvmcp::epoch {
 
 std::uint32_t resolve_ring_depth(int configured) {
-  std::int64_t v = configured;
-  if (v <= 0) v = env::get_i64("NVMCP_EPOCH_RING_DEPTH", 1, 1, kMaxRingDepth);
   return static_cast<std::uint32_t>(
-      std::clamp<std::int64_t>(v, 1, kMaxRingDepth));
+      std::clamp<std::int64_t>(configured, 1, kMaxRingDepth));
 }
 
 double resolve_gc_watermark(double configured) {
-  if (configured >= 0) return std::clamp(configured, 0.05, 1.0);
-  return env::get_double("NVMCP_EPOCH_GC_WATERMARK", 0.85, 0.05, 1.0);
+  return std::clamp(configured, 0.05, 1.0);
 }
 
 std::uint32_t resolve_gc_floor(int configured) {
-  std::int64_t v = configured;
-  if (v <= 0) v = env::get_i64("NVMCP_EPOCH_GC_FLOOR", 2, 1, kMaxRingDepth);
   return static_cast<std::uint32_t>(
-      std::clamp<std::int64_t>(v, 1, kMaxRingDepth));
+      std::clamp<std::int64_t>(configured, 1, kMaxRingDepth));
 }
 
 EpochDirectory::EpochDirectory(vmem::Container& container, Options opts)

@@ -24,18 +24,16 @@
 
 namespace nvmcp::epoch {
 
-/// NVMCP_EPOCH_RING_DEPTH: committed epochs retained per chunk.
-/// `configured` > 0 wins; otherwise the env knob, default 1 (a two-slot
-/// ring: the paper's committed + in-progress pair), clamped to
-/// [1, kMaxRingDepth].
+/// Committed epochs retained per chunk, clamped to [1, kMaxRingDepth]: a
+/// chunk record holds at most kMaxRingDepth + 1 slots. Depth 1 is a
+/// two-slot ring, the paper's committed + in-progress pair.
 std::uint32_t resolve_ring_depth(int configured);
 
-/// NVMCP_EPOCH_GC_WATERMARK: device occupancy above which the GC reclaims.
-/// `configured` >= 0 wins; default 0.85, clamped to [0.05, 1.0].
+/// Device occupancy above which the GC reclaims, clamped to [0.05, 1.0].
 double resolve_gc_watermark(double configured);
 
-/// NVMCP_EPOCH_GC_FLOOR: committed epochs per chunk the GC must retain.
-/// `configured` > 0 wins; default 2, clamped to [1, kMaxRingDepth].
+/// Committed epochs per chunk the GC must retain, clamped to
+/// [1, kMaxRingDepth].
 std::uint32_t resolve_gc_floor(int configured);
 
 struct GcPassStats {

@@ -21,12 +21,10 @@ namespace nvmcp::epoch {
 class EpochGc {
  public:
   struct Options {
-    /// Device occupancy above which reclamation starts (-1: env knob
-    /// NVMCP_EPOCH_GC_WATERMARK, default 0.85).
-    double watermark = -1;
-    /// Minimum committed epochs retained per chunk (-1: env knob
-    /// NVMCP_EPOCH_GC_FLOOR, default 2).
-    int floor = -1;
+    /// Device occupancy above which reclamation starts.
+    double watermark = 0.85;
+    /// Minimum committed epochs retained per chunk (at most the depth).
+    int floor = 2;
     /// Seconds between occupancy checks.
     double period = 2e-3;
   };

@@ -760,7 +760,10 @@ CrossTenantResult CampaignRunner::run_cross_tenant(
     ts.quota_bytes = spec.quota_bytes;
     ts.track_mode = vmem::TrackMode::kSoftware;
     // No background engine: the trial controls every copy explicitly.
+    // Four copiers shard each commit and restore walk, so the trial also
+    // race-checks concurrent copiers against the crash.
     ts.ckpt.local_policy = core::PrecopyPolicy::kNone;
+    ts.ckpt.copy_threads = 4;
     return &arena.create_tenant(ts);
   };
   tenant::TenantHandle* ta = make_tenant("chaos-a", 0);

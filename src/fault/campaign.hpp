@@ -90,14 +90,14 @@ struct CampaignSpec {
   /// dropped or mis-ordered range surfaces as undetected loss.
   vmem::TrackMode track_mode = vmem::TrackMode::kSoftware;
 
-  /// Copier workers for each trial's CheckpointManagers (0 = resolve from
-  /// NVMCP_COPY_THREADS, i.e. CheckpointConfig semantics). >1 runs
-  /// commits and restores on concurrent copiers under fault injection.
+  /// Copier workers for each trial's CheckpointManagers
+  /// (CheckpointConfig::copy_threads). >1 runs commits and restores on
+  /// concurrent copiers under fault injection.
   /// Note the injector's RNG draw order then depends on thread
   /// interleaving, so replay determinism of individual fault *points* is
   /// relaxed; outcome invariants (no undetected loss) must hold
   /// regardless.
-  std::size_t copy_threads = 0;
+  std::size_t copy_threads = 1;
 
   /// Version-ring depth for every trial allocator. Depth N retains the
   /// last N committed epochs (N+1 between commits), so a corrupted newest

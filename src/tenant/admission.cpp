@@ -1,11 +1,7 @@
 #include "tenant/admission.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <chrono>
-#include <string>
-
-#include "common/env.hpp"
 
 namespace nvmcp::tenant {
 
@@ -17,35 +13,6 @@ const char* to_string(AdmissionPolicy p) {
       return "reject";
   }
   return "?";
-}
-
-int resolve_max_inflight(int configured) {
-  if (configured > 0) return configured;
-  return static_cast<int>(
-      env::get_i64("NVMCP_TENANT_MAX_INFLIGHT", 2, 1, 64));
-}
-
-AdmissionPolicy resolve_admission_policy(AdmissionPolicy fallback) {
-  std::string v = env::get_string("NVMCP_TENANT_ADMISSION", "");
-  std::transform(v.begin(), v.end(), v.begin(),
-                 [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
-  if (v == "queue" || v == "wait" || v == "block") {
-    return AdmissionPolicy::kQueue;
-  }
-  if (v == "reject" || v == "fail" || v == "drop") {
-    return AdmissionPolicy::kReject;
-  }
-  return fallback;
-}
-
-double resolve_queue_timeout(double configured) {
-  if (configured >= 0) return configured;
-  return env::get_double("NVMCP_TENANT_QUEUE_TIMEOUT", 5.0, 0.0, 3600.0);
-}
-
-double resolve_priority_boost(double configured) {
-  if (configured > 0) return configured;
-  return env::get_double("NVMCP_TENANT_PRIO_BOOST", 4.0, 1.0, 64.0);
 }
 
 bool AdmissionController::is_next_locked(int priority,

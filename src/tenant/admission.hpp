@@ -5,7 +5,7 @@
 // below the budget AND no better-ranked waiter is queued ahead of it
 // (higher priority first, FIFO within a priority). Over-budget arrivals
 // either queue with a timeout (kQueue) or fail fast (kReject), per the
-// NVMCP_TENANT_ADMISSION policy. The budget keeps N tenants' coordinated
+// arena's admission policy. The budget keeps N tenants' coordinated
 // steps from stampeding the device at once; the QoS scheduler then splits
 // bandwidth among the rounds that were admitted.
 #pragma once
@@ -23,22 +23,6 @@ enum class AdmissionPolicy {
 };
 
 const char* to_string(AdmissionPolicy p);
-
-/// NVMCP_TENANT_MAX_INFLIGHT: arena-wide in-flight round budget.
-/// `configured` <= 0 defers to the env knob (default 2, clamp [1, 64]).
-int resolve_max_inflight(int configured);
-
-/// NVMCP_TENANT_ADMISSION: "queue" | "wait" | "block" -> kQueue,
-/// "reject" | "fail" | "drop" -> kReject. Unset/unknown -> `fallback`.
-AdmissionPolicy resolve_admission_policy(AdmissionPolicy fallback);
-
-/// NVMCP_TENANT_QUEUE_TIMEOUT: seconds a kQueue round may wait.
-/// `configured` < 0 defers to the env knob (default 5.0, clamp [0, 3600]).
-double resolve_queue_timeout(double configured);
-
-/// NVMCP_TENANT_PRIO_BOOST: scheduler share multiplier per priority
-/// level. `configured` <= 0 defers to env (default 4.0, clamp [1, 64]).
-double resolve_priority_boost(double configured);
 
 class AdmissionController {
  public:

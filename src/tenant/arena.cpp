@@ -1,5 +1,6 @@
 #include "tenant/arena.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.hpp"
@@ -128,12 +129,10 @@ TenantArena::TenantArena(Options opts)
       container_(dev_),
       ring_depth_(epoch::resolve_ring_depth(opts.ring_depth)),
       admission_(AdmissionController::Options{
-          resolve_max_inflight(opts.max_inflight),
-          resolve_admission_policy(opts.admission),
-          resolve_queue_timeout(opts.queue_timeout)}),
-      sched_(BandwidthScheduler::Options{
-          resolve_scheduler_bw(opts),
-          resolve_priority_boost(opts.priority_boost)}) {
+          std::max(opts.max_inflight, 1), opts.admission,
+          opts.queue_timeout}),
+      sched_(BandwidthScheduler::Options{resolve_scheduler_bw(opts),
+                                         opts.priority_boost}) {
   dir_ = std::make_unique<epoch::EpochDirectory>(
       container_, epoch::EpochDirectory::Options{ring_depth_});
   m_inflight_ = &metrics_.gauge("arena.inflight_rounds");

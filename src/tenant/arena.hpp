@@ -127,18 +127,16 @@ class TenantArena {
  public:
   struct Options {
     NvmConfig device;
-    /// Committed epochs retained per chunk (0: NVMCP_EPOCH_RING_DEPTH).
-    int ring_depth = 0;
-    /// Arena-wide in-flight round budget (<=0: NVMCP_TENANT_MAX_INFLIGHT,
-    /// default 2).
-    int max_inflight = 0;
-    /// Over-budget behaviour; NVMCP_TENANT_ADMISSION overrides when set.
+    /// Committed epochs retained per chunk, clamped to [1, kMaxRingDepth].
+    int ring_depth = 1;
+    /// Arena-wide in-flight round budget (at least 1).
+    int max_inflight = 2;
+    /// Over-budget behaviour.
     AdmissionPolicy admission = AdmissionPolicy::kQueue;
-    /// kQueue wait bound, seconds (<0: NVMCP_TENANT_QUEUE_TIMEOUT, 5.0).
-    double queue_timeout = -1;
-    /// Scheduler share multiplier per priority level
-    /// (<=0: NVMCP_TENANT_PRIO_BOOST, default 4.0).
-    double priority_boost = 0;
+    /// kQueue wait bound, seconds.
+    double queue_timeout = 5.0;
+    /// Scheduler share multiplier per priority level.
+    double priority_boost = 4.0;
     /// Cap the QoS scheduler partitions, bytes/sec. <0 = derive from the
     /// device (spec write bandwidth when throttled, else unlimited);
     /// 0 = unlimited.

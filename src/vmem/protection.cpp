@@ -6,13 +6,10 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <cstring>
-#include <string>
 
 #include "common/checksum.hpp"
-#include "common/env.hpp"
 #include "common/error.hpp"
 
 namespace nvmcp::vmem {
@@ -60,19 +57,6 @@ const char* to_string(TrackMode mode) {
       return "writelog";
   }
   return "unknown";
-}
-
-TrackMode resolve_track_mode(TrackMode fallback) {
-  std::string v = env::get_string("NVMCP_TRACK_MODE", std::string{});
-  if (v.empty()) return fallback;
-  for (char& c : v) c = static_cast<char>(std::tolower(c));
-  if (v == "mprotect" || v == "chunk") return TrackMode::kMprotect;
-  if (v == "mprotect_page" || v == "page") return TrackMode::kMprotectPage;
-  if (v == "software" || v == "soft") return TrackMode::kSoftware;
-  if (v == "writelog" || v == "write_log" || v == "log") {
-    return TrackMode::kWriteLog;
-  }
-  return fallback;
 }
 
 // Out-of-line trampoline so the raw handler signature stays C-compatible.
@@ -354,7 +338,7 @@ void ProtectionManager::notify_write(int handle) {
       // Counter after the disarm and before the flags, in every mode --
       // the fault handler's contract: pre-copy's clear-and-recheck reads
       // it to catch a notify that disarmed the range behind its arm.
-      r->tracker->writes_logged.fetch_add(1, std::memory_order_acq_rel);
+      r->tracker->writes_logged.fetch_add(1);
       r->tracker->mark_dirty();
     }
     return;
@@ -465,7 +449,7 @@ bool ProtectionManager::handle_fault(void* addr) {
       }
       const bool ok = crc64(r->start, r->lazy_len) == r->lazy_crc;
       r->armed.store(false, std::memory_order_release);
-      r->tracker->faults.fetch_add(1, std::memory_order_acq_rel);
+      r->tracker->faults.fetch_add(1);
       r->tracker->mark_dirty();  // restored data needs re-persisting
       total_faults_.fetch_add(1, std::memory_order_relaxed);
       r->lazy_state.store(static_cast<int>(ok ? LazyState::kDone
@@ -494,10 +478,10 @@ bool ProtectionManager::handle_fault(void* addr) {
     if (::mprotect(page_start, page, PROT_READ | PROT_WRITE) != 0) {
       return false;
     }
-    // Fault count is bumped BEFORE the dirty flags so the pre-copy path
+    // Fault count is bumped BEFORE the dirty flag so the pre-copy path
     // can detect a fault racing its clear of dirty_local (see
     // ChunkAllocator::precopy_chunk).
-    r->tracker->faults.fetch_add(1, std::memory_order_acq_rel);
+    r->tracker->faults.fetch_add(1);
     r->pages->set(static_cast<std::size_t>(page_start - r->start) / page);
     r->tracker->mark_dirty();
   } else {
@@ -508,7 +492,7 @@ bool ProtectionManager::handle_fault(void* addr) {
       return false;
     }
     r->armed.store(false, std::memory_order_release);
-    r->tracker->faults.fetch_add(1, std::memory_order_acq_rel);
+    r->tracker->faults.fetch_add(1);
     r->tracker->mark_dirty();
   }
   total_faults_.fetch_add(1, std::memory_order_relaxed);

@@ -8,7 +8,7 @@
 // again"). This gives one fault per chunk per modification interval instead
 // of one per page (6-12us each, ~3s/GB if taken per page).
 //
-// Tracking modes, selectable per registration (and via NVMCP_TRACK_MODE):
+// Tracking modes, selectable per registration:
 //  * kMprotect  - real mprotect(PROT_READ) + SIGSEGV handler. Application
 //                 stores need no instrumentation.
 //  * kSoftware  - the application (or workload driver / simulator) calls
@@ -42,7 +42,6 @@ namespace nvmcp::vmem {
 /// (alloc layer); must outlive the registration.
 struct WriteTracker {
   std::atomic<bool> dirty_local{false};
-  std::atomic<bool> dirty_remote{false};
   /// Modifications observed this checkpoint interval (prediction input).
   std::atomic<std::uint32_t> mods_in_interval{0};
   /// Lifetime protection-fault count for this chunk.
@@ -50,7 +49,7 @@ struct WriteTracker {
   /// Lifetime nanoseconds spent in this chunk's protection faults.
   std::atomic<std::uint64_t> fault_ns{0};
   /// Lifetime logged writes (kWriteLog appends) plus notify_write calls
-  /// that disarmed the range (every mode). Bumped before the dirty flags,
+  /// that disarmed the range (every mode). Bumped before the dirty flag,
   /// so write_events() plays the fault counter's role in the pre-copy
   /// clear-and-recheck dance.
   std::atomic<std::uint64_t> writes_logged{0};
@@ -59,14 +58,14 @@ struct WriteTracker {
   std::atomic<std::uint64_t> log_drops{0};
 
   /// Faults plus writes_logged: moves whenever a store is recorded.
+  /// Sequentially consistent, like the writers' count bumps and flag
+  /// stores (see ChunkAllocator::precopy_chunk).
   std::uint64_t write_events() const {
-    return faults.load(std::memory_order_acquire) +
-           writes_logged.load(std::memory_order_acquire);
+    return faults.load() + writes_logged.load();
   }
 
   void mark_dirty() {
-    dirty_local.store(true, std::memory_order_release);
-    dirty_remote.store(true, std::memory_order_release);
+    dirty_local.store(true);
     mods_in_interval.fetch_add(1, std::memory_order_acq_rel);
   }
 };
@@ -88,11 +87,6 @@ struct WriteTracker {
 enum class TrackMode { kMprotect, kMprotectPage, kSoftware, kWriteLog };
 
 const char* to_string(TrackMode mode);
-
-/// Resolve a tracking mode from the NVMCP_TRACK_MODE environment variable
-/// ("mprotect", "mprotect_page"/"page", "software", "writelog"/
-/// "write_log"/"log"); unset or unrecognized returns `fallback`.
-TrackMode resolve_track_mode(TrackMode fallback);
 
 class ProtectionManager {
  public:

@@ -1,9 +1,7 @@
 #include "vmem/write_log.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 
-#include "common/env.hpp"
 #include "vmem/protection.hpp"
 
 namespace nvmcp::vmem {
@@ -12,12 +10,6 @@ namespace {
 /// A sink whose un-collected range list grows past this is switched to
 /// whole-chunk pending: an uncollected chunk should cost bounded memory.
 constexpr std::size_t kMaxPendingRanges = 1u << 16;
-
-std::size_t capacity_from_env() {
-  const std::int64_t v = env::get_i64("NVMCP_DIRTY_LOG_CAPACITY", 0, 0, 1 << 22);
-  if (v == 0) return 8192;  // unset, unparsable, or explicit 0 -> default
-  return std::max<std::size_t>(static_cast<std::size_t>(v), 16);
-}
 
 }  // namespace
 
@@ -74,11 +66,11 @@ void WriteLogRegistry::append(DirtyLogSink* sink, std::uint64_t off,
                               std::uint64_t len) {
   if (!sink || len == 0) return;
   WriteTracker* t = sink->tracker;
-  // Bumped BEFORE the record publish and the dirty flags, mirroring the
+  // Bumped BEFORE the record publish and the dirty flag, mirroring the
   // fault handler's counter-then-flag order: the pre-copy dance reads
   // faults + writes_logged around its dirty-flag clear to detect a racing
   // writer (see ChunkAllocator::precopy_chunk).
-  t->writes_logged.fetch_add(1, std::memory_order_acq_rel);
+  t->writes_logged.fetch_add(1);
 
   Shard* sh = my_shard();
   const std::uint64_t head = sh->head.load(std::memory_order_acquire);
@@ -101,8 +93,11 @@ void WriteLogRegistry::append(DirtyLogSink* sink, std::uint64_t off,
   }
   sh->appends.fetch_add(1, std::memory_order_relaxed);
 
-  if (!t->dirty_local.load(std::memory_order_relaxed) ||
-      !t->dirty_remote.load(std::memory_order_relaxed)) {
+  // Sequentially consistent, like the count bump above: a load that read
+  // a true the pre-copy clear then overwrote would otherwise skip the mark
+  // while the clear's recheck missed the bump (ChunkAllocator::
+  // precopy_chunk).
+  if (!t->dirty_local.load()) {
     t->mark_dirty();
   } else {
     t->mods_in_interval.fetch_add(1, std::memory_order_acq_rel);
@@ -151,8 +146,7 @@ void WriteLogRegistry::set_shard_capacity(std::size_t records) {
 }
 
 std::size_t WriteLogRegistry::shard_capacity() const {
-  const std::size_t c = capacity_.load(std::memory_order_relaxed);
-  return c ? c : capacity_from_env();
+  return capacity_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t WriteLogRegistry::total_appends() const {

@@ -64,7 +64,7 @@ class WriteLogRegistry {
   /// Append one dirty range. Must be called AFTER the store it describes
   /// (the release-publish of the record is what orders the data for the
   /// copier). Updates the sink's tracker: writes_logged is bumped before
-  /// the dirty flags so ChunkAllocator::precopy_chunk can detect an append
+  /// the dirty flag so ChunkAllocator::precopy_chunk can detect an append
   /// racing its dirty-flag clear, exactly like the fault counter.
   void append(DirtyLogSink* sink, std::uint64_t off, std::uint64_t len);
 
@@ -123,7 +123,7 @@ class WriteLogRegistry {
 
   mutable std::mutex mu_;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::atomic<std::size_t> capacity_{0};  // 0 = resolve from environment
+  std::atomic<std::size_t> capacity_{8192};  // records per new shard
 };
 
 }  // namespace nvmcp::vmem

@@ -206,26 +206,6 @@ TEST(CodecTuner, ObserveLearnsRatioAndBandwidth) {
   EXPECT_LT(t.ratio(Codec::kLz), 0.75);
 }
 
-TEST(CodecConfig, EnvResolution) {
-  EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kLz),
-            core::CodecMode::kLz);  // explicit config wins over env
-  setenv("NVMCP_CODEC", "adaptive", 1);
-  EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kUnset),
-            core::CodecMode::kAdaptive);
-  setenv("NVMCP_CODEC", "delta", 1);  // no delta mode: unrecognized
-  EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kUnset),
-            core::CodecMode::kRaw);
-  setenv("NVMCP_CODEC", "lz", 1);
-  EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kUnset),
-            core::CodecMode::kLz);
-  setenv("NVMCP_CODEC", "bogus", 1);
-  EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kUnset),
-            core::CodecMode::kRaw);
-  unsetenv("NVMCP_CODEC");
-  EXPECT_EQ(core::resolve_codec_mode(core::CodecMode::kUnset),
-            core::CodecMode::kRaw);
-}
-
 // --- fused remote pipeline -------------------------------------------
 
 struct Rig {

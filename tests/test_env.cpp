@@ -1,17 +1,20 @@
-// Environment-knob resolution: the common/env clamp contract and the
-// resolve_* helpers layered on it, including the NVMCP_TENANT_* family.
+// Environment reads: the common/env clamp contract the telemetry settings
+// and the remote retry overrides go through, and a check that the tuning
+// values come from the config structs alone.
 //
-// Every test owns its knob via ScopedEnv so the suite is order- and
+// Every test owns its variables via ScopedEnv so the suite is order- and
 // environment-independent.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 
+#include "apps/driver.hpp"
 #include "common/env.hpp"
-#include "epoch/directory.hpp"
-#include "tenant/admission.hpp"
-#include "vmem/protection.hpp"
+#include "core/codec_tuner.hpp"
+#include "core/remote.hpp"
+#include "tenant/arena.hpp"
+#include "vmem/write_log.hpp"
 
 namespace nvmcp {
 namespace {
@@ -37,13 +40,11 @@ class ScopedEnv {
 TEST(Env, I64UnsetReturnsDefault) {
   ScopedEnv e("NVMCP_TEST_KNOB", nullptr);
   EXPECT_EQ(env::get_i64("NVMCP_TEST_KNOB", 7, 0, 100), 7);
-  EXPECT_FALSE(env::is_set("NVMCP_TEST_KNOB"));
 }
 
 TEST(Env, I64UnparsableReturnsDefault) {
   ScopedEnv e("NVMCP_TEST_KNOB", "banana");
   EXPECT_EQ(env::get_i64("NVMCP_TEST_KNOB", 7, 0, 100), 7);
-  EXPECT_TRUE(env::is_set("NVMCP_TEST_KNOB"));
 }
 
 TEST(Env, I64ClampsIntoRange) {
@@ -76,167 +77,118 @@ TEST(Env, DoubleClampsIntoRange) {
   }
 }
 
-TEST(Env, BoolContract) {
-  {
-    ScopedEnv e("NVMCP_TEST_KNOB", nullptr);
-    EXPECT_TRUE(env::get_bool("NVMCP_TEST_KNOB", true));
-    EXPECT_FALSE(env::get_bool("NVMCP_TEST_KNOB", false));
-  }
-  for (const char* off : {"0", "off", "false"}) {
-    ScopedEnv e("NVMCP_TEST_KNOB", off);
-    EXPECT_FALSE(env::get_bool("NVMCP_TEST_KNOB", true)) << off;
-  }
-  {
-    ScopedEnv e("NVMCP_TEST_KNOB", "1");
-    EXPECT_TRUE(env::get_bool("NVMCP_TEST_KNOB", false));
-  }
-}
-
 TEST(Env, StringDefaultsWhenUnset) {
   ScopedEnv e("NVMCP_TEST_KNOB", nullptr);
   EXPECT_EQ(env::get_string("NVMCP_TEST_KNOB", "fallback"), "fallback");
 }
 
 // ---------------------------------------------------------------------------
-// NVMCP_TENANT_* resolvers (tenant/admission.hpp).
+// Tuning values come from the config structs alone: with every variable
+// that once overrode one set to a non-default value, each object built
+// from a default config still runs at its default.
 
-TEST(TenantEnv, MaxInflightConfiguredWinsOverEnv) {
-  ScopedEnv e("NVMCP_TENANT_MAX_INFLIGHT", "8");
-  EXPECT_EQ(tenant::resolve_max_inflight(3), 3);
-  EXPECT_EQ(tenant::resolve_max_inflight(0), 8);
-  EXPECT_EQ(tenant::resolve_max_inflight(-1), 8);
+NvmConfig small_device() {
+  NvmConfig cfg;
+  cfg.capacity = 16 * MiB;
+  cfg.throttle = false;
+  return cfg;
 }
 
-TEST(TenantEnv, MaxInflightDefaultAndClamp) {
-  {
-    ScopedEnv e("NVMCP_TENANT_MAX_INFLIGHT", nullptr);
-    EXPECT_EQ(tenant::resolve_max_inflight(0), 2);
-  }
-  {
-    ScopedEnv e("NVMCP_TENANT_MAX_INFLIGHT", "9999");
-    EXPECT_EQ(tenant::resolve_max_inflight(0), 64);
-  }
-  {
-    ScopedEnv e("NVMCP_TENANT_MAX_INFLIGHT", "0");
-    EXPECT_EQ(tenant::resolve_max_inflight(0), 1);  // clamped up
-  }
-}
+/// One device, its container and an allocator over it (a container's
+/// chunk records have exactly one directory, so one allocator each).
+struct Stack {
+  explicit Stack(alloc::ChunkAllocator::Options opts = {})
+      : dev(small_device()), cont(dev), allocator(cont, opts) {}
+  NvmDevice dev;
+  vmem::Container cont;
+  alloc::ChunkAllocator allocator;
+};
 
-TEST(TenantEnv, AdmissionPolicyAliases) {
-  using tenant::AdmissionPolicy;
-  for (const char* v : {"queue", "wait", "block", "QUEUE", "Block"}) {
-    ScopedEnv e("NVMCP_TENANT_ADMISSION", v);
-    EXPECT_EQ(tenant::resolve_admission_policy(AdmissionPolicy::kReject),
-              AdmissionPolicy::kQueue)
-        << v;
-  }
-  for (const char* v : {"reject", "fail", "drop", "REJECT"}) {
-    ScopedEnv e("NVMCP_TENANT_ADMISSION", v);
-    EXPECT_EQ(tenant::resolve_admission_policy(AdmissionPolicy::kQueue),
-              AdmissionPolicy::kReject)
-        << v;
-  }
-  for (const char* v : {"", "maybe"}) {
-    ScopedEnv e("NVMCP_TENANT_ADMISSION", v);
-    EXPECT_EQ(tenant::resolve_admission_policy(AdmissionPolicy::kQueue),
-              tenant::AdmissionPolicy::kQueue)
-        << "fallback for '" << v << "'";
-    EXPECT_EQ(tenant::resolve_admission_policy(AdmissionPolicy::kReject),
-              tenant::AdmissionPolicy::kReject)
-        << "fallback for '" << v << "'";
-  }
-  EXPECT_STREQ(to_string(AdmissionPolicy::kQueue), "queue");
-  EXPECT_STREQ(to_string(AdmissionPolicy::kReject), "reject");
-}
-
-TEST(TenantEnv, QueueTimeoutConfiguredZeroIsValid) {
-  ScopedEnv e("NVMCP_TENANT_QUEUE_TIMEOUT", "9.0");
-  // configured >= 0 wins (0 = "never wait" is a real setting).
-  EXPECT_DOUBLE_EQ(tenant::resolve_queue_timeout(0.0), 0.0);
-  EXPECT_DOUBLE_EQ(tenant::resolve_queue_timeout(2.5), 2.5);
-  EXPECT_DOUBLE_EQ(tenant::resolve_queue_timeout(-1.0), 9.0);
-}
-
-TEST(TenantEnv, QueueTimeoutDefaultAndClamp) {
-  {
-    ScopedEnv e("NVMCP_TENANT_QUEUE_TIMEOUT", nullptr);
-    EXPECT_DOUBLE_EQ(tenant::resolve_queue_timeout(-1.0), 5.0);
-  }
-  {
-    ScopedEnv e("NVMCP_TENANT_QUEUE_TIMEOUT", "99999");
-    EXPECT_DOUBLE_EQ(tenant::resolve_queue_timeout(-1.0), 3600.0);
-  }
-}
-
-TEST(TenantEnv, PriorityBoostDefaultAndClamp) {
-  {
-    ScopedEnv e("NVMCP_TENANT_PRIO_BOOST", nullptr);
-    EXPECT_DOUBLE_EQ(tenant::resolve_priority_boost(0.0), 4.0);
-    EXPECT_DOUBLE_EQ(tenant::resolve_priority_boost(2.0), 2.0);
-  }
-  {
-    ScopedEnv e("NVMCP_TENANT_PRIO_BOOST", "0.1");
-    EXPECT_DOUBLE_EQ(tenant::resolve_priority_boost(0.0), 1.0);  // clamp lo
-  }
-  {
-    ScopedEnv e("NVMCP_TENANT_PRIO_BOOST", "128");
-    EXPECT_DOUBLE_EQ(tenant::resolve_priority_boost(0.0), 64.0);  // clamp hi
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Existing resolve_* helpers: same contract, different knobs.
-
-TEST(ResolveHelpers, RingDepthConfiguredWinsElseEnv) {
-  ScopedEnv e("NVMCP_EPOCH_RING_DEPTH", "6");
-  EXPECT_EQ(epoch::resolve_ring_depth(3), 3u);
-  EXPECT_EQ(epoch::resolve_ring_depth(0), 6u);
-  {
-    ScopedEnv u("NVMCP_EPOCH_RING_DEPTH", nullptr);
-    EXPECT_EQ(epoch::resolve_ring_depth(0), 1u);  // default: two-slot ring
-  }
-}
-
-TEST(ResolveHelpers, GcWatermarkClamped) {
-  {
-    // configured >= 0 wins and is clamped to [0.05, 1.0]; negative defers
-    // to the env knob.
-    ScopedEnv e("NVMCP_EPOCH_GC_WATERMARK", nullptr);
-    EXPECT_DOUBLE_EQ(epoch::resolve_gc_watermark(-1.0), 0.85);
-    EXPECT_DOUBLE_EQ(epoch::resolve_gc_watermark(0.5), 0.5);
-    EXPECT_DOUBLE_EQ(epoch::resolve_gc_watermark(0.0), 0.05);
-  }
-  {
-    ScopedEnv e("NVMCP_EPOCH_GC_WATERMARK", "2.0");
-    EXPECT_DOUBLE_EQ(epoch::resolve_gc_watermark(-1.0), 1.0);
-  }
-}
-
-TEST(ResolveHelpers, TrackModeAliases) {
-  using vmem::TrackMode;
-  const struct {
-    const char* value;
-    TrackMode expect;
-  } cases[] = {
-      {"mprotect", TrackMode::kMprotect},
-      {"chunk", TrackMode::kMprotect},
-      {"page", TrackMode::kMprotectPage},
-      {"SOFT", TrackMode::kSoftware},
-      {"software", TrackMode::kSoftware},
-      {"writelog", TrackMode::kWriteLog},
-      {"write_log", TrackMode::kWriteLog},
-      {"log", TrackMode::kWriteLog},
+TEST(Env, RetiredTuningVariablesAreInert) {
+  const ScopedEnv vars[] = {
+      {"NVMCP_COPY_THREADS", "4"},
+      {"NVMCP_BATCH_REARM", "0"},
+      {"NVMCP_CODEC", "lz"},
+      {"NVMCP_CODEC_ENTROPY_MAX", "5.0"},
+      {"NVMCP_CODEC_MIN_GAIN", "2.0"},
+      {"NVMCP_EPOCH_RING_DEPTH", "5"},
+      {"NVMCP_EPOCH_GC_WATERMARK", "0.5"},
+      {"NVMCP_EPOCH_GC_FLOOR", "3"},
+      {"NVMCP_DIRTY_LOG_MERGE_GAP", "4096"},
+      {"NVMCP_DIRTY_LOG_MAX_COVERAGE", "0.9"},
+      {"NVMCP_DIRTY_LOG_CAPACITY", "64"},
+      {"NVMCP_TRACK_MODE", "writelog"},
+      {"NVMCP_TENANT_MAX_INFLIGHT", "7"},
+      {"NVMCP_TENANT_ADMISSION", "reject"},
+      {"NVMCP_TENANT_QUEUE_TIMEOUT", "9"},
+      {"NVMCP_TENANT_PRIO_BOOST", "2"},
   };
-  for (const auto& c : cases) {
-    ScopedEnv e("NVMCP_TRACK_MODE", c.value);
-    EXPECT_EQ(vmem::resolve_track_mode(TrackMode::kMprotect), c.expect)
-        << c.value;
-  }
+
+  Stack s;
+  EXPECT_EQ(s.allocator.ring_depth(), 1u);
+  core::CheckpointManager mgr(s.allocator, core::CheckpointConfig{});
+  EXPECT_EQ(mgr.copy_threads(), 1u);
+  EXPECT_EQ(mgr.epoch_gc(), nullptr);  // depth 1 has nothing to reclaim
+
+  net::Interconnect link;
+  net::RemoteStore store(small_device());
+  net::RemoteMemory remote(link, store);
+  const core::RemoteCheckpointer helper({&mgr}, remote, core::RemoteConfig{});
+  EXPECT_EQ(helper.codec_mode(0), core::CodecMode::kRaw);
+
+  const core::CodecTuner tuner;
+  EXPECT_DOUBLE_EQ(tuner.options().entropy_max, 7.2);
+  EXPECT_DOUBLE_EQ(tuner.options().min_gain, 1.05);
+
+  EXPECT_EQ(vmem::WriteLogRegistry::instance().shard_capacity(), 8192u);
+
   {
-    ScopedEnv e("NVMCP_TRACK_MODE", "bogus");
-    EXPECT_EQ(vmem::resolve_track_mode(TrackMode::kSoftware),
-              TrackMode::kSoftware);
+    alloc::ChunkAllocator::Options deep;
+    deep.ring_depth = 4;
+    Stack d(deep);
+    core::CheckpointManager m4(d.allocator, core::CheckpointConfig{});
+    ASSERT_NE(m4.epoch_gc(), nullptr);
+    EXPECT_DOUBLE_EQ(m4.epoch_gc()->watermark(), 0.85);
+    EXPECT_EQ(m4.epoch_gc()->floor(), 2u);
   }
+
+  {
+    // Two 64 B stores 1 KiB apart stay two ranges (512 B merge gap), and
+    // 10 KiB of a 16 KiB chunk is past half coverage: a whole copy.
+    alloc::ChunkAllocator::Options logged;
+    logged.track_mode = vmem::TrackMode::kWriteLog;
+    logged.ring_depth = 1;  // epochs 3 and 4 reuse the slots of 1 and 2
+    Stack l(logged);
+    alloc::Chunk* c = l.allocator.nvalloc("logged", 16 * KiB, true);
+    l.allocator.checkpoint_chunk(*c, 1);  // both slots start whole
+    l.allocator.checkpoint_chunk(*c, 2);
+    c->log_write(0, 64);
+    c->log_write(1088, 64);
+    EXPECT_EQ(l.allocator.checkpoint_chunk(*c, 3).bytes, 128u);
+    c->log_write(0, 10 * KiB);
+    EXPECT_EQ(l.allocator.checkpoint_chunk(*c, 4).bytes, c->size());
+  }
+
+  tenant::TenantArena::Options aopts;
+  aopts.device = small_device();
+  tenant::TenantArena arena(aopts);
+  EXPECT_EQ(arena.ring_depth(), 1u);
+  EXPECT_EQ(arena.admission().options().max_inflight, 2);
+  EXPECT_EQ(arena.admission().options().policy,
+            tenant::AdmissionPolicy::kQueue);
+  EXPECT_DOUBLE_EQ(arena.admission().options().queue_timeout, 5.0);
+  EXPECT_DOUBLE_EQ(arena.scheduler().priority_boost(), 4.0);
+
+  // The driver tracks with chunk faults (kMprotect) unless told otherwise.
+  apps::DriverConfig dcfg;
+  dcfg.spec = apps::WorkloadSpec::gtc();
+  dcfg.spec.iters_per_checkpoint = 1;
+  dcfg.ranks = 1;
+  dcfg.iterations = 2;
+  dcfg.size_scale = 1.0 / 512;
+  dcfg.time_scale = 1.0 / 256;
+  dcfg.ckpt.local_policy = core::PrecopyPolicy::kNone;
+  EXPECT_GT(apps::run_workload(dcfg).protection_faults, 0u);
 }
 
 }  // namespace

@@ -50,18 +50,6 @@ bool check_pattern(const void* src, std::size_t n, std::uint64_t seed) {
   return true;
 }
 
-/// RAII env override (knob tests must not leak into other tests).
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    ::setenv(name, value, 1);
-  }
-  ~ScopedEnv() { ::unsetenv(name_); }
-
- private:
-  const char* name_;
-};
-
 struct Stack {
   std::unique_ptr<NvmDevice> dev;
   std::unique_ptr<vmem::Container> cont;
@@ -86,33 +74,18 @@ struct Stack {
 };
 
 TEST(EpochKnobs, ResolutionAndClamping) {
-  // Explicit configuration wins over everything.
+  // In-range configuration passes through.
   EXPECT_EQ(resolve_ring_depth(4), 4u);
   EXPECT_EQ(resolve_gc_floor(3), 3u);
   EXPECT_DOUBLE_EQ(resolve_gc_watermark(0.5), 0.5);
-  // Unset env: documented defaults.
-  ::unsetenv("NVMCP_EPOCH_RING_DEPTH");
-  ::unsetenv("NVMCP_EPOCH_GC_WATERMARK");
-  ::unsetenv("NVMCP_EPOCH_GC_FLOOR");
+  // Out-of-range values clamp instead of exploding: a chunk record holds
+  // kMaxRingDepth + 1 slots, and a watermark under 0.05 would reclaim on
+  // every pass.
   EXPECT_EQ(resolve_ring_depth(0), 1u);
-  EXPECT_DOUBLE_EQ(resolve_gc_watermark(-1), 0.85);
-  EXPECT_EQ(resolve_gc_floor(-1), 2u);
-  {
-    ScopedEnv d("NVMCP_EPOCH_RING_DEPTH", "5");
-    ScopedEnv w("NVMCP_EPOCH_GC_WATERMARK", "0.6");
-    ScopedEnv f("NVMCP_EPOCH_GC_FLOOR", "3");
-    EXPECT_EQ(resolve_ring_depth(0), 5u);
-    EXPECT_DOUBLE_EQ(resolve_gc_watermark(-1), 0.6);
-    EXPECT_EQ(resolve_gc_floor(-1), 3u);
-  }
-  {
-    // Out-of-range values clamp instead of exploding.
-    ScopedEnv d("NVMCP_EPOCH_RING_DEPTH", "99");
-    ScopedEnv w("NVMCP_EPOCH_GC_WATERMARK", "7.0");
-    EXPECT_EQ(resolve_ring_depth(0), kMaxRingDepth);
-    EXPECT_DOUBLE_EQ(resolve_gc_watermark(-1), 1.0);
-  }
   EXPECT_EQ(resolve_ring_depth(100), kMaxRingDepth);
+  EXPECT_EQ(resolve_gc_floor(100), kMaxRingDepth);
+  EXPECT_DOUBLE_EQ(resolve_gc_watermark(0.0), 0.05);
+  EXPECT_DOUBLE_EQ(resolve_gc_watermark(7.0), 1.0);
 }
 
 TEST(VersionRing, RetainsLastNEpochsAndRollsBack) {

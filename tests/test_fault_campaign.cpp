@@ -129,8 +129,8 @@ CampaignSpec small_spec() {
   s.trials = 16;
   s.seed = 0xbead;
   // Serial copier, explicitly: replay-determinism assertions rely on a
-  // stable injector RNG draw order, which parallel copying (e.g. via an
-  // NVMCP_COPY_THREADS override in the environment) does not guarantee.
+  // stable injector RNG draw order, which parallel copying does not
+  // guarantee.
   s.copy_threads = 1;
   s.ranks = 2;
   s.chunks_per_rank = 2;

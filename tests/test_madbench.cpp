@@ -2,10 +2,27 @@
 // motivation experiment for treating NVM as memory).
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "apps/madbench.hpp"
 
 namespace nvmcp::apps {
 namespace {
+
+/// The overhead the ramdisk path exists to show is modeled kernel work:
+/// per writer and repetition an open, one write per io_size block, an
+/// fsync and a close, each sleeping syscall_latency, and every VFS block
+/// taking the global lock. Asserted as counts; the wall-clock slowdown
+/// varies with host load and is only printed.
+void expect_kernel_work(const MadBenchConfig& cfg, const MadBenchResult& r) {
+  const std::uint64_t blocks =
+      (cfg.data_bytes + cfg.io_size - 1) / cfg.io_size;
+  EXPECT_EQ(r.ramdisk_syscalls,
+            static_cast<std::uint64_t>(cfg.writers) * (1 + blocks + 2));
+  EXPECT_GT(r.ramdisk_lock_acquisitions, 0u);
+  std::printf("  %d writer(s) x %zu MiB: ramdisk slowdown %.2f\n",
+              cfg.writers, cfg.data_bytes / MiB, r.ramdisk_slowdown);
+}
 
 TEST(MadBench, RamdiskSlowerThanMemory) {
   MadBenchConfig cfg;
@@ -23,10 +40,7 @@ TEST(MadBench, RamdiskPathDoesKernelSynchronization) {
   cfg.data_bytes = 8 * MiB;
   cfg.writers = 2;
   cfg.repetitions = 1;
-  const MadBenchResult r = run_madbench(cfg);
-  // Per writer: open + writes + fsync + close syscalls.
-  EXPECT_GT(r.ramdisk_syscalls, 2u * (8u + 3u) - 4u);
-  EXPECT_GT(r.ramdisk_lock_acquisitions, 0u);
+  expect_kernel_work(cfg, run_madbench(cfg));
 }
 
 TEST(MadBench, SlowdownGrowsWithDataSize) {
@@ -42,8 +56,8 @@ TEST(MadBench, SlowdownGrowsWithDataSize) {
   big.data_bytes = 32 * MiB;
   const MadBenchResult s = run_madbench(small);
   const MadBenchResult b = run_madbench(big);
-  EXPECT_GT(s.ramdisk_slowdown, 0.0);
-  EXPECT_GT(b.ramdisk_slowdown, 0.0);
+  expect_kernel_work(small, s);
+  expect_kernel_work(big, b);
   EXPECT_GT(b.ramdisk_syscalls, s.ramdisk_syscalls);
   EXPECT_GT(b.ramdisk_lock_acquisitions, s.ramdisk_lock_acquisitions);
 }
@@ -53,8 +67,7 @@ TEST(MadBench, SingleWriterStillShowsOverhead) {
   cfg.data_bytes = 16 * MiB;
   cfg.writers = 1;
   cfg.repetitions = 2;
-  const MadBenchResult r = run_madbench(cfg);
-  EXPECT_GT(r.ramdisk_slowdown, 0.0);
+  expect_kernel_work(cfg, run_madbench(cfg));
 }
 
 }  // namespace

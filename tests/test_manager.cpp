@@ -415,6 +415,10 @@ TEST_F(ManagerTest, ParallelCommitMatchesSerialByteForByte) {
   }
 }
 
+TEST_F(ManagerTest, ZeroCopyThreadsMeansTheCallerAlone) {
+  EXPECT_EQ(make_stack(PrecopyPolicy::kNone, 0).mgr->copy_threads(), 1u);
+}
+
 // Sharded commit racing the background pre-copy engine: the engine
 // pre-copies between coordinated steps while rounds keep re-dirtying;
 // every committed chunk must still restore to exactly what was in DRAM at
@@ -640,37 +644,6 @@ TEST_F(ManagerTest, BatchRearmMatchesPerChunkRearmByteForByte) {
         << "chunk " << i;
   }
   EXPECT_LE(batched_calls, single_calls);
-}
-
-TEST_F(ManagerTest, BatchRearmResolvesFromEnvironment) {
-  ::unsetenv("NVMCP_BATCH_REARM");
-  EXPECT_TRUE(resolve_batch_rearm(-1));  // unset: default on
-  ::setenv("NVMCP_BATCH_REARM", "0", 1);
-  EXPECT_FALSE(resolve_batch_rearm(-1));
-  ::setenv("NVMCP_BATCH_REARM", "off", 1);
-  EXPECT_FALSE(resolve_batch_rearm(-1));
-  ::setenv("NVMCP_BATCH_REARM", "false", 1);
-  EXPECT_FALSE(resolve_batch_rearm(-1));
-  ::setenv("NVMCP_BATCH_REARM", "1", 1);
-  EXPECT_TRUE(resolve_batch_rearm(-1));
-  // Explicit configuration wins over the environment in either direction.
-  ::setenv("NVMCP_BATCH_REARM", "1", 1);
-  EXPECT_FALSE(resolve_batch_rearm(0));
-  ::setenv("NVMCP_BATCH_REARM", "0", 1);
-  EXPECT_TRUE(resolve_batch_rearm(1));
-  ::unsetenv("NVMCP_BATCH_REARM");
-}
-
-TEST_F(ManagerTest, CopyThreadsResolvesFromEnvironmentWhenZero) {
-  ::setenv("NVMCP_COPY_THREADS", "3", 1);
-  EXPECT_EQ(resolve_copy_threads(0), 3u);
-  EXPECT_EQ(resolve_copy_threads(2), 2u);  // explicit value wins
-  ::setenv("NVMCP_COPY_THREADS", "not-a-number", 1);
-  EXPECT_EQ(resolve_copy_threads(0), 1u);
-  ::setenv("NVMCP_COPY_THREADS", "9999", 1);
-  EXPECT_EQ(resolve_copy_threads(0), 64u);  // clamped
-  ::unsetenv("NVMCP_COPY_THREADS");
-  EXPECT_EQ(resolve_copy_threads(0), 1u);
 }
 
 // ---------------------------------------------------------------------------

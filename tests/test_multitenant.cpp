@@ -117,6 +117,8 @@ TEST(AdmissionController, RejectPolicyFailsFastOverBudget) {
   ac.release();
   EXPECT_TRUE(ac.admit(0).admitted);
   ac.release();
+  EXPECT_STREQ(to_string(AdmissionPolicy::kQueue), "queue");
+  EXPECT_STREQ(to_string(AdmissionPolicy::kReject), "reject");
 }
 
 TEST(AdmissionController, QueueTimesOutWhenSlotNeverFrees) {

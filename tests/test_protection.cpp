@@ -44,7 +44,6 @@ TEST(Protection, FaultMarksWholeChunkDirtyAndUnprotects) {
                                    TrackMode::kMprotect);
 
   tracker.dirty_local.store(false);
-  tracker.dirty_remote.store(false);
   mgr.protect(h);
   EXPECT_TRUE(mgr.is_protected(h));
 
@@ -52,7 +51,6 @@ TEST(Protection, FaultMarksWholeChunkDirtyAndUnprotects) {
   buf.data()[3 * ProtectionManager::host_page_size() + 17] = std::byte{42};
 
   EXPECT_TRUE(tracker.dirty_local.load());
-  EXPECT_TRUE(tracker.dirty_remote.load());
   EXPECT_FALSE(mgr.is_protected(h));
   EXPECT_EQ(mgr.total_faults(), faults_before + 1);
   EXPECT_EQ(tracker.faults.load(), 1u);
@@ -184,24 +182,6 @@ TEST(Protection, FaultTimeIsAccounted) {
   buf.data()[0] = std::byte{1};
   EXPECT_GT(mgr.total_fault_seconds(), before);
   mgr.unregister_range(h);
-}
-
-TEST(Protection, ResolveTrackModeReadsEnvironment) {
-  ::unsetenv("NVMCP_TRACK_MODE");
-  EXPECT_EQ(resolve_track_mode(TrackMode::kMprotect), TrackMode::kMprotect);
-  EXPECT_EQ(resolve_track_mode(TrackMode::kWriteLog), TrackMode::kWriteLog);
-  ::setenv("NVMCP_TRACK_MODE", "writelog", 1);
-  EXPECT_EQ(resolve_track_mode(TrackMode::kMprotect), TrackMode::kWriteLog);
-  ::setenv("NVMCP_TRACK_MODE", "PAGE", 1);  // case-insensitive alias
-  EXPECT_EQ(resolve_track_mode(TrackMode::kMprotect),
-            TrackMode::kMprotectPage);
-  ::setenv("NVMCP_TRACK_MODE", "software", 1);
-  EXPECT_EQ(resolve_track_mode(TrackMode::kMprotect), TrackMode::kSoftware);
-  ::setenv("NVMCP_TRACK_MODE", "chunk", 1);
-  EXPECT_EQ(resolve_track_mode(TrackMode::kSoftware), TrackMode::kMprotect);
-  ::setenv("NVMCP_TRACK_MODE", "no-such-mode", 1);
-  EXPECT_EQ(resolve_track_mode(TrackMode::kSoftware), TrackMode::kSoftware);
-  ::unsetenv("NVMCP_TRACK_MODE");
 }
 
 TEST(Protection, BatchProtectCoalescesAdjacentRanges) {

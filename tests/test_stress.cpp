@@ -18,6 +18,15 @@
 namespace nvmcp {
 namespace {
 
+/// Every manager here shards its commits, restores and pre-copy passes
+/// over four copiers (the caller plus three pool threads), so these races
+/// are also checked against concurrent copiers.
+core::CheckpointConfig four_copiers() {
+  core::CheckpointConfig cfg;
+  cfg.copy_threads = 4;
+  return cfg;
+}
+
 /// Writer threads mutate chunks while the pre-copy engine runs and the
 /// main thread takes coordinated checkpoints; after every checkpoint the
 /// committed version must be internally consistent (its stored checksum
@@ -30,7 +39,7 @@ TEST(Stress, WritersVsPrecopyEngine) {
   vmem::Container container(dev);
   alloc::ChunkAllocator allocator(container);
 
-  core::CheckpointConfig ccfg;
+  core::CheckpointConfig ccfg = four_copiers();
   ccfg.local_policy = core::PrecopyPolicy::kCpc;
   ccfg.precopy_scan_period = 2e-4;  // aggressive scanning
   core::CheckpointManager mgr(allocator, ccfg);
@@ -95,7 +104,7 @@ TEST(Stress, RemoteHelperVsLocalCommits) {
   NvmDevice dev(cfg);
   vmem::Container container(dev);
   alloc::ChunkAllocator allocator(container);
-  core::CheckpointConfig ccfg;
+  core::CheckpointConfig ccfg = four_copiers();
   ccfg.local_policy = core::PrecopyPolicy::kNone;
   core::CheckpointManager mgr(allocator, ccfg);
 
@@ -162,7 +171,7 @@ TEST(Stress, RemoteHelperVsTransientChunkDelete) {
   NvmDevice dev(cfg);
   vmem::Container container(dev);
   alloc::ChunkAllocator allocator(container);
-  core::CheckpointConfig ccfg;
+  core::CheckpointConfig ccfg = four_copiers();
   ccfg.local_policy = core::PrecopyPolicy::kNone;
   core::CheckpointManager mgr(allocator, ccfg);
 
@@ -228,7 +237,7 @@ TEST(Stress, AllocDeleteChurnWithEngine) {
   NvmDevice dev(cfg);
   vmem::Container container(dev);
   alloc::ChunkAllocator allocator(container);
-  core::CheckpointConfig ccfg;
+  core::CheckpointConfig ccfg = four_copiers();
   ccfg.local_policy = core::PrecopyPolicy::kCpc;
   ccfg.precopy_scan_period = 2e-4;
   core::CheckpointManager mgr(allocator, ccfg);
@@ -273,7 +282,7 @@ TEST(Stress, LongEpochChainFileBacked) {
     NvmDevice dev(cfg);
     vmem::Container container(dev);
     alloc::ChunkAllocator allocator(container);
-    core::CheckpointManager mgr(allocator, core::CheckpointConfig{});
+    core::CheckpointManager mgr(allocator, four_copiers());
     alloc::Chunk* c = allocator.nvalloc("chain", 64 * KiB, true);
     Rng rng(1);
     for (int e = 0; e < 100; ++e) {
@@ -321,7 +330,7 @@ TEST(Stress, RingGcVsCommitChurn) {
   aopts.ring_depth = 6;
   alloc::ChunkAllocator allocator(container, aopts);
 
-  core::CheckpointConfig ccfg;
+  core::CheckpointConfig ccfg = four_copiers();
   ccfg.local_policy = core::PrecopyPolicy::kNone;
   ccfg.epoch_gc_background = false;  // we drive (and race) the GC ourselves
   ccfg.epoch_gc_watermark = 0.05;    // the clamp floor: always saturated
@@ -439,17 +448,38 @@ TEST(Stress, StoreRacingPrecopyArmIsNeverLost) {
       std::this_thread::yield();
     }
   };
-  for (std::uint64_t epoch = 1; epoch <= 200; ++epoch) {
+  // A store the copy lost leaves the chunk clean and disarmed, so the
+  // next store records nothing: after one full store past each copy the
+  // chunk must read dirty. The loss window is a few instructions wide;
+  // 300,000 rounds caught it in every run of a Release build without
+  // seq_cst ordering at the clear and the writers. ThreadSanitizer slows
+  // a round by orders of magnitude and checks the race contract instead,
+  // so it runs fewer.
+#if defined(__SANITIZE_THREAD__)
+  constexpr std::uint64_t kRounds = 2000;
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+  constexpr std::uint64_t kRounds = 2000;
+#else
+  constexpr std::uint64_t kRounds = 300000;
+#endif
+#else
+  constexpr std::uint64_t kRounds = 300000;
+#endif
+  std::uint64_t lost = 0;
+  for (std::uint64_t epoch = 1; epoch <= kRounds; ++epoch) {
     allocator.arm_chunks({c});
     await_store();
     allocator.precopy_chunk(*c, epoch, nullptr, /*skip_arm=*/true);
     allocator.commit_chunk(*c, epoch);
+    await_store();
+    if (!c->dirty_local()) ++lost;
   }
-  await_store();  // lands after the last copy
+  EXPECT_EQ(lost, 0u) << "rounds whose racing store was lost";
   stop.store(true, std::memory_order_release);
   writer.join();
 
-  if (c->dirty_local()) allocator.checkpoint_chunk(*c, 201);
+  if (c->dirty_local()) allocator.checkpoint_chunk(*c, kRounds + 1);
   std::vector<std::byte> slot(c->size());
   ASSERT_TRUE(allocator.read_committed(*c, slot.data()));
   EXPECT_EQ(std::memcmp(slot.data(), c->data(), c->size()), 0)

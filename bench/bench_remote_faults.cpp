@@ -14,13 +14,17 @@
 //   helper-kill   the helper dies before round 2 and never returns: every
 //                 later round must keep reporting the truth (degraded,
 //                 helper_dead) instead of pretending the cut advanced
+//   degrade-round a 4x link degradation over round 2: the round's puts
+//                 are delayed block by block, and it still converges
 //
 // Output: console table + bench_remote_faults.csv + a RunReport JSON.
 //
 // --smoke: CI correctness gate. Exits 1 on any silent-stale round (report
 // disagrees with the store), a missing degraded report in the faulted
-// round, a failure to re-converge after the fault clears, or a drop
-// scenario that never retried.
+// round, a failure to re-converge after the fault clears, a drop
+// scenario that never retried, or a degrade round whose transfers the
+// injector never delayed or that did not converge. The gates count;
+// none reads a clock.
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -46,7 +50,7 @@ constexpr std::size_t kChunkBytes = 256 * KiB;
 constexpr int kRounds = 4;
 constexpr int kFaultRound = 2;  // fault active during this round only
 
-enum class FaultKind { kNone, kOutage, kDrop, kStall, kKill };
+enum class FaultKind { kNone, kOutage, kDrop, kStall, kKill, kDegrade };
 
 struct Scenario {
   std::string label;
@@ -60,6 +64,7 @@ struct RoundPoint {
   int actually_stale = 0;  // store ground truth after the round
   bool truthful = false;   // report == ground truth
   std::uint64_t link_bytes = 0;  // cumulative wire bytes after this round
+  std::uint64_t delayed = 0;     // link blocks the injector delayed, this round
 };
 
 /// One emulated rank (device + allocator + manager + chunks).
@@ -115,6 +120,7 @@ std::vector<RoundPoint> run_scenario(const Scenario& sc,
   net::RemoteStore store(scfg);
   store.set_fault_injector(&inj);
   net::Interconnect link(5.0e9, 0.25);
+  link.set_fault_injector(&inj);
   net::RemoteMemory rmem(link, store);
 
   core::RemoteConfig rcfg;
@@ -147,19 +153,22 @@ std::vector<RoundPoint> run_scenario(const Scenario& sc,
         case FaultKind::kDrop: inj.set_remote_drop_rate(0.5); break;
         case FaultKind::kStall: inj.set_helper_stalled(true); break;
         case FaultKind::kKill: inj.kill_helper(); break;
+        case FaultKind::kDegrade: inj.set_link_degrade_factor(4.0); break;
       }
     }
 
     RoundPoint p;
     p.round = round;
     p.fault_active = fault_on;
+    const std::uint64_t delayed0 = inj.stats().transfers_delayed;
     p.outcome = repl.coordinate_now();
+    p.delayed = inj.stats().transfers_delayed - delayed0;
     for (int r = 0; r < kRanks; ++r) {
       for (alloc::Chunk* c : node[r].chunks) {
-        const auto& rec = c->record();
-        if (!rec.has_committed()) continue;
+        const auto acked = node[r].alloc->acknowledged(*c);
+        if (!acked) continue;
         if (store.committed_epoch(static_cast<std::uint32_t>(r), c->id()) !=
-            rec.epoch[rec.committed]) {
+            acked->epoch) {
           ++p.actually_stale;
         }
       }
@@ -173,6 +182,7 @@ std::vector<RoundPoint> run_scenario(const Scenario& sc,
       inj.set_outage(false);
       inj.set_remote_drop_rate(0.0);
       inj.set_helper_stalled(false);
+      inj.set_link_degrade_factor(1.0);
     }
   }
   return points;
@@ -187,6 +197,7 @@ int run(bool smoke) {
       {"drop-50", FaultKind::kDrop},
       {"helper-stall", FaultKind::kStall},
       {"helper-kill", FaultKind::kKill},
+      {"degrade-round", FaultKind::kDegrade},
   };
   const std::string csv = smoke ? std::string{} : "bench_remote_faults.csv";
 
@@ -204,7 +215,7 @@ int run(bool smoke) {
       "   (coordination outcome vs buddy-store ground truth, per round, "
       "per transport codec)",
       {"scenario", "codec", "round", "fault", "degraded", "stale",
-       "failed sends", "retries", "link bytes", "truthful"},
+       "failed sends", "retries", "link bytes", "delayed", "truthful"},
       csv);
 
   bool ok = true;
@@ -236,7 +247,7 @@ int run(bool smoke) {
                    std::to_string(p.outcome.failed_sends),
                    std::to_string(p.outcome.retries),
                    format_bytes(static_cast<double>(round_bytes)),
-                   p.truthful ? "yes" : "NO"});
+                   std::to_string(p.delayed), p.truthful ? "yes" : "NO"});
         Json row;
         row["codec"] = core::to_string(codec);
         row["round"] = p.round;
@@ -247,6 +258,7 @@ int run(bool smoke) {
         row["failed_sends"] = p.outcome.failed_sends;
         row["retries"] = p.outcome.retries;
         row["link_bytes"] = round_bytes;
+        row["transfers_delayed"] = p.delayed;
         row["actually_stale"] = p.actually_stale;
         row["truthful"] = p.truthful;
         rows.push_back(std::move(row));
@@ -268,6 +280,16 @@ int run(bool smoke) {
         if (sc.kind == FaultKind::kKill && p.round >= kFaultRound &&
             !p.outcome.helper_dead) {
           fail("dead helper not reported", sc, p.round);
+        }
+        if (sc.kind == FaultKind::kDegrade && p.round == kFaultRound) {
+          // The round's puts cross the degraded link: the injector delays
+          // their blocks, and the round still converges.
+          if (p.delayed == 0) {
+            fail("degraded link delayed no block", sc, p.round);
+          }
+          if (p.outcome.degraded || p.actually_stale != 0) {
+            fail("degraded-link round did not converge", sc, p.round);
+          }
         }
       }
       if (sc.kind == FaultKind::kDrop && total_retries == 0) {

@@ -103,6 +103,11 @@ class CheckpointManager {
   std::uint64_t committed_epoch() const {
     return next_epoch() - 1;
   }
+  /// Number the next checkpoint past `epoch` (no-op when it already is).
+  /// Call under commit_mutex().
+  void number_epochs_past(std::uint64_t epoch) {
+    if (next_epoch() <= epoch) next_epoch_.store(epoch + 1);
+  }
 
   /// Learned estimates (0 until the first checkpoint completes).
   double learned_interval() const;

@@ -217,14 +217,33 @@ RemoteCheckpointer::committed_chunks(std::size_t m) const {
   return out;
 }
 
+bool RemoteCheckpointer::buddy_holds(std::size_t m, const Committed& e) {
+  return remote_.store().held_epoch(managers_[m]->config().rank, e.id) ==
+         e.epoch;
+}
+
+void RemoteCheckpointer::record_stale(
+    const std::vector<std::vector<Committed>>& cut,
+    CoordinationOutcome& out) {
+  stale_.clear();
+  for (std::size_t m = 0; m < cut.size(); ++m) {
+    const std::uint32_t rank = managers_[m]->config().rank;
+    for (const Committed& e : cut[m]) {
+      const std::uint64_t have = remote_.store().committed_epoch(rank, e.id);
+      if (have != e.epoch) {
+        stale_.push_back(StaleChunk{rank, e.id, e.epoch, have});
+      }
+    }
+  }
+  out.degraded = !stale_.empty();
+  out.stale_chunks = static_cast<int>(stale_.size());
+  m_.stale_chunks->set(static_cast<double>(stale_.size()));
+}
+
 RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
     std::size_t mgr_idx, const Committed& e, bool count_as_precopy,
     bool paced, int max_attempts, double* backoff_budget) {
   CheckpointManager& mgr = *managers_[mgr_idx];
-  // Serialize with the other send path (helper pre-copy vs. external
-  // coordination): the staging buffer, the pace limiter and the jitter
-  // stream are all single-helper state.
-  std::lock_guard<std::mutex> send_lock(send_mu_);
 
   // Read the acknowledged payload from local NVM ("shared NVM support")
   // and ship the epoch read with that slot. A commit copies into another
@@ -334,7 +353,6 @@ RemoteCheckpointer::SendResult RemoteCheckpointer::send_chunk(
         m_.coordinated_puts->add(1);
       }
       res.status = SendStatus::kOk;
-      res.epoch = epoch;
       record_put_ok(mgr_idx);
       return res;
     }
@@ -388,32 +406,22 @@ void RemoteCheckpointer::helper_loop() {
 
     if (!precopy_gate_open(elapsed)) continue;
 
-    // Eager pre-copy: ship chunks whose local committed epoch moved past
-    // what the remote in-progress slot holds. Single attempt per chunk --
-    // the scan loop itself is the retry mechanism here. A deferred send
-    // means a caller waits on a round: the scan resumes next period.
+    // Eager pre-copy: ship chunks whose local committed epoch the buddy
+    // neither holds staged nor committed. Single attempt per chunk -- the
+    // scan loop itself is the retry mechanism here. A deferred send means
+    // a caller waits on a round: the scan resumes next period.
     bool deferred = false;
     for (std::size_t m = 0; m < managers_.size() && !deferred; ++m) {
       if (!running_.load(std::memory_order_acquire)) return;
       for (const Committed& e : committed_chunks(m)) {
-        const Key key{m, e.id};
-        std::uint64_t last_sent = 0;
-        {
-          std::lock_guard<std::mutex> lock(round_mu_);
-          auto it = sent_epoch_.find(key);
-          if (it != sent_epoch_.end()) last_sent = it->second;
-        }
-        if (e.epoch <= last_sent) continue;
+        std::lock_guard<std::mutex> send_lock(send_mu_);
+        if (buddy_holds(m, e)) continue;
         const SendResult sent =
             send_chunk(m, e, /*count_as_precopy=*/true, /*paced=*/true,
                        /*max_attempts=*/1, /*backoff_budget=*/nullptr);
         if (sent.status == SendStatus::kDeferred) {
           deferred = true;
           break;
-        }
-        if (sent.ok()) {
-          std::lock_guard<std::mutex> lock(round_mu_);
-          sent_epoch_[key] = sent.epoch;
         }
       }
     }
@@ -446,22 +454,12 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
     // A dead helper coordinates nothing, but the caller still learns the
     // truth: every chunk whose remote commit lags the local cut is stale.
     isolate_all_ranks();
-    stale_.clear();
+    std::vector<std::vector<Committed>> cut;
     for (std::size_t m = 0; m < managers_.size(); ++m) {
-      for (const Committed& e : committed_chunks(m)) {
-        auto it = remote_epoch_.find(Key{m, e.id});
-        const std::uint64_t have =
-            it != remote_epoch_.end() ? it->second : 0;
-        if (have != e.epoch) {
-          stale_.push_back(StaleChunk{managers_[m]->config().rank, e.id,
-                                      e.epoch, have});
-        }
-      }
+      cut.push_back(committed_chunks(m));
     }
     out.helper_dead = true;
-    out.degraded = !stale_.empty();
-    out.stale_chunks = static_cast<int>(stale_.size());
-    m_.stale_chunks->set(static_cast<double>(stale_.size()));
+    record_stale(cut, out);
     if (out.degraded) m_.degraded_rounds->add(1);
     last_outcome_ = out;
     return out;
@@ -472,13 +470,12 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
   double budget = retry_.round_budget;
 
   // Phase 1 (concurrent with the application): top up every chunk whose
-  // remote in-progress payload is stale, retrying transport failures
-  // under the full policy.
+  // epoch the buddy does not hold, retrying transport failures under the
+  // full policy.
   for (std::size_t m = 0; m < managers_.size(); ++m) {
     for (const Committed& e : committed_chunks(m)) {
-      const Key key{m, e.id};
-      auto it = sent_epoch_.find(key);
-      if (it != sent_epoch_.end() && it->second == e.epoch) continue;
+      std::lock_guard<std::mutex> send_lock(send_mu_);
+      if (buddy_holds(m, e)) continue;
       // A timer round under a pre-copy policy smooths its top-up (no one
       // waits on it); a requested round ships at link speed, and kNone
       // bursts by definition.
@@ -487,22 +484,17 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
           /*paced=*/!requested && cfg_.policy != PrecopyPolicy::kNone,
           retry_.max_attempts, &budget);
       out.retries += std::max(0, sent.attempts - 1);
-      if (sent.ok()) {
-        sent_epoch_[key] = sent.epoch;
-      } else if (sent.status == SendStatus::kStalled ||
-                 sent.status == SendStatus::kDropped) {
-        ++out.failed_sends;
-      }
+      if (sent.failed()) ++out.failed_sends;
     }
   }
 
-  // Phase 2 (brief): hold every manager's commit mutex so no local commit
-  // interleaves; re-verify epochs (re-sending any chunk that committed
-  // since phase 1, under the tighter phase-2 retry bound so the mutex
-  // hold stays capped) and flip the remote commit pointers. Chunks whose
-  // payload never arrived are recorded stale instead of committed -- the
-  // remote cut stays consistent, just behind.
-  stale_.clear();
+  // Phase 2 (brief): hold send_mu_, so no eager send puts into a pair
+  // being committed, and every manager's commit mutex, so no local commit
+  // interleaves; re-send any chunk the buddy does not hold at its cut
+  // epoch (under the tighter phase-2 retry bound, so the hold stays
+  // capped) and commit every pair. A pair whose frame never arrived
+  // commits nothing and reads stale -- consistent, just behind.
+  std::unique_lock<std::mutex> send_lock(send_mu_);
   std::vector<std::unique_lock<std::mutex>> locks;
   locks.reserve(managers_.size());
   for (CheckpointManager* mgr : managers_) {
@@ -513,46 +505,33 @@ CoordinationOutcome RemoteCheckpointer::coordinate(bool requested) {
   // The commit mutexes hold every acknowledged epoch still, so the scan's
   // epochs are the cut. The remote commit touches no chunk; only a
   // resend reads one.
+  std::vector<std::vector<Committed>> cut(managers_.size());
   for (std::size_t m = 0; m < managers_.size(); ++m) {
     const std::uint32_t rank = managers_[m]->config().rank;
     for (const Committed& e : committed_chunks(m)) {
-      const Key key{m, e.id};
-      auto it = sent_epoch_.find(key);
-      if (it == sent_epoch_.end() || it->second != e.epoch) {
+      if (!buddy_holds(m, e)) {
         const SendResult sent =
             send_chunk(m, e, /*count_as_precopy=*/false, /*paced=*/false,
                        retry_.phase2_attempts, &budget);
         if (sent.status == SendStatus::kNothingCommitted) continue;
         ++resends;
         out.retries += std::max(0, sent.attempts - 1);
-        if (!sent.ok()) {
-          if (sent.status == SendStatus::kStalled ||
-              sent.status == SendStatus::kDropped) {
-            ++out.failed_sends;
-          }
-          auto re = remote_epoch_.find(key);
-          stale_.push_back(StaleChunk{
-              rank, e.id, e.epoch,
-              re != remote_epoch_.end() ? re->second : 0});
-          continue;  // never commit an epoch whose payload is not there
-        }
-        sent_epoch_[key] = sent.epoch;
+        if (sent.failed()) ++out.failed_sends;
       }
       remote_.commit(rank, e.id, e.epoch);
-      // Bookkeeping advances only after a delivered put + commit, so
-      // remote_epoch_ exactly tracks the store's committed ground truth.
-      remote_epoch_[key] = e.epoch;
+      cut[m].push_back(e);
     }
   }
+  // A commit that did not land leaves its pair stale: read the round's
+  // stale list from the buddy before any local commit can move the cut.
+  record_stale(cut, out);
   locks.clear();
+  send_lock.unlock();
   m_.phase2_hold_seconds->observe(hold_sw.elapsed());
   m_.phase2_resends->add(static_cast<std::uint64_t>(resends));
 
-  out.degraded = !stale_.empty();
-  out.stale_chunks = static_cast<int>(stale_.size());
   m_.coordinations->add(1);
   m_.last_round_seconds->set(round_sw.elapsed());
-  m_.stale_chunks->set(static_cast<double>(stale_.size()));
   const std::uint64_t codec_in = m_.codec_bytes_in->value();
   if (codec_in > 0) {
     m_.codec_ratio->set(static_cast<double>(m_.codec_bytes_out->value()) /

@@ -17,10 +17,13 @@
 // so an unpaced round uses only idle link capacity.
 //
 // Consistency: eager pre-copy puts fill the remote in-progress slots only.
-// A coordination round tops up stale chunks and then, holding every
+// A coordination round tops up stale chunks and then, holding the send
+// mutex (so no eager put can land in a pair being committed) and every
 // manager's commit mutex (so no local commit can interleave), re-verifies
 // epochs and commits all pairs -- the remote committed cut is always some
-// single moment's local committed state.
+// single moment's local committed state. Which epochs the buddy holds,
+// staged or committed, is read from its records, never remembered here
+// (a hard restart numbers the new node's epochs past them).
 //
 // Transport hardening: a put lost in transit (link outage, drop, helper
 // stall) is a first-class recoverable state, not dropped work. Sends
@@ -38,7 +41,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -129,17 +131,9 @@ class RemoteCheckpointer {
   }
 
  private:
-  struct Key {
-    std::size_t mgr;
-    std::uint64_t chunk_id;
-    bool operator<(const Key& o) const {
-      return mgr != o.mgr ? mgr < o.mgr : chunk_id < o.chunk_id;
-    }
-  };
-
   /// How one chunk send ended (after retries, for the failure states).
   enum class SendStatus : std::uint8_t {
-    kOk,                // payload delivered; epoch is valid
+    kOk,                // payload delivered and staged
     kNothingCommitted,  // chunk has no committed local version, or was
                         // nvdeleted since the scan (not a failure; there
                         // is nothing to protect)
@@ -151,9 +145,10 @@ class RemoteCheckpointer {
   };
   struct SendResult {
     SendStatus status = SendStatus::kDropped;
-    std::uint64_t epoch = 0;  // valid iff status == kOk
-    int attempts = 0;         // put attempts actually made
-    bool ok() const { return status == SendStatus::kOk; }
+    int attempts = 0;  // put attempts actually made
+    bool failed() const {  // a transport failure the round counts
+      return status == SendStatus::kStalled || status == SendStatus::kDropped;
+    }
   };
 
   void helper_loop();
@@ -166,22 +161,29 @@ class RemoteCheckpointer {
   /// Manager m's committed chunks, listed under one
   /// ChunkAllocator::with_live.
   std::vector<Committed> committed_chunks(std::size_t m) const;
+  /// Whether the newest frame the buddy holds for e's chunk, staged or
+  /// committed, is e's epoch.
+  bool buddy_holds(std::size_t m, const Committed& e);
+  /// Set stale_ to the chunks of `cut` (per manager) whose epoch the buddy
+  /// has not committed, and the outcome's degraded flag and stale count.
+  void record_stale(const std::vector<std::vector<Committed>>& cut,
+                    CoordinationOutcome& out);
   /// One coordination round. `requested` is true for coordinate_now(),
   /// whose caller waits on the result (phase 1 unpaced), and false for the
   /// helper's timer-fired rounds (phase 1 paced under pre-copy policies).
   CoordinationOutcome coordinate(bool requested);
   /// Send the committed payload of a listed chunk to the remote
   /// in-progress slot, retrying transport failures up to `max_attempts`
-  /// times under the policy's backoff/deadline. Only the payload read runs
-  /// under ChunkAllocator::with_live, so a concurrent nvdelete never waits
-  /// for the pace wait or the put; a chunk nvdeleted since the scan
-  /// returns kNothingCommitted. `backoff_budget` (may be null) is the
-  /// round's remaining retry-sleep allowance; sleeps draw it down and no
-  /// retry sleeps once it is spent. `paced` spreads the transfer at the
-  /// learned rate (pre-copy smoothing); the commit pass sends unpaced
-  /// because it runs under the commit mutexes. When a paced wait is cut
-  /// short, an eager send (`count_as_precopy`) returns kDeferred and a
-  /// round's send goes ahead unpaced.
+  /// times under the policy's backoff/deadline. The caller holds send_mu_.
+  /// Only the payload read runs under ChunkAllocator::with_live, so a
+  /// concurrent nvdelete never waits for the pace wait or the put; a chunk
+  /// nvdeleted since the scan returns kNothingCommitted. `backoff_budget`
+  /// (may be null) is the round's remaining retry-sleep allowance; sleeps
+  /// draw it down and no retry sleeps once it is spent. `paced` spreads
+  /// the transfer at the learned rate (pre-copy smoothing); the commit
+  /// pass sends unpaced because it runs under the commit mutexes. When a
+  /// paced wait is cut short, an eager send (`count_as_precopy`) returns
+  /// kDeferred and a round's send goes ahead unpaced.
   SendResult send_chunk(std::size_t mgr_idx, const Committed& e,
                         bool count_as_precopy, bool paced, int max_attempts,
                         double* backoff_budget);
@@ -220,19 +222,16 @@ class RemoteCheckpointer {
   std::uint64_t bytes_at_round_start_ = 0;
 
   mutable std::mutex round_mu_;  // serializes coordination rounds
-  // Last epoch whose payload was put to the remote in-progress slot.
-  std::map<Key, std::uint64_t> sent_epoch_;
-  // Last epoch committed remotely (only recorded after a *successful* put
-  // + commit; a dropped put must never advance this).
-  std::map<Key, std::uint64_t> remote_epoch_;
   std::vector<StaleChunk> stale_;        // guarded by round_mu_
   CoordinationOutcome last_outcome_;     // guarded by round_mu_
 
   // The helper moves one chunk at a time (the paper's single helper core):
-  // send_mu_ serializes sends from the background pre-copy loop and an
-  // external coordinate_now(), and guards staging_, the frame encoder, the
-  // codec tuner and the jitter stream.
-  // Lock order: round_mu_ -> commit mutexes -> send_mu_ -> allocator
+  // send_mu_ serializes sends (each with its check of the buddy's record)
+  // from the background pre-copy loop and an external coordinate_now(),
+  // and guards staging_, the frame encoder, the codec tuner and the
+  // jitter stream. Phase 2 holds it from its first check to its last
+  // commit.
+  // Lock order: round_mu_ -> send_mu_ -> commit mutexes -> allocator
   // (with_live), and send_mu_ -> cv_mu_. A send holds the allocator only
   // for its payload read, never across the pace wait or the put.
   // coordinate_now() takes cv_mu_ alone, before round_mu_, to announce

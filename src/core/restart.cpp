@@ -104,14 +104,24 @@ RestartReport RestartCoordinator::restart_after(FailureKind kind,
   std::vector<alloc::Chunk*> work;
   {
     std::lock_guard<std::mutex> lock(mgr_->commit_mutex());
+    std::uint64_t buddy_epoch = 0;
     for (alloc::Chunk* c : allocator.chunks()) {
       if (!c->persistent()) continue;
       work.push_back(c);
+      if (!soft && remote_) {
+        buddy_epoch = std::max(
+            buddy_epoch,
+            remote_->store().held_epoch(mgr_->config().rank, c->id()));
+      }
       if (!soft || epoch != 0) continue;
       if (const auto acked = allocator.acknowledged(*c)) {
         rep.epoch = std::max(rep.epoch, acked->epoch);
       }
     }
+    // A fresh device numbers epochs from 1, but the buddy labels frames by
+    // (rank, chunk, epoch) alone: reusing the lost node's epochs would have
+    // the helper take its committed or staged frames for the new ones.
+    mgr_->number_epochs_past(buddy_epoch);
     mgr_->open_restore_window(work);
     // An explicitly requested epoch is reclaimable (the newest committed
     // version never is): pin every source slot up front so neither the GC

@@ -104,8 +104,9 @@ class RestartCoordinator {
   /// application must not touch a chunk until its restore lands (the
   /// admission window covers commits, not application loads). Throws
   /// NvmcpError for a hard restart at a nonzero epoch, before touching a
-  /// chunk: the buddy holds only the newest cut. A rank with nothing to
-  /// restore is kOk.
+  /// chunk: the buddy holds only the newest cut. A hard restart numbers
+  /// the manager's next checkpoint past every epoch the buddy holds for
+  /// the rank's chunks. A rank with nothing to restore is kOk.
   RestartReport restart_after(FailureKind kind, std::uint64_t epoch = 0);
 
  private:

@@ -22,9 +22,15 @@ VersionRing::Acquired VersionRing::acquire_locked() {
 
   Acquired out;
   // 1) An existing in-progress slot (a pre-copy being redone before its
-  //    commit) is always reused, preserving its pending-list state.
+  //    commit) is always reused, preserving its pending-list state. A
+  //    frame staged in it is cleared, and the record persisted, before a
+  //    byte of the new copy moves.
   for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
     if (rec_->state[i] == ChunkRecord::kSlotInProgress) {
+      if (staged_locked(i)) {
+        unpublish_locked(i, ChunkRecord::kSlotInProgress);
+        persist_locked();
+      }
       out.index = i;
       out.off = rec_->slot_off[i];
       out.fresh = false;  // caller's pending lists already track this slot
@@ -122,6 +128,42 @@ void VersionRing::publish(std::uint32_t index, std::uint64_t epoch,
   std::lock_guard<std::mutex> lock(dir_->mu_);
   rec_->epoch[index] = epoch;
   rec_->checksum[index] = checksum;
+  rec_->len[index] = rec_->size;
+  publish_locked(index);
+}
+
+void VersionRing::stage(std::uint32_t index, std::uint64_t epoch,
+                        std::uint64_t checksum, std::uint64_t len) {
+  std::lock_guard<std::mutex> lock(dir_->mu_);
+  rec_->epoch[index] = epoch;
+  rec_->checksum[index] = checksum;
+  rec_->len[index] = len;
+  persist_locked();
+}
+
+bool VersionRing::publish_staged(std::uint64_t epoch) {
+  std::lock_guard<std::mutex> lock(dir_->mu_);
+  for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
+    if (staged_locked(i) && rec_->epoch[i] == epoch) {
+      publish_locked(i);
+      break;
+    }
+  }
+  return rec_->has_committed() && rec_->epoch[rec_->committed] == epoch;
+}
+
+std::uint64_t VersionRing::held_epoch() const {
+  std::lock_guard<std::mutex> lock(dir_->mu_);
+  std::uint64_t held = 0;
+  for (std::uint32_t i = 0; i < kMaxRingSlots; ++i) {
+    if (i == rec_->committed || staged_locked(i)) {
+      held = std::max(held, rec_->epoch[i]);
+    }
+  }
+  return held;
+}
+
+void VersionRing::publish_locked(std::uint32_t index) {
   rec_->state[index] = ChunkRecord::kSlotPublished;
   persist_locked();
   rec_->committed = index;  // the commit point
@@ -226,6 +268,7 @@ void VersionRing::unpublish_locked(std::uint32_t i, std::uint32_t state) {
   rec_->state[i] = state;
   rec_->epoch[i] = 0;
   rec_->checksum[i] = 0;
+  rec_->len[i] = 0;
 }
 
 bool VersionRing::free_unacknowledged_locked(bool in_progress) {

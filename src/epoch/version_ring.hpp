@@ -14,14 +14,19 @@
 //
 // The ring is the runtime over the chunk's vmem::ChunkRecord, which holds
 // the slots and `committed`, the index of the acknowledged slot. Crash
-// ordering per commit: acquire un-publishes the target slot (kInProgress)
-// and persists it *before* any payload byte moves; publish writes the
-// slot's epoch and CRC only after the payload is flushed, persists them,
-// and then stores `committed` and persists it -- the commit point. The
-// acknowledged slot is never the copy target, and publish frees every
-// other slot holding an epoch >= the new one, so every retained slot but
-// the acknowledged one is strictly older. Directory attach applies the
-// same rule after a crash.
+// ordering per commit: acquire un-publishes the target slot (kInProgress,
+// nothing staged) and persists it *before* any payload byte moves; publish
+// writes the slot's epoch, CRC and length only after the payload is
+// flushed, persists them, and then stores `committed` and persists it --
+// the commit point. The acknowledged slot is never the copy target, and
+// publish frees every other slot holding an epoch >= the new one, so every
+// retained slot but the acknowledged one is strictly older. Directory
+// attach applies the same rule after a crash.
+//
+// A buddy store commits in two steps, the commit coming from another
+// node: a put stages its flushed frame's epoch, CRC and length in the
+// in-progress slot, and publish_staged publishes it. Acquiring a slot
+// clears what was staged there, so a commit racing a put finds nothing.
 #pragma once
 
 #include <algorithm>
@@ -49,8 +54,9 @@ struct RingSlot {
       vmem::ChunkRecord::kSlotPublished;
 
   std::uint64_t off = 0;       // device offset of the payload region, 0=none
-  std::uint64_t epoch = 0;     // checkpoint epoch (kCommitted only)
-  std::uint64_t checksum = 0;  // crc64 of the payload (kCommitted only)
+  std::uint64_t epoch = 0;     // kCommitted or staged: checkpoint epoch
+  std::uint64_t checksum = 0;  // kCommitted or staged: crc64 of len bytes
+  std::uint64_t len = 0;       // kCommitted or staged: bytes held
   std::uint32_t state = kFree;
 
   bool committed() const { return state == kCommitted; }
@@ -73,26 +79,42 @@ class VersionRing {
     std::uint64_t prev_checksum = 0;
   };
 
-  /// Pick (and persist as kInProgress) the slot the next commit will copy
-  /// into: an existing in-progress slot, else a free slot (allocating its
-  /// payload region lazily), else the oldest unpinned committed slot. The
-  /// acknowledged slot is never reused or reclaimed. Slots past the
-  /// budget, and regions beyond it, are freed first once unpinned. Throws
-  /// NvmcpError when no slot can be had: every reusable one pinned, or
-  /// the quota (or the device) has no room for another region.
+  /// Pick (and persist as kInProgress, nothing staged) the slot the next
+  /// commit will copy into: an existing in-progress slot, else a free slot
+  /// (allocating its payload region lazily), else the oldest unpinned
+  /// committed slot. The acknowledged slot is never reused or reclaimed.
+  /// Slots past the budget, and regions beyond it, are freed first once
+  /// unpinned. Throws NvmcpError when no slot can be had: every reusable
+  /// one pinned, or the quota (or the device) has no room for another
+  /// region.
   Acquired acquire_for_commit();
 
-  /// Acknowledge slot `index` as the committed version of `epoch` (payload
-  /// already flushed by the caller): persist its epoch and CRC, then store
-  /// and persist the record's committed index. Every other slot holding
-  /// an epoch >= `epoch` is freed, pinned or not: a recommit at one epoch
-  /// supersedes the copy it replaces (a reader still holding that copy's
-  /// offset is caught by its CRC check if the slot is reused under it).
+  /// Acknowledge slot `index` as the committed version of `epoch` (the
+  /// whole payload already flushed by the caller): persist its epoch, CRC
+  /// and length, then store and persist the record's committed index.
+  /// Every other slot holding an epoch >= `epoch` is freed, pinned or not:
+  /// a recommit at one epoch supersedes the copy it replaces (a reader
+  /// still holding that copy's offset is caught by its CRC check if the
+  /// slot is reused under it).
   void publish(std::uint32_t index, std::uint64_t epoch,
                std::uint64_t checksum);
 
-  /// The acknowledged slot: its offset, epoch and CRC, read together.
-  /// nullopt before the first commit.
+  /// Stage a frame of `len` bytes in in-progress slot `index` (bytes
+  /// already flushed): persist its epoch, CRC and length; the slot stays
+  /// in progress.
+  void stage(std::uint32_t index, std::uint64_t epoch, std::uint64_t checksum,
+             std::uint64_t len);
+
+  /// Publish the slot staged with `epoch`, as publish does. Returns
+  /// whether the acknowledged epoch is now `epoch`.
+  bool publish_staged(std::uint64_t epoch);
+
+  /// Newest epoch the acknowledged slot or a staged slot holds (0 if
+  /// none): what a buddy serves or can publish without another put.
+  std::uint64_t held_epoch() const;
+
+  /// The acknowledged slot: its offset, epoch, CRC and length, read
+  /// together. nullopt before the first commit.
   std::optional<RingSlot> acknowledged() const;
 
   /// Committed epochs, newest (the acknowledged one) first.
@@ -143,16 +165,21 @@ class VersionRing {
   bool published_locked(std::uint32_t i) const {
     return rec_->state[i] == vmem::ChunkRecord::kSlotPublished;
   }
+  bool staged_locked(std::uint32_t i) const {
+    return rec_->state[i] == vmem::ChunkRecord::kSlotInProgress &&
+           rec_->len[i] != 0;
+  }
   RingSlot slot_locked(std::uint32_t i) const {
     return RingSlot{rec_->slot_off[i], rec_->epoch[i], rec_->checksum[i],
-                    rec_->state[i]};
+                    rec_->len[i], rec_->state[i]};
   }
+  void publish_locked(std::uint32_t index);
   /// Oldest unpinned committed slot but the acknowledged one (kInvalidSlot:
   /// none).
   std::uint32_t oldest_reusable_locked() const;
   std::uint32_t oldest_reclaimable_locked(std::uint32_t floor) const;
-  /// Clear slot `i`'s epoch and CRC and give it `state`, keeping its
-  /// region. The caller persists the record.
+  /// Clear slot `i`'s epoch, CRC and length and give it `state`, keeping
+  /// its region. The caller persists the record.
   void unpublish_locked(std::uint32_t i, std::uint32_t state);
   /// Free every slot but the acknowledged one that holds an epoch >= the
   /// acknowledged epoch (every committed slot when none is acknowledged),

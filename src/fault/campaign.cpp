@@ -143,6 +143,7 @@ Json TrialResult::to_json() const {
   j["degraded_coordinations"] = degraded_coordinations;
   j["remote_stale_chunks"] = remote_stale_chunks;
   j["remote_cut_verified"] = remote_cut_verified;
+  j["last_round_converged"] = last_round_converged;
   j["logical_total_seconds"] = logical_total_seconds;
   j["logical_efficiency"] = logical_efficiency;
   j["plan"] = plan.to_json();
@@ -318,6 +319,7 @@ TrialResult CampaignRunner::run_trial(std::uint64_t seed) const {
       if (co.degraded) ++tr.degraded_coordinations;
     }
     tr.remote_stale_chunks = co.stale_chunks;
+    tr.last_round_converged = !co.degraded && co.stale_chunks == 0;
     int actually_stale = 0;
     for (int r = 0; r < s.ranks; ++r) {
       for (alloc::Chunk* c : node[r].chunks) {

@@ -146,6 +146,9 @@ struct TrialResult {
   int degraded_coordinations = 0;
   int remote_stale_chunks = 0;        // stale count after the last round
   bool remote_cut_verified = true;    // reports matched store ground truth
+  /// The last coordination round before the crash (or the horizon) was
+  /// not degraded and left no chunk stale.
+  bool last_round_converged = false;
 
   double recovery_wall_seconds = 0;   // measured restart-path time
   std::uint64_t bytes_local = 0;

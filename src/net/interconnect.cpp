@@ -1,7 +1,6 @@
 #include "net/interconnect.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "fault/injector.hpp"
 #include "telemetry/trace.hpp"
@@ -14,12 +13,8 @@ Interconnect::Interconnect(double bandwidth_bytes_per_sec,
       ckpt_timeline_(timeline_bucket_sec),
       app_timeline_(timeline_bucket_sec) {}
 
-double Interconnect::transfer(std::size_t bytes, TrafficClass cls) {
-  return transfer_copy(nullptr, nullptr, bytes, cls);
-}
-
-double Interconnect::transfer_copy(void* dst, const void* src,
-                                   std::size_t bytes, TrafficClass cls) {
+double Interconnect::transfer(std::size_t bytes, TrafficClass cls,
+                              const BlockMover& move) {
   const bool app = cls == TrafficClass::kApplication;
   if (app) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -27,15 +22,16 @@ double Interconnect::transfer_copy(void* dst, const void* src,
   }
   telemetry::Span span(app ? "link_app_xfer" : "link_ckpt_xfer", "net");
   const Stopwatch sw;
-  auto* d = static_cast<std::byte*>(dst);
-  const auto* s = static_cast<const std::byte*>(src);
   std::size_t off = 0;
   while (off < bytes) {
     const std::size_t len =
         std::min(ThrottledCopier::kBlockSize, bytes - off);
     if (!app) await_app_idle();
-    if (d && s) std::memcpy(d + off, s + off, len);
-    sleep_until(limiter_.acquire(len));
+    if (move) {
+      move(off, len, limiter_);
+    } else {
+      sleep_until(limiter_.acquire(len));
+    }
     if (injector_ && injector_->armed()) {
       // Degradation window: the block takes factor times as long as the
       // link's nominal rate would allow.
@@ -46,7 +42,7 @@ double Interconnect::transfer_copy(void* dst, const void* src,
     }
     // Attribute each block to the bucket in which it finished, so a long
     // transfer shows up spread over the timeline instead of as one spike.
-    record(len, cls, 0.0);
+    record(len, cls);
     off += len;
   }
   const double secs = sw.elapsed();
@@ -67,7 +63,7 @@ void Interconnect::await_app_idle() {
   app_idle_.wait(lock, [this] { return app_inflight_ == 0; });
 }
 
-void Interconnect::record(std::size_t bytes, TrafficClass cls, double) {
+void Interconnect::record(std::size_t bytes, TrafficClass cls) {
   std::lock_guard<std::mutex> lock(mu_);
   const double t = epoch_.elapsed();
   if (cls == TrafficClass::kApplication) {

@@ -17,14 +17,16 @@
 // checkpoint block (ThrottledCopier::kBlockSize) already on the link --
 // and the link stays work-conserving, so checkpoint traffic uses all the
 // capacity the application leaves idle.
+//
+// Every transfer, remote puts and gets included, runs one block loop:
+// priority wait, the block's move, degradation delay, byte accounting.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <mutex>
-#include <string>
 
 #include "common/clock.hpp"
 #include "common/stats.hpp"
@@ -45,6 +47,12 @@ struct LinkStats {
   double checkpoint_seconds = 0;
 };
 
+/// Moves bytes [off, off + len) of a transfer, paced by the link's limiter
+/// (a device write or read then moves at min(link bw, device bw)).
+using BlockMover =
+    std::function<void(std::size_t off, std::size_t len,
+                       BandwidthLimiter& link)>;
+
 /// One full-duplex-ish link with a single shared bandwidth pipe.
 class Interconnect {
  public:
@@ -57,14 +65,12 @@ class Interconnect {
 
   /// Block until `bytes` have traversed the link (sharing bandwidth with
   /// concurrent callers; checkpoint-class blocks yield to application
-  /// transfers). Records the transfer on the utilization timeline under
-  /// its traffic class. Returns seconds spent.
-  double transfer(std::size_t bytes, TrafficClass cls);
-
-  /// Transfer while also moving real payload between buffers (used by the
-  /// real-thread remote checkpointer: local NVM -> remote NVM staging).
-  double transfer_copy(void* dst, const void* src, std::size_t bytes,
-                       TrafficClass cls);
+  /// transfers). Each block of at most ThrottledCopier::kBlockSize is
+  /// moved by `move` when given, else it only occupies the link. Records
+  /// the transfer on the utilization timeline under its traffic class.
+  /// Returns seconds spent.
+  double transfer(std::size_t bytes, TrafficClass cls,
+                  const BlockMover& move = nullptr);
 
   double bandwidth() const { return limiter_.rate(); }
   void set_bandwidth(double bytes_per_sec) { limiter_.set_rate(bytes_per_sec); }
@@ -90,22 +96,11 @@ class Interconnect {
   /// open. nullptr detaches.
   void set_fault_injector(fault::FaultInjector* fi) { injector_ = fi; }
 
-  /// Direct access for callers that pipeline the link against another
-  /// limiter (e.g. RDMA into remote NVM): for checkpoint traffic, call
-  /// await_app_idle() before each block of at most
-  /// ThrottledCopier::kBlockSize, acquire on the limiter, then note the
-  /// bytes so timelines and totals stay accurate.
-  BandwidthLimiter& limiter() { return limiter_; }
-  void note_bytes(std::size_t bytes, TrafficClass cls) {
-    record(bytes, cls, 0.0);
-  }
-
-  /// Block while any application transfer is in flight (the priority
-  /// rule above); checkpoint-class callers invoke it before each block.
-  void await_app_idle();
-
  private:
-  void record(std::size_t bytes, TrafficClass cls, double secs);
+  /// Block while any application transfer is in flight (the priority
+  /// rule above); a checkpoint-class block waits here before it starts.
+  void await_app_idle();
+  void record(std::size_t bytes, TrafficClass cls);
 
   BandwidthLimiter limiter_;
   fault::FaultInjector* injector_ = nullptr;

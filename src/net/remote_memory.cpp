@@ -1,20 +1,10 @@
 #include "net/remote_memory.hpp"
 
-#include <algorithm>
-#include <vector>
-
-#include "common/log.hpp"
+#include "common/checksum.hpp"
+#include "common/clock.hpp"
 #include "fault/injector.hpp"
 
 namespace nvmcp::net {
-namespace {
-
-// One link block per segment: a checkpoint put or fetch yields to
-// application traffic between segments (Interconnect::await_app_idle), so
-// an application transfer waits for at most one segment.
-constexpr std::size_t kSegment = ThrottledCopier::kBlockSize;
-
-}  // namespace
 
 RemoteStore::RemoteStore(NvmConfig cfg)
     : dev_(std::move(cfg)), container_(dev_), dir_(container_, {1}) {}
@@ -32,102 +22,82 @@ std::uint64_t RemoteStore::pair_id(std::uint32_t src_rank,
 PutResult RemoteStore::put(std::uint32_t src_rank, std::uint64_t chunk_id,
                            const void* data, std::size_t n,
                            std::size_t capacity, std::uint64_t epoch,
-                           bool do_commit, Interconnect* link,
-                           BandwidthLimiter* pace) {
+                           bool do_commit, Interconnect& link) {
   if (n == 0 || n > capacity) return PutResult{false, 0.0};
   if (injector_ && injector_->armed() && injector_->should_drop_remote_op()) {
-    // Lost in transit: the in-progress slot keeps its old payload and no
-    // pending checksum is recorded, so a later commit of this epoch is a
-    // no-op (exactly what a dropped RDMA put looks like to the store).
+    // Lost in transit: the in-progress slot keeps its old payload and
+    // nothing new is staged, so a later commit of this epoch publishes
+    // nothing (exactly what a dropped RDMA put looks like to the store).
     return PutResult{false, 0.0};
   }
-  const std::uint64_t id = pair_id(src_rank, chunk_id);
+  epoch::VersionRing* ring;
   epoch::VersionRing::Acquired slot;
   {
+    // A capacity change (nvrealloc on the source) frees every slot.
     std::lock_guard<std::mutex> lock(mu_);
-    epoch::VersionRing* ring = dir_.ring(id);
-    if (ring && ring->payload_bytes() != capacity) {
-      // Capacity changed (nvrealloc on the source): ensure_ring frees the
-      // old slots, which any pending or committed length referred to.
-      pending_.erase(id);
-      committed_len_.erase(id);
-    }
-    slot = dir_.ensure_ring(id, capacity, nullptr, "remote")
-               ->acquire_for_commit();
+    ring = dir_.ensure_ring(pair_id(src_rank, chunk_id), capacity, nullptr,
+                            "remote");
+    slot = ring->acquire_for_commit();
   }
   const auto* src = static_cast<const std::byte*>(data);
   const Stopwatch sw;
-  std::size_t done = 0;
-  // Chunk-granular pacing ("moving in granularity of chunks instead of
-  // moving all checkpoint data at once"): wait for the whole chunk's pace
-  // credit, then transfer the chunk at full fabric speed.
-  if (pace) sleep_until(pace->acquire(n));
-  while (done < n) {
-    const std::size_t len = std::min(kSegment, n - done);
-    if (link) link->await_app_idle();
-    // Pipeline: the device write path is additionally paced by the link
-    // limiter, so the segment moves at min(link bw, NVM write bw).
-    dev_.write(slot.off + done, src + done, len,
-               link ? &link->limiter() : nullptr);
-    if (link) link->note_bytes(len, TrafficClass::kCheckpoint);
-    done += len;
-  }
+  // Each block is one device write paced by the link limiter, its CRC
+  // taken from the bytes just placed in the slot.
+  std::uint64_t crc = crc64_init();
+  link.transfer(n, TrafficClass::kCheckpoint,
+                [&](std::size_t off, std::size_t len, BandwidthLimiter& pace) {
+                  dev_.write(slot.off + off, src + off, len, &pace, &crc);
+                });
   dev_.flush(slot.off, n);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    pending_[id] = Pending{crc64(data, n), epoch, n, slot.index};
+    ring->stage(slot.index, epoch, crc64_final(crc), n);
   }
   if (do_commit) commit(src_rank, chunk_id, epoch);
   return PutResult{true, sw.elapsed()};
 }
 
-void RemoteStore::commit(std::uint32_t src_rank, std::uint64_t chunk_id,
+bool RemoteStore::commit(std::uint32_t src_rank, std::uint64_t chunk_id,
                          std::uint64_t epoch) {
-  const std::uint64_t id = pair_id(src_rank, chunk_id);
   std::lock_guard<std::mutex> lock(mu_);
-  epoch::VersionRing* ring = dir_.ring(id);
-  auto it = pending_.find(id);
-  if (!ring || it == pending_.end()) return;
-  if (it->second.epoch != epoch) return;  // stale pre-copy; not this epoch
-  ring->publish(it->second.slot, epoch, it->second.checksum);
-  committed_len_[id] = it->second.len;
-  pending_.erase(it);
+  epoch::VersionRing* ring = dir_.ring(pair_id(src_rank, chunk_id));
+  return ring && ring->publish_staged(epoch);
 }
 
 std::size_t RemoteStore::get(std::uint32_t src_rank, std::uint64_t chunk_id,
-                             void* dst, std::size_t cap, Interconnect* link) {
+                             void* dst, std::size_t cap, Interconnect& link) {
   if (injector_ && injector_->armed() && injector_->should_drop_remote_op()) {
     return 0;
   }
-  const std::uint64_t id = pair_id(src_rank, chunk_id);
   std::optional<epoch::RingSlot> acked;
-  std::size_t n = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (epoch::VersionRing* ring = dir_.ring(id)) acked = ring->acknowledged();
-    auto it = committed_len_.find(id);
-    if (it != committed_len_.end()) n = it->second;
+    if (epoch::VersionRing* ring = dir_.ring(pair_id(src_rank, chunk_id))) {
+      acked = ring->acknowledged();
+    }
   }
-  if (!acked || n == 0 || n > cap) return 0;
+  if (!acked || acked->len == 0 || acked->len > cap) return 0;
   auto* d = static_cast<std::byte*>(dst);
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t len = std::min(kSegment, n - done);
-    if (link) link->await_app_idle();
-    dev_.read(acked->off + done, d + done, len,
-              link ? &link->limiter() : nullptr);
-    if (link) link->note_bytes(len, TrafficClass::kCheckpoint);
-    done += len;
-  }
-  return crc64(dst, n) == acked->checksum ? n : 0;
+  std::uint64_t crc = crc64_init();
+  link.transfer(acked->len, TrafficClass::kCheckpoint,
+                [&](std::size_t off, std::size_t len, BandwidthLimiter& pace) {
+                  dev_.read(acked->off + off, d + off, len, &pace, &crc);
+                });
+  return crc64_final(crc) == acked->checksum ? acked->len : 0;
 }
 
 std::uint64_t RemoteStore::committed_epoch(std::uint32_t src_rank,
                                            std::uint64_t chunk_id) const {
-  const std::uint64_t id = pair_id(src_rank, chunk_id);
   std::lock_guard<std::mutex> lock(mu_);
-  epoch::VersionRing* ring = dir_.ring(id);
+  epoch::VersionRing* ring = dir_.ring(pair_id(src_rank, chunk_id));
   return ring ? ring->newest_epoch() : 0;
+}
+
+std::uint64_t RemoteStore::held_epoch(std::uint32_t src_rank,
+                                      std::uint64_t chunk_id) const {
+  std::lock_guard<std::mutex> lock(mu_);
+  epoch::VersionRing* ring = dir_.ring(pair_id(src_rank, chunk_id));
+  return ring ? ring->held_epoch() : 0;
 }
 
 std::size_t RemoteStore::stored_chunks() const {
@@ -138,14 +108,12 @@ std::size_t RemoteStore::stored_chunks() const {
 bool RemoteStore::corrupt_committed(std::uint32_t src_rank,
                                     std::uint64_t chunk_id,
                                     fault::FaultInjector& fi) {
-  const std::uint64_t id = pair_id(src_rank, chunk_id);
   std::lock_guard<std::mutex> lock(mu_);
-  epoch::VersionRing* ring = dir_.ring(id);
+  epoch::VersionRing* ring = dir_.ring(pair_id(src_rank, chunk_id));
   const std::optional<epoch::RingSlot> acked =
       ring ? ring->acknowledged() : std::nullopt;
-  auto it = committed_len_.find(id);
-  if (!acked || it == committed_len_.end()) return false;
-  fi.flip_random_bit(dev_.data() + acked->off, it->second);
+  if (!acked) return false;
+  fi.flip_random_bit(dev_.data() + acked->off, acked->len);
   return true;
 }
 

@@ -7,17 +7,19 @@
 // the buddy node's NVM (a device whose chunk records each hold a depth-1
 // version ring, committed through the same epoch::VersionRing as local
 // checkpoints), and RemoteMemory::put/get move
-// chunk payloads through the shared interconnect, pipelined against the
-// remote NVM's own write bandwidth (a transfer is throttled by whichever of
-// the link or the device is slower, as RDMA-to-NVM would be).
+// chunk payloads through the shared interconnect's block loop, pipelined
+// against the remote NVM's own bandwidth (a transfer is throttled by
+// whichever of the link or the device is slower, as RDMA-to-NVM would be).
+//
+// The buddy's chunk records are the one description of what it holds (a
+// put stages its frame's epoch, CRC and length in the pair's in-progress
+// slot; a commit publishes it), so a store reopened from its device file
+// serves every committed frame.
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <memory>
 #include <mutex>
 
-#include "common/checksum.hpp"
 #include "epoch/directory.hpp"
 #include "net/interconnect.hpp"
 #include "nvm/device.hpp"
@@ -27,8 +29,8 @@ namespace nvmcp::net {
 
 /// Result of one remote put. `ok` is false when the transfer was lost in
 /// transit (injected outage or sampled drop): the in-progress slot keeps
-/// its old payload and no pending checksum is recorded, so a later commit
-/// of that epoch is a no-op. Callers that care about delivery (the remote
+/// its old payload and nothing new is staged, so a later commit of that
+/// epoch publishes nothing. Callers that care about delivery (the remote
 /// checkpoint helper's retry layer) must check `ok` -- a dropped put is a
 /// recoverable transport failure, not a slow one.
 struct PutResult {
@@ -55,31 +57,40 @@ class RemoteStore {
   /// Write `n` bytes into the in-progress slot of (src_rank, chunk_id),
   /// whose slots hold `capacity` bytes (allocated on first use, freed
   /// when the capacity changes; the helper keeps it at max_frame_size of
-  /// the payload, so codec-dependent frame sizes never realloc). Only the
-  /// `n` bytes cross `link` (may be null), paced with the remote NVM
-  /// write bandwidth and counted as checkpoint traffic; `pace` optionally
-  /// rate-limits them further. If `commit`, the slot is committed with
-  /// `epoch`. Returns whether the bytes arrived plus seconds spent.
+  /// the payload, so codec-dependent frame sizes never realloc), and stage
+  /// them as `epoch`'s frame with the CRC of the bytes the slot holds;
+  /// what the slot had staged is cleared before the first byte moves.
+  /// Only the `n` bytes cross `link`, paced with the remote NVM write
+  /// bandwidth and counted as checkpoint traffic. If `commit`, the frame
+  /// is committed at once. Puts of one pair must not overlap (the helper
+  /// serializes its sends); a commit may race a put. Returns whether the
+  /// bytes arrived plus seconds spent.
   PutResult put(std::uint32_t src_rank, std::uint64_t chunk_id,
                 const void* data, std::size_t n, std::size_t capacity,
-                std::uint64_t epoch, bool commit, Interconnect* link,
-                BandwidthLimiter* pace = nullptr);
+                std::uint64_t epoch, bool commit, Interconnect& link);
 
-  /// Commit whatever the in-progress slot of the pair holds as `epoch`.
-  /// Used for coordinated remote checkpoints where the payload arrived in
-  /// earlier pre-copy puts. No-op if the pair is unknown.
-  void commit(std::uint32_t src_rank, std::uint64_t chunk_id,
+  /// Publish the pair's frame staged as `epoch` (the coordinated remote
+  /// checkpoint's commit). Returns whether the pair's committed epoch is
+  /// now `epoch`, also when it already was; false when nothing is staged
+  /// as `epoch`, as while a put is still writing the slot.
+  bool commit(std::uint32_t src_rank, std::uint64_t chunk_id,
               std::uint64_t epoch);
 
   /// Read the committed bytes of a pair into dst (capacity cap), the
   /// restart path. Returns their length, or 0 when the pair is unknown or
   /// uncommitted, the bytes exceed cap, or they fail their checksum.
   std::size_t get(std::uint32_t src_rank, std::uint64_t chunk_id, void* dst,
-                  std::size_t cap, Interconnect* link);
+                  std::size_t cap, Interconnect& link);
 
   /// Committed epoch for a pair, 0 if none.
   std::uint64_t committed_epoch(std::uint32_t src_rank,
                                 std::uint64_t chunk_id) const;
+
+  /// Newest epoch of the pair's committed or staged frame, 0 if none (the
+  /// helper's check before a send, and a restart's floor for its next
+  /// epoch; a one-sided read of the record on hardware).
+  std::uint64_t held_epoch(std::uint32_t src_rank,
+                           std::uint64_t chunk_id) const;
 
   std::size_t stored_chunks() const;
 
@@ -98,17 +109,7 @@ class RemoteStore {
   fault::FaultInjector* injector_ = nullptr;
   vmem::Container container_;
   epoch::EpochDirectory dir_;  // depth 1: one ring per pair
-  mutable std::mutex mu_;
-  // Data currently sitting (uncommitted) in each pair's in-progress slot.
-  struct Pending {
-    std::uint64_t checksum = 0;
-    std::uint64_t epoch = 0;
-    std::size_t len = 0;
-    std::uint32_t slot = 0;
-  };
-  std::map<std::uint64_t, Pending> pending_;
-  // Length of each pair's committed bytes (<= the record size).
-  std::map<std::uint64_t, std::size_t> committed_len_;
+  mutable std::mutex mu_;      // guards every pair's record
 };
 
 /// The node-side handle pairing a link with a destination store.
@@ -120,22 +121,21 @@ class RemoteMemory {
   /// Remote put (see RemoteStore::put); accounted as checkpoint traffic.
   PutResult put(std::uint32_t src_rank, std::uint64_t chunk_id,
                 const void* data, std::size_t n, std::size_t capacity,
-                std::uint64_t epoch, bool commit,
-                BandwidthLimiter* pace = nullptr) {
+                std::uint64_t epoch, bool commit) {
     return store_->put(src_rank, chunk_id, data, n, capacity, epoch, commit,
-                       link_, pace);
+                       *link_);
   }
 
-  void commit(std::uint32_t src_rank, std::uint64_t chunk_id,
+  bool commit(std::uint32_t src_rank, std::uint64_t chunk_id,
               std::uint64_t epoch) {
-    store_->commit(src_rank, chunk_id, epoch);
+    return store_->commit(src_rank, chunk_id, epoch);
   }
 
   /// Remote get (restart fetch, see RemoteStore::get); accounted as
   /// checkpoint traffic.
   std::size_t get(std::uint32_t src_rank, std::uint64_t chunk_id, void* dst,
                   std::size_t cap) {
-    return store_->get(src_rank, chunk_id, dst, cap, link_);
+    return store_->get(src_rank, chunk_id, dst, cap, *link_);
   }
 
   /// Application communication phase: occupy the link with `bytes` of

@@ -39,8 +39,7 @@ MetadataRegion MetadataRegion::attach(NvmDevice& dev) {
   if (region.header().magic != kMagic) {
     throw NvmcpError(
         "MetadataRegion: bad magic at root offset (not a metadata region, "
-        "or an image from before one record per chunk); it cannot be "
-        "reopened");
+        "or an image of an earlier record layout); it cannot be reopened");
   }
   return region;
 }

@@ -7,12 +7,13 @@
 //
 // We store a fixed-capacity table of chunk records plus an allocation
 // cursor. A chunk record is the one persisted description of a chunk's
-// versions: its payload slots, each slot's epoch and CRC, and `committed`,
-// the index of the acknowledged slot. A commit copies into a slot that is
-// not acknowledged, flushes it, publishes the slot's epoch and CRC, and
-// only then stores `committed` -- one aligned 8-byte word, the commit
-// point -- so a crash at any step leaves the previous acknowledged version
-// intact (epoch::VersionRing owns that ordering).
+// versions: its payload slots, each slot's epoch, CRC and length, and
+// `committed`, the index of the acknowledged slot. A commit copies into a
+// slot that is not acknowledged, flushes it, publishes the slot's epoch,
+// CRC and length, and only then stores `committed` -- one aligned 8-byte
+// word, the commit point -- so a crash at any step leaves the previous
+// acknowledged version intact (epoch::VersionRing owns that ordering). A
+// buddy store's in-progress slot may also hold a staged frame's fields.
 #pragma once
 
 #include <cstddef>
@@ -35,13 +36,15 @@ struct ChunkRecord {
   // Slot states.
   static constexpr std::uint32_t kSlotFree = 0;
   static constexpr std::uint32_t kSlotInProgress = 1;  // copy target
-  static constexpr std::uint32_t kSlotPublished = 2;   // epoch + CRC valid
+  static constexpr std::uint32_t kSlotPublished = 2;   // epoch, CRC, len
 
   std::uint64_t id = 0;    // genid(varname)
   std::uint64_t size = 0;  // payload bytes of every slot
   std::uint64_t slot_off[kMaxRingSlots] = {};  // device offset, 0 = none
-  std::uint64_t checksum[kMaxRingSlots] = {};  // crc64 of a published slot
-  std::uint64_t epoch[kMaxRingSlots] = {};     // epoch of a published slot
+  // Of a published slot, or of a frame staged in an in-progress one.
+  std::uint64_t checksum[kMaxRingSlots] = {};  // crc64 of its len bytes
+  std::uint64_t epoch[kMaxRingSlots] = {};
+  std::uint64_t len[kMaxRingSlots] = {};       // bytes held, <= size
   std::uint32_t state[kMaxRingSlots] = {};
   std::uint32_t committed = kInvalidSlot;  // acknowledged slot
   std::uint32_t flags = 0;
@@ -51,7 +54,7 @@ struct ChunkRecord {
   bool has_committed() const { return committed != kInvalidSlot; }
 };
 
-static_assert(sizeof(ChunkRecord) == 320, "ChunkRecord layout is persistent");
+static_assert(sizeof(ChunkRecord) == 392, "ChunkRecord layout is persistent");
 static_assert(offsetof(ChunkRecord, committed) % 8 + sizeof(std::uint32_t) <=
                   8,
               "the commit point must not straddle an 8-byte atom");
@@ -67,10 +70,11 @@ struct MetadataHeader {
 /// metadata automatically.
 class MetadataRegion {
  public:
-  /// "nvmmeta2": one record per chunk. Images of the earlier layout
-  /// ("nvmmeta1", whose versions also lived in a separate ring table) are
-  /// refused at attach, never migrated.
-  static constexpr std::uint64_t kMagic = 0x6e766d6d65746132ULL;
+  /// "nvmmeta3": one record per chunk, with a length per slot. Images of
+  /// the earlier layouts ("nvmmeta2", without slot lengths; "nvmmeta1",
+  /// whose versions also lived in a separate ring table) are refused at
+  /// attach, never migrated.
+  static constexpr std::uint64_t kMagic = 0x6e766d6d65746133ULL;
 
   /// Create a fresh region at `region_off` with space for `capacity`
   /// records, and point the device root at it.

@@ -387,10 +387,10 @@ TEST(EpochDirectory, UnacknowledgedPublishIsFreedAtAttach) {
 }
 
 TEST(EpochDirectory, OldMetadataImageIsRefusedAndWritesNothing) {
-  // An image whose metadata header carries the magic of the earlier
-  // layout, whose versions also lived in a separate ring table, is
-  // refused at every depth before a byte of the device changes. Built
-  // here by stamping a committed image with that magic by hand.
+  // An image whose metadata header carries the magic of the previous
+  // layout, whose records had no slot lengths, is refused at every depth
+  // before a byte of the device changes. Built here by stamping a
+  // committed image with that magic by hand.
   namespace fs = std::filesystem;
   const fs::path path = fs::temp_directory_path() /
                         ("nvmcp_epoch_oldmeta_" +
@@ -403,7 +403,7 @@ TEST(EpochDirectory, OldMetadataImageIsRefusedAndWritesNothing) {
     s.alloc->checkpoint_chunk(*c, 1);
     vmem::MetadataRegion& meta = s.cont->metadata();
     ASSERT_EQ(meta.header().magic, vmem::MetadataRegion::kMagic);
-    meta.header().magic = 0x6e766d6d65746131ULL;  // "nvmmeta1"
+    meta.header().magic = 0x6e766d6d65746132ULL;  // "nvmmeta2"
     meta.persist_header();
   }
   const std::uint64_t before = file_crc(path);

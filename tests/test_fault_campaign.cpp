@@ -3,6 +3,7 @@
 // 200-trial mixed acceptance sweep with the Section III cross-check).
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
 #include <memory>
 #include <set>
@@ -147,6 +148,48 @@ CampaignSpec small_spec() {
   return s;
 }
 
+// Whether the campaign's injector still drops link traffic when a trial
+// crashing at `crash` restarts: it sets its knobs at each iteration start
+// (an outage window open then stays on), and an outage firing within the
+// crash's iteration turns it on until the restart.
+bool link_outage_at_restart(const FaultPlan& plan, double crash,
+                            double iteration_seconds) {
+  const double start =
+      std::floor(crash / iteration_seconds) * iteration_seconds;
+  for (const FaultEvent& ev : plan.events()) {
+    if (ev.type == FaultType::kLinkOutage && ev.at_seconds <= crash &&
+        (ev.at_seconds >= start || ev.at_seconds + ev.duration > start)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// Campaign invariant of buddy replication: a hard crash whose last
+// coordination round converged recovers from the buddy, never ending in
+// detected loss. A trial restarts at its crash moment, so a restart while
+// the link is out has every buddy fetch dropped in transit and reports
+// the loss (detected, never silent) although the buddy holds the cut;
+// those trials are not covered. Returns how many trials were.
+int expect_converged_hard_crashes_recover(const CampaignRunner& runner,
+                                          const CampaignResult& res) {
+  int covered = 0;
+  for (const TrialResult& t : res.trials) {
+    const FaultEvent* crash = t.plan.crash();
+    if (t.crash_seconds < 0 || !crash ||
+        crash->type != FaultType::kHardCrash || !t.last_round_converged ||
+        link_outage_at_restart(t.plan, t.crash_seconds,
+                               runner.spec().iteration_seconds)) {
+      continue;
+    }
+    ++covered;
+    EXPECT_NE(t.outcome, TrialOutcome::kDetectedCorruption)
+        << "trial " << t.index << " seed " << t.seed
+        << ": hard crash after a converged round lost data";
+  }
+  return covered;
+}
+
 TEST(CampaignRunner, TrialSeedsAreStableAndDistinct) {
   std::set<std::uint64_t> seeds;
   for (int i = 0; i < 256; ++i) {
@@ -183,6 +226,7 @@ TEST(CampaignRunner, SweepTrialsReplayFromTheirSeeds) {
   CampaignRunner runner(small_spec());
   const CampaignResult res = runner.run();
   ASSERT_EQ(res.trials.size(), 16u);
+  expect_converged_hard_crashes_recover(runner, res);
   for (const TrialResult& t : res.trials) {
     const TrialResult replay = runner.run_trial(t.seed);
     EXPECT_EQ(replay.outcome, t.outcome) << "trial " << t.index;
@@ -219,6 +263,7 @@ TEST(CampaignRunner, HardCrashesNeedTheBuddyStore) {
   EXPECT_EQ(res.count(TrialOutcome::kUndetectedLoss), 0);
   EXPECT_GT(res.count(TrialOutcome::kRecoveredRemote), 0);
   EXPECT_EQ(res.count(TrialOutcome::kRecoveredLocal), 0);
+  EXPECT_GT(expect_converged_hard_crashes_recover(runner, res), 0);
 }
 
 TEST(CampaignRunner, ParityGroupRebuildsHardCrashes) {
@@ -248,6 +293,7 @@ TEST(CampaignRunner, HelperKillLeavesRemoteStale) {
   CampaignRunner runner(s);
   const CampaignResult res = runner.run();
   EXPECT_EQ(res.count(TrialOutcome::kUndetectedLoss), 0);
+  expect_converged_hard_crashes_recover(runner, res);
   // A killed helper stops replication: hard crashes then land on an older
   // remote epoch (stale) or, if nothing was ever shipped, on known loss.
   EXPECT_GT(res.count(TrialOutcome::kStaleEpoch) +
@@ -315,6 +361,7 @@ TEST(CampaignRunner, ParallelCopyPathHasNoUndetectedLoss) {
   ASSERT_EQ(res.trials.size(), 24u);
   EXPECT_EQ(res.count(TrialOutcome::kUndetectedLoss), 0)
       << "parallel commit leaked a torn/stale slot past verification";
+  expect_converged_hard_crashes_recover(runner, res);
   int crashed = 0;
   for (const TrialResult& t : res.trials) {
     if (t.crash_seconds >= 0) ++crashed;
@@ -361,6 +408,7 @@ TEST(CampaignRunner, WriteLogTrackingHasNoUndetectedLoss) {
     ASSERT_EQ(res.trials.size(), 32u);
     EXPECT_EQ(res.count(TrialOutcome::kUndetectedLoss), 0)
         << "a logged dirty range was dropped or mis-applied at commit";
+    expect_converged_hard_crashes_recover(runner, res);
     int crashed = 0;
     for (const TrialResult& t : res.trials) {
       if (t.crash_seconds >= 0) ++crashed;
@@ -592,6 +640,7 @@ TEST(CampaignRunner, MixedCampaign200TrialsAcceptance) {
 
   EXPECT_EQ(res.undetected_losses, 0)
       << "undetected data loss is always a library bug";
+  expect_converged_hard_crashes_recover(runner, res);
   // The mix produces real diversity.
   int crashed = 0;
   for (const TrialResult& t : res.trials) {

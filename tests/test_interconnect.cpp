@@ -29,12 +29,24 @@ TEST(Interconnect, StatsSplitByClass) {
   EXPECT_GT(s.checkpoint_seconds, 0.0);
 }
 
-TEST(Interconnect, TransferCopyMovesPayload) {
+// A mover runs once per block, in order, and is handed the link's
+// limiter to pace its move; the link records the moved bytes.
+TEST(Interconnect, MoverRunsOncePerBlock) {
   Interconnect link(0.5e9, 0.05);
-  std::vector<std::byte> src(256 * KiB, std::byte{0x3c}), dst(256 * KiB);
-  link.transfer_copy(dst.data(), src.data(), src.size(),
-                     TrafficClass::kCheckpoint);
+  const std::size_t n = 2 * ThrottledCopier::kBlockSize + 100;
+  std::vector<std::byte> src(n, std::byte{0x3c}), dst(n);
+  std::vector<std::size_t> blocks;
+  link.transfer(n, TrafficClass::kCheckpoint,
+                [&](std::size_t off, std::size_t len, BandwidthLimiter& l) {
+                  blocks.push_back(len);
+                  ThrottledCopier::copy(dst.data() + off, src.data() + off,
+                                        len, &l);
+                });
+  EXPECT_EQ(blocks, (std::vector<std::size_t>{ThrottledCopier::kBlockSize,
+                                              ThrottledCopier::kBlockSize,
+                                              100}));
   EXPECT_EQ(dst, src);
+  EXPECT_EQ(link.stats().checkpoint_bytes, n);
 }
 
 TEST(Interconnect, ConcurrentFlowsShareBandwidth) {

@@ -6,10 +6,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "common/clock.hpp"
 #include "common/rng.hpp"
+#include "compress/codec.hpp"
 #include "core/remote.hpp"
 #include "fault/injector.hpp"
 
@@ -150,6 +152,125 @@ TEST_F(RemoteCkptTest, SecondCoordinationSkipsUnchangedChunks) {
   const std::uint64_t sent_before = counter(helper, "remote.bytes_sent");
   helper.coordinate_now();  // nothing changed locally
   EXPECT_EQ(counter(helper, "remote.bytes_sent"), sent_before);
+}
+
+// The helper keeps no copy of what the buddy holds: a second helper over
+// the same store and managers asks the buddy's records, so after a
+// converged round it ships nothing.
+TEST_F(RemoteCkptTest, FreshHelperShipsNothingTheBuddyHolds) {
+  RemoteConfig rcfg;
+  rcfg.policy = PrecopyPolicy::kNone;
+  for (int r = 0; r < kRanks; ++r) {
+    for (int j = 0; j < 2; ++j) {
+      alloc::Chunk* c = allocators_[static_cast<std::size_t>(r)]->nvalloc(
+          "held" + std::to_string(j), 64 * KiB, true);
+      fill(*c, static_cast<std::uint64_t>(10 * r + j));
+    }
+    managers_[static_cast<std::size_t>(r)]->nvchkptall();
+  }
+  {
+    auto first = make_helper(rcfg);
+    const CoordinationOutcome out = first.coordinate_now();
+    ASSERT_FALSE(out.degraded);
+    ASSERT_GT(counter(first, "remote.coordinated_puts"), 0u);
+  }
+  auto fresh = make_helper(rcfg);
+  const CoordinationOutcome out = fresh.coordinate_now();
+  EXPECT_FALSE(out.degraded);
+  EXPECT_EQ(out.stale_chunks, 0);
+  EXPECT_EQ(counter(fresh, "remote.coordinated_puts"), 0u);
+  EXPECT_EQ(counter(fresh, "remote.bytes_sent"), 0u);
+  EXPECT_EQ(counter(fresh, "remote.phase2_resends"), 0u);
+}
+
+// The buddy labels a frame by (rank, chunk, epoch) alone, and a node that
+// replaces a lost one starts on a fresh device. Its hard restart numbers
+// its epochs past every frame the buddy holds for it -- committed, or
+// staged by an eager send before the loss -- so a fresh helper ships the
+// new node's frames instead of taking the old ones for them, and a second
+// loss restores the new node's bytes.
+TEST_F(RemoteCkptTest, ReplacementNodeNumbersEpochsPastTheBuddys) {
+  struct Node {
+    static NvmConfig device_config() {
+      NvmConfig cfg;
+      cfg.capacity = 8 * MiB;
+      cfg.throttle = false;
+      return cfg;
+    }
+    static CheckpointConfig manager_config() {
+      CheckpointConfig cfg;
+      cfg.local_policy = PrecopyPolicy::kNone;
+      return cfg;  // rank 0
+    }
+    NvmDevice dev{device_config()};
+    vmem::Container container{dev};
+    alloc::ChunkAllocator alloc{container};
+    CheckpointManager mgr{alloc, manager_config()};
+    std::vector<alloc::Chunk*> chunks;
+  };
+  constexpr std::size_t kSize = 64 * KiB;
+  const auto alloc_chunks = [&](alloc::ChunkAllocator& a) {
+    std::vector<alloc::Chunk*> out;
+    for (int j = 0; j < 2; ++j) {
+      out.push_back(a.nvalloc("replaced" + std::to_string(j), kSize, true));
+    }
+    return out;
+  };
+  RemoteConfig rcfg;
+  rcfg.policy = PrecopyPolicy::kNone;
+
+  // The lost node: epochs 1-3, committed on the buddy at 3, then epoch 4
+  // of chunk 0 staged by an eager send.
+  const std::vector<alloc::Chunk*> lost = alloc_chunks(*allocators_[0]);
+  for (int e = 1; e <= 3; ++e) {
+    for (int j = 0; j < 2; ++j) fill(*lost[j], 100 * e + j);
+    managers_[0]->nvchkptall();
+  }
+  ASSERT_FALSE(make_helper(rcfg).coordinate_now().degraded);
+  fill(*lost[0], 400);
+  compress::FrameEncoder enc;
+  const auto fr =
+      enc.encode(compress::Codec::kRaw, lost[0]->data(), kSize, nullptr, 0);
+  ASSERT_TRUE(remote_mem_->put(0, lost[0]->id(), enc.frame(), fr.frame_size,
+                               compress::max_frame_size(kSize), 4,
+                               /*commit=*/false));
+
+  Node first;
+  first.chunks = alloc_chunks(first.alloc);
+  ASSERT_EQ(RestartCoordinator(first.mgr, remote_mem_.get())
+                .restart_after(FailureKind::kHard)
+                .status,
+            RestoreStatus::kOkFromRemote);
+  EXPECT_EQ(first.mgr.next_epoch(), 5u);
+  // New bytes in four epochs; chunk 1 is left out of the last, so the
+  // two chunks end on different epochs.
+  for (int e = 1; e <= 4; ++e) {
+    for (int j = 0; j < 2; ++j) {
+      if (j == 0 || e < 4) fill(*first.chunks[j], 1000 + 100 * e + j);
+    }
+    first.mgr.nvchkptall();
+  }
+  RemoteCheckpointer helper({&first.mgr}, *remote_mem_, rcfg);
+  const CoordinationOutcome out = helper.coordinate_now();
+  EXPECT_FALSE(out.degraded);
+  EXPECT_EQ(counter(helper, "remote.coordinated_puts"), 2u);
+  for (alloc::Chunk* c : first.chunks) {
+    EXPECT_EQ(store_->committed_epoch(0, c->id()),
+              first.alloc.acknowledged(*c)->epoch);
+  }
+
+  Node second;
+  second.chunks = alloc_chunks(second.alloc);
+  ASSERT_EQ(RestartCoordinator(second.mgr, remote_mem_.get())
+                .restart_after(FailureKind::kHard)
+                .status,
+            RestoreStatus::kOkFromRemote);
+  for (int j = 0; j < 2; ++j) {
+    EXPECT_EQ(std::memcmp(second.chunks[j]->data(), first.chunks[j]->data(),
+                          kSize),
+              0)
+        << "chunk " << j;
+  }
 }
 
 TEST_F(RemoteCkptTest, NewLocalEpochIsReshippedAndRecommitted) {

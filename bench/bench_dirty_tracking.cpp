@@ -24,8 +24,13 @@
 //                   their commits copied: a range commit is one vectored
 //                   write, whatever its number of ranges (counted, not
 //                   timed; checked in the full run too).
+//   5. log count:   the kWriteLog row logs every append and drops none:
+//                   log_drops == 0 and log_bytes == chunks x writes x
+//                   write bytes x intervals, 393,216 B in the smoke shape
+//                   (counted, not timed; checked in the full run too).
 #include <sys/mman.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -273,6 +278,7 @@ int run(bool smoke) {
 
   double t_mprotect_64_skew = 0, t_writelog_64_skew = 0;
   bool write_path_ok = true;
+  bool log_count_ok = true;
   for (const std::size_t wb : write_sizes) {
     for (const double skew : skews) {
       double t_mprotect = 0;
@@ -284,6 +290,13 @@ int run(bool smoke) {
             mode == vmem::TrackMode::kMprotectPage) {
           write_path_ok = write_path_ok && m.chunks_copied > 0 &&
                           m.dev_writes == m.chunks_copied;
+        }
+        if (mode == vmem::TrackMode::kWriteLog) {
+          const std::uint64_t logged = static_cast<std::uint64_t>(nchunks) *
+                                       writes * std::min(wb, chunk_bytes) *
+                                       intervals;
+          log_count_ok = log_count_ok && m.stats.log_drops == 0 &&
+                         m.stats.log_bytes == logged;
         }
         if (wb == 64 && skew > 0) {
           if (mode == vmem::TrackMode::kMprotect) {
@@ -346,7 +359,13 @@ int run(bool smoke) {
       write_path_ok ? "OK" : "FAIL");
   report.section("write_path")["ok"] = write_path_ok;
 
-  bool smoke_ok = rearm_ok && equiv_ok && write_path_ok;
+  std::printf(
+      "  log count: the writelog rows log every append's bytes and drop "
+      "none %s\n",
+      log_count_ok ? "OK" : "FAIL");
+  report.section("log_count")["ok"] = log_count_ok;
+
+  bool smoke_ok = rearm_ok && equiv_ok && write_path_ok && log_count_ok;
   if (smoke) {
     const double speedup =
         t_writelog_64_skew > 0 ? t_mprotect_64_skew / t_writelog_64_skew : 0;

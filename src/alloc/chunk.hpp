@@ -63,15 +63,16 @@ class Chunk {
   void notify_write();
 
   /// kWriteLog fast path: record a dirty byte range [off, off+len) of the
-  /// working buffer. MUST be called AFTER the store it describes -- the
-  /// record's release-publish is what orders the data for the copier (the
-  /// store-then-log contract; see vmem/write_log.hpp). Falls back to
-  /// notify_write() for other tracking modes, so application code can call
-  /// it unconditionally.
+  /// working buffer in this chunk's log. MUST be called AFTER the store it
+  /// describes -- the log's mutex is what orders the data for the copier
+  /// (the store-then-log contract; see vmem/write_log.hpp). Under
+  /// kSoftware it falls back to notify_write(), and under the mprotect
+  /// modes it does nothing (the store's fault already recorded it), so
+  /// application code can call it unconditionally.
   void log_write(std::size_t off, std::size_t len) {
-    if (log_sink_) {
-      vmem::WriteLogRegistry::instance().append(log_sink_, off, len);
-    } else {
+    if (mode_ == vmem::TrackMode::kWriteLog) {
+      tracker_.append(off, len);
+    } else if (mode_ == vmem::TrackMode::kSoftware) {
       notify_write();
     }
   }
@@ -103,9 +104,6 @@ class Chunk {
   vmem::WriteTracker tracker_;
   int prot_handle_ = -1;
   vmem::TrackMode mode_ = vmem::TrackMode::kSoftware;
-  /// kWriteLog only: cached ProtectionManager sink (stable for the
-  /// registration's lifetime) so log_write stays lock-free.
-  vmem::DirtyLogSink* log_sink_ = nullptr;
 
   // Pre-copy state (owned by the checkpoint engine, stored here so the
   // engine stays stateless per chunk).

@@ -133,10 +133,6 @@ Chunk* ChunkAllocator::alloc_common(std::uint64_t id, std::size_t size,
   const std::size_t track_len = c.owns_dram_ ? c.dram_capacity_ : c.size_;
   c.prot_handle_ = vmem::ProtectionManager::instance().register_range(
       c.dram_, track_len, &c.tracker_, c.mode_);
-  if (c.mode_ == vmem::TrackMode::kWriteLog) {
-    c.log_sink_ =
-        vmem::ProtectionManager::instance().log_sink(c.prot_handle_);
-  }
   // Everything is pending for every slot until the first full copies.
   reset_pending_lists(c);
 
@@ -208,10 +204,6 @@ Chunk* ChunkAllocator::nvrealloc(std::uint64_t id, std::size_t new_size) {
     c->dram_capacity_ = new_cap;
     c->prot_handle_ = vmem::ProtectionManager::instance().register_range(
         c->dram_, new_cap, &c->tracker_, c->mode_);
-    if (c->mode_ == vmem::TrackMode::kWriteLog) {
-      c->log_sink_ =
-          vmem::ProtectionManager::instance().log_sink(c->prot_handle_);
-    }
   }
   c->size_ = new_size;
   reset_pending_lists(*c);
@@ -364,7 +356,6 @@ ChunkAllocator::Copied ChunkAllocator::copy_dirty_ranges_locked(
     Chunk& c, std::uint32_t slot, std::uint64_t dst_off,
     BandwidthLimiter* stream, std::optional<std::uint64_t> published,
     std::uint64_t* crc_state) {
-  auto& prot = vmem::ProtectionManager::instance();
   auto& dev = container_->device();
   auto whole = [&] {
     return Copied{dev.write(dst_off, c.dram_, c.size_, stream, crc_state),
@@ -374,7 +365,11 @@ ChunkAllocator::Copied ChunkAllocator::copy_dirty_ranges_locked(
   // Ranges dirtied since the last collection (logged writes, or faulted
   // page runs) become pending for EVERY slot: each slot independently
   // needs the new contents before the next commit into it is complete.
-  auto collected = prot.collect_dirty_ranges(c.prot_handle_);
+  // A write log is collected from the chunk's own tracker.
+  auto collected = c.mode_ == vmem::TrackMode::kWriteLog
+                       ? c.tracker_.log.collect()
+                       : vmem::ProtectionManager::instance()
+                             .collect_dirty_ranges(c.prot_handle_);
   if (collected.whole) {
     for (auto& ranges : c.slot_ranges_pending_) ranges = {{0, c.size_}};
   } else {

@@ -155,22 +155,14 @@ void apply_touch(const Touch& t, int iter, Rng& rng,
       // Store-then-log: the range is logged only after the store above
       // landed (write-log mode); software mode reports the whole chunk,
       // mprotect modes already faulted.
-      if (tmode == vmem::TrackMode::kWriteLog) {
-        t.chunk->log_write(off, len);
-      } else if (tmode == vmem::TrackMode::kSoftware) {
-        t.chunk->notify_write();
-      }
+      t.chunk->log_write(off, len);
       return;
     }
     case ModPattern::kFrontierBurst: {
       std::size_t len = 0;
       const std::size_t off =
           touch_frontier(*t.chunk, *t.spec, iter, rng, &len);
-      if (tmode == vmem::TrackMode::kWriteLog) {
-        t.chunk->log_write(off, len);
-      } else if (tmode == vmem::TrackMode::kSoftware) {
-        t.chunk->notify_write();
-      }
+      t.chunk->log_write(off, len);
       return;
     }
     case ModPattern::kGrowThenFreeze: {
@@ -179,11 +171,7 @@ void apply_touch(const Touch& t, int iter, Rng& rng,
           touch_grow_freeze(*t.chunk, *t.spec, iter, rng, &len);
       // One contiguous appended segment = one logged range: sub-page
       // commits copy just the new emissions.
-      if (tmode == vmem::TrackMode::kWriteLog) {
-        t.chunk->log_write(off, len);
-      } else if (tmode == vmem::TrackMode::kSoftware) {
-        t.chunk->notify_write();
-      }
+      t.chunk->log_write(off, len);
       return;
     }
     default: {

@@ -426,10 +426,11 @@ std::uint64_t CheckpointManager::close_restore_window() {
 
 void CheckpointManager::refresh_vmem_metrics() const {
   // Dirty-tracking costs live in the chunk trackers (bumped from the
-  // SIGSEGV handler / log append, where only raw atomics are safe); sum
-  // them into the registry so snapshots carry the numbers too. The
-  // mprotect count is process-global (singleton manager): multi-rank
-  // drivers overwrite that gauge after merging rank registries.
+  // SIGSEGV handler, where only raw atomics are safe, and from log
+  // appends); sum them into the registry so snapshots carry the numbers
+  // too. The mprotect count is process-global (singleton manager):
+  // multi-rank drivers overwrite that gauge after merging rank
+  // registries.
   std::uint64_t faults = 0, fault_ns = 0, log_bytes = 0, log_drops = 0;
   for (const alloc::Chunk* c : alloc_->chunks()) {
     const auto& t = c->tracker();

@@ -231,11 +231,6 @@ void VersionRing::unpin_epoch(std::uint64_t epoch) {
   if (it != pins_.end()) pins_.erase(it);
 }
 
-std::uint64_t VersionRing::payload_bytes() const {
-  std::lock_guard<std::mutex> lock(dir_->mu_);
-  return rec_->size;
-}
-
 std::uint32_t VersionRing::slot_budget() const {
   return std::min(dir_->ring_depth() + 1, kMaxRingSlots);
 }

@@ -136,7 +136,6 @@ class VersionRing {
   void pin_epoch(std::uint64_t epoch);
   void unpin_epoch(std::uint64_t epoch);
 
-  std::uint64_t payload_bytes() const;
   /// Slots a commit cycles through: depth committed versions plus the
   /// in-flight copy, capped at kMaxRingSlots.
   std::uint32_t slot_budget() const;

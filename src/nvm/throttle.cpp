@@ -138,17 +138,4 @@ std::uint64_t ThrottledCopier::check_ranges(
   return bytes;
 }
 
-double ThrottledCopier::consume(std::size_t n, BandwidthLimiter* a,
-                                BandwidthLimiter* b) {
-  const Stopwatch sw;
-  BlockPacer pacer(a, b);
-  for (std::size_t off = 0; off < n;) {
-    const std::size_t len = std::min(pacer.room(), n - off);
-    pacer.moved(len);
-    off += len;
-  }
-  pacer.finish();
-  return sw.elapsed();
-}
-
 }  // namespace nvmcp

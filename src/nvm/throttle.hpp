@@ -113,12 +113,6 @@ class ThrottledCopier {
   /// inside a span of n bytes; returns the bytes they hold.
   static std::uint64_t check_ranges(std::size_t n,
                                     std::span<const DirtyRange> ranges);
-
-  /// "Transfer" without data movement: consume limiter budget and sleep as
-  /// if n bytes moved. Used by the interconnect model where no real
-  /// payload exists.
-  static double consume(std::size_t n, BandwidthLimiter* a,
-                        BandwidthLimiter* b = nullptr);
 };
 
 }  // namespace nvmcp

@@ -45,6 +45,30 @@ struct ReaderGuard {
 
 }  // namespace
 
+void WriteTracker::append(std::uint64_t off, std::uint64_t len) {
+  if (len == 0) return;
+  // Bumped BEFORE the record and the dirty flag, mirroring the fault
+  // handler's counter-then-flag order: the pre-copy dance reads faults +
+  // writes_logged around its dirty-flag clear to detect a racing writer
+  // (see ChunkAllocator::precopy_chunk).
+  writes_logged.fetch_add(1);
+  const std::uint64_t discarded = log.record(off, len);
+  if (discarded == 0) {
+    log_bytes.fetch_add(len, std::memory_order_relaxed);
+  } else {
+    log_drops.fetch_add(discarded, std::memory_order_relaxed);
+  }
+  // Sequentially consistent, like the count bump above: a load that read
+  // a true the pre-copy clear then overwrote would otherwise skip the mark
+  // while the clear's recheck missed the bump (ChunkAllocator::
+  // precopy_chunk).
+  if (!dirty_local.load()) {
+    mark_dirty();
+  } else {
+    mods_in_interval.fetch_add(1, std::memory_order_acq_rel);
+  }
+}
+
 const char* to_string(TrackMode mode) {
   switch (mode) {
     case TrackMode::kMprotect:
@@ -164,12 +188,6 @@ int ProtectionManager::register_range(void* addr, std::size_t len,
   if (mode == TrackMode::kMprotectPage) {
     range->pages = std::make_unique<AtomicBitmap>(len / host_page_size());
   }
-  if (mode == TrackMode::kWriteLog) {
-    // No handler, no alignment requirement: dirtiness comes entirely from
-    // log_write appends into this sink.
-    range->sink = std::make_unique<DirtyLogSink>();
-    range->sink->tracker = tracker;
-  }
   const int handle = range->handle;
   ranges_.push_back(std::move(range));
   publish_locked();
@@ -184,11 +202,6 @@ void ProtectionManager::unregister_range(int handle) {
         (*it)->armed.load(std::memory_order_acquire)) {
       ::mprotect((*it)->start, (*it)->len, PROT_READ | PROT_WRITE);
       mprotect_calls_.fetch_add(1, std::memory_order_relaxed);
-    }
-    if ((*it)->sink) {
-      // Flush the dying sink's records out of the rings (the caller
-      // guarantees no concurrent appends to this range).
-      WriteLogRegistry::instance().purge((*it)->sink.get());
     }
     // In-flight lock-free readers may still dereference this Range through
     // an old snapshot: park it in the graveyard until quiescence instead
@@ -210,7 +223,6 @@ void ProtectionManager::protect(int handle) {
     }
     mprotect_calls_.fetch_add(1, std::memory_order_relaxed);
   }
-  if (r->sink) r->sink->epoch.fetch_add(1, std::memory_order_relaxed);
   r->armed.store(true, std::memory_order_release);
 }
 
@@ -234,7 +246,6 @@ std::size_t ProtectionManager::protect_ranges_locked(
     if (uses_mmu(r->mode)) {
       mmu.push_back(r);
     } else {
-      if (r->sink) r->sink->epoch.fetch_add(1, std::memory_order_relaxed);
       r->armed.store(true, std::memory_order_release);
     }
   }
@@ -280,17 +291,10 @@ std::size_t ProtectionManager::protect_all() {
   return protect_ranges_locked(targets);
 }
 
-DirtyLogSink* ProtectionManager::log_sink(int handle) {
-  std::lock_guard<std::mutex> lock(mu_);
-  return find_locked(handle)->sink.get();
-}
-
-WriteLogRegistry::Collected ProtectionManager::collect_dirty_ranges(
-    int handle) {
+WriteLog::Collected ProtectionManager::collect_dirty_ranges(int handle) {
   std::lock_guard<std::mutex> lock(mu_);
   Range* r = find_locked(handle);
-  if (r->sink) return WriteLogRegistry::instance().collect(r->sink.get());
-  WriteLogRegistry::Collected out;
+  WriteLog::Collected out;
   if (!r->pages) return out;
   // Clear each bit as it is collected (atomically per bit): a page dirtied
   // concurrently either makes this batch or stays set for the next one --
@@ -326,7 +330,7 @@ void ProtectionManager::notify_write(int handle) {
     // Untracked write under a write log: logged coverage is no longer
     // complete, so the next collection must fall back to a whole-chunk
     // copy.
-    if (r->sink) r->sink->whole_dirty.store(true, std::memory_order_release);
+    if (r->mode == TrackMode::kWriteLog) r->tracker->log.raise_whole();
     bool expected = true;
     if (r->armed.compare_exchange_strong(expected, false,
                                          std::memory_order_acq_rel)) {
@@ -361,7 +365,7 @@ void ProtectionManager::arm_lazy_restore(int handle, const std::byte* src,
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& r : ranges_) {
     if (r->handle != handle) continue;
-    if (r->mode == TrackMode::kSoftware) {
+    if (!uses_mmu(r->mode)) {
       throw NvmcpError("arm_lazy_restore: needs an mprotect registration");
     }
     if (len > r->len) {

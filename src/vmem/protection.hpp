@@ -14,9 +14,9 @@
 //  * kSoftware  - the application (or workload driver / simulator) calls
 //                 notify_write(). Used where signals are unavailable or the
 //                 policy logic is tested in isolation.
-//  * kWriteLog  - per-thread append-only write logs (see write_log.hpp):
-//                 writers call log_write(off, len) after each store; the
-//                 copier drains byte ranges without taking any fault.
+//  * kWriteLog  - per-chunk write logs (see write_log.hpp): writers call
+//                 log_write(off, len) after each store; the chunk's commit
+//                 collects byte ranges without taking any fault.
 //
 // The SIGSEGV handler is async-signal-safe: it looks up the fault address
 // in an immutable snapshot table (atomic pointer swap on registration
@@ -38,8 +38,9 @@
 
 namespace nvmcp::vmem {
 
-/// Per-chunk flags flipped by the fault handler. Owned by the chunk
-/// (alloc layer); must outlive the registration.
+/// Per-chunk dirty-tracking state: the flags the fault handler flips, the
+/// event counters and the chunk's write log. Owned by the chunk (alloc
+/// layer); must outlive the registration.
 struct WriteTracker {
   std::atomic<bool> dirty_local{false};
   /// Modifications observed this checkpoint interval (prediction input).
@@ -56,6 +57,15 @@ struct WriteTracker {
   /// kWriteLog: lifetime logged bytes / dropped (overflowed) appends.
   std::atomic<std::uint64_t> log_bytes{0};
   std::atomic<std::uint64_t> log_drops{0};
+  /// kWriteLog: the ranges logged since this chunk's last collect.
+  WriteLog log;
+
+  /// kWriteLog: log a store to [off, off + len), made AFTER the store
+  /// (the store-then-log contract). Bumps writes_logged, then records the
+  /// range, then sets the dirty flag -- the fault handler's
+  /// counter-then-flag order, which ChunkAllocator::precopy_chunk's
+  /// clear-and-recheck relies on.
+  void append(std::uint64_t off, std::uint64_t len);
 
   /// Faults plus writes_logged: moves whenever a store is recorded.
   /// Sequentially consistent, like the writers' count bumps and flag
@@ -80,10 +90,10 @@ struct WriteTracker {
 ///                  faulted pages reach the copier as coalesced byte
 ///                  ranges, the same input the write log produces.
 /// kSoftware      - explicit notify_write() from the application/driver.
-/// kWriteLog      - per-thread append-only dirty logs: the application
-///                  (or chunk hook) calls log_write(off, len) after each
-///                  store; no mprotect, no fault, and the copier gets
-///                  sub-page byte ranges instead of whole pages.
+/// kWriteLog      - per-chunk dirty logs: the application (or chunk hook)
+///                  calls log_write(off, len) after each store; no
+///                  mprotect, no fault, and the copier gets sub-page byte
+///                  ranges instead of whole pages.
 enum class TrackMode { kMprotect, kMprotectPage, kSoftware, kWriteLog };
 
 const char* to_string(TrackMode mode);
@@ -117,6 +127,8 @@ class ProtectionManager {
 
   /// Software-mode write notification; also usable in mprotect mode to
   /// avoid a fault when the writer knows it is about to dirty the chunk.
+  /// Under kWriteLog it is an untracked write: the next collect of the
+  /// chunk's log reports the whole chunk.
   void notify_write(int handle);
 
   /// Batched re-arm: protect every range in `handles`, coalescing
@@ -128,15 +140,10 @@ class ProtectionManager {
   /// protect_batch over every registered range.
   std::size_t protect_all();
 
-  /// kWriteLog: the sink writers append to (stable for the registration's
-  /// lifetime, suitable for caching in the chunk). nullptr in other modes.
-  DirtyLogSink* log_sink(int handle);
-
-  /// Hand back the byte ranges dirtied since the last collection. kWriteLog
-  /// drains the per-thread logs into this range's accumulated ranges
-  /// (+ whole-chunk overflow flag); kMprotectPage drains the faulted pages
-  /// as coalesced page-aligned runs. Empty for other modes.
-  WriteLogRegistry::Collected collect_dirty_ranges(int handle);
+  /// kMprotectPage: hand back the pages faulted since the last collection
+  /// as coalesced page-aligned byte ranges. Empty for other modes (a write
+  /// log is collected from its tracker).
+  WriteLog::Collected collect_dirty_ranges(int handle);
 
   // --- lazy restore ------------------------------------------------------
   /// Outcome of a lazy restore armed on a range.
@@ -151,7 +158,8 @@ class ProtectionManager {
   /// Arm restore-on-first-access: the range is mapped PROT_NONE and the
   /// first touch (read or write) copies `len` bytes from `src` (a stable
   /// NVM location) into the range inside the fault handler, verifying
-  /// against `crc`. Requires an mprotect-capable registration.
+  /// against `crc`. Throws unless the registration faults (kMprotect or
+  /// kMprotectPage): a range that never faults would never copy.
   void arm_lazy_restore(int handle, const std::byte* src, std::size_t len,
                         std::uint64_t crc);
 
@@ -196,8 +204,6 @@ class ProtectionManager {
     int handle = -1;
     /// Page-level mode only: per-page dirty bits since last collected.
     std::unique_ptr<AtomicBitmap> pages;
-    /// kWriteLog only: destination of logged writes for this range.
-    std::unique_ptr<DirtyLogSink> sink;
 
     // Lazy-restore state (see LazyState; transitions via CAS so exactly
     // one faulting thread performs the copy and others wait).

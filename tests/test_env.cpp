@@ -14,7 +14,6 @@
 #include "core/codec_tuner.hpp"
 #include "core/remote.hpp"
 #include "tenant/arena.hpp"
-#include "vmem/write_log.hpp"
 
 namespace nvmcp {
 namespace {
@@ -139,8 +138,6 @@ TEST(Env, RetiredTuningVariablesAreInert) {
   const core::CodecTuner tuner;
   EXPECT_DOUBLE_EQ(tuner.options().entropy_max, 7.2);
   EXPECT_DOUBLE_EQ(tuner.options().min_gain, 1.05);
-
-  EXPECT_EQ(vmem::WriteLogRegistry::instance().shard_capacity(), 8192u);
 
   {
     alloc::ChunkAllocator::Options deep;

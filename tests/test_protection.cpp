@@ -1,7 +1,7 @@
 // Tests for chunk-level write protection: real mprotect+SIGSEGV dirty
 // tracking (one fault marks the whole chunk), software tracking, write-log
-// tracking (per-thread SPSC dirty logs), batched re-protection, snapshot
-// reclamation, and fault accounting.
+// tracking (per-chunk dirty logs), batched re-protection, snapshot
+// reclamation, lazy-restore arming, and fault accounting.
 #include <gtest/gtest.h>
 
 #include <sys/mman.h>
@@ -225,22 +225,19 @@ TEST(Protection, WriteLogAppendCollectAndCounters) {
   auto& mgr = ProtectionManager::instance();
   const int h = mgr.register_range(buf.data(), buf.size(), &tracker,
                                    TrackMode::kWriteLog);
-  DirtyLogSink* sink = mgr.log_sink(h);
-  ASSERT_NE(sink, nullptr);
 
   tracker.dirty_local.store(false);
   mgr.protect(h);
-  auto& reg = WriteLogRegistry::instance();
-  buf[10] = std::byte{1};  // store first...
-  reg.append(sink, 10, 20);  // ...then log (store-then-log contract)
+  buf[10] = std::byte{1};    // store first...
+  tracker.append(10, 20);    // ...then log (store-then-log contract)
   buf[100] = std::byte{2};
-  reg.append(sink, 100, 8);
+  tracker.append(100, 8);
 
   EXPECT_TRUE(tracker.dirty_local.load());  // append re-marks armed chunks
   EXPECT_EQ(tracker.writes_logged.load(), 2u);
   EXPECT_EQ(tracker.log_bytes.load(), 28u);
 
-  auto got = mgr.collect_dirty_ranges(h);
+  auto got = tracker.log.collect();
   EXPECT_FALSE(got.whole);
   ASSERT_EQ(got.ranges.size(), 2u);
   merge_dirty_ranges(got.ranges, 0);
@@ -248,13 +245,13 @@ TEST(Protection, WriteLogAppendCollectAndCounters) {
   EXPECT_EQ(got.ranges[1].off, 100u);
 
   // Collection is destructive: a second collect starts empty.
-  EXPECT_TRUE(mgr.collect_dirty_ranges(h).ranges.empty());
+  EXPECT_TRUE(tracker.log.collect().ranges.empty());
 
   // notify_write on a write-log registration = untracked write: the next
   // collection must treat the whole chunk as dirty.
   mgr.protect(h);
   mgr.notify_write(h);
-  EXPECT_TRUE(mgr.collect_dirty_ranges(h).whole);
+  EXPECT_TRUE(tracker.log.collect().whole);
 
   mgr.unregister_range(h);
 }
@@ -274,48 +271,43 @@ TEST(Protection, MergeDirtyRangesSortsAndCoalesces) {
 }
 
 TEST(Protection, WriteLogRingOverflowFallsBackToWholeDirty) {
-  auto& reg = WriteLogRegistry::instance();
   std::vector<std::byte> buf(4096);
   WriteTracker tracker;
   auto& mgr = ProtectionManager::instance();
   const int h = mgr.register_range(buf.data(), buf.size(), &tracker,
                                    TrackMode::kWriteLog);
-  DirtyLogSink* sink = mgr.log_sink(h);
 
-  // A dedicated thread gets a fresh (or recycled) shard; appending far
-  // more records than any shard capacity without an intervening drain
-  // must overflow into whole-chunk dirtiness, never lose the write.
-  reg.set_shard_capacity(16);
-  const std::uint64_t appends = 1u << 14;
-  std::thread writer([&] {
-    for (std::uint64_t i = 0; i < appends; ++i) {
-      buf[i % buf.size()] = std::byte{1};
-      reg.append(sink, i % buf.size(), 1);
-    }
-  });
-  writer.join();
-  reg.set_shard_capacity(8192);
+  // Appending past the log's bound without an intervening collect must
+  // overflow into whole-chunk dirtiness, never lose the write: the full
+  // list plus the overflowing append are counted drops, and the appends
+  // after it are logged again.
+  const std::uint64_t appends = WriteLog::kMaxRanges + 10;
+  for (std::uint64_t i = 0; i < appends; ++i) {
+    buf[i % buf.size()] = std::byte{1};
+    tracker.append(i % buf.size(), 1);
+  }
 
-  EXPECT_GT(tracker.log_drops.load(), 0u);
+  EXPECT_EQ(tracker.log_drops.load(), WriteLog::kMaxRanges + 1);
   EXPECT_EQ(tracker.writes_logged.load(), appends);  // drops still counted
-  EXPECT_TRUE(mgr.collect_dirty_ranges(h).whole);
+  const WriteLog::Collected got = tracker.log.collect();
+  EXPECT_TRUE(got.whole);
+  EXPECT_EQ(got.ranges.size() + tracker.log_drops.load(), appends);
+  EXPECT_FALSE(tracker.log.collect().whole);  // the collect took the flag
   mgr.unregister_range(h);
 }
 
-// Concurrent writers append (store-then-log) while the main thread
-// re-arms via protect_all and drains the logs, mimicking the checkpoint
-// loop. Record conservation is absolute: every append ends up either as a
-// collected range or as a counted drop -- nothing vanishes, TSan-clean.
+// Concurrent writers append (store-then-log) to one chunk's log while the
+// main thread re-arms via protect_all and collects the log, mimicking the
+// checkpoint loop. Record conservation is absolute: every append ends up
+// either as a collected range or as a counted drop -- nothing vanishes,
+// TSan-clean.
 TEST(Protection, ConcurrentWritersVsBatchRearmConserveRecords) {
   std::vector<std::byte> buf(1 << 16);
   WriteTracker tracker;
   auto& mgr = ProtectionManager::instance();
-  auto& reg = WriteLogRegistry::instance();
   const int h = mgr.register_range(buf.data(), buf.size(), &tracker,
                                    TrackMode::kWriteLog);
-  DirtyLogSink* sink = mgr.log_sink(h);
 
-  const std::uint64_t drops0 = reg.total_drops();
   constexpr int kWriters = 4;
   constexpr std::uint64_t kPerWriter = 5000;
   // Each writer wraps around its own quarter of the buffer, so no two
@@ -329,7 +321,7 @@ TEST(Protection, ConcurrentWritersVsBatchRearmConserveRecords) {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
         const std::uint64_t off = w * stripe + (i * 8) % stripe;
         buf[off] = std::byte{static_cast<unsigned char>(i)};
-        reg.append(sink, off, 8);
+        tracker.append(off, 8);
       }
     });
   }
@@ -338,13 +330,12 @@ TEST(Protection, ConcurrentWritersVsBatchRearmConserveRecords) {
   std::uint64_t collected = 0;
   for (int round = 0; round < 200; ++round) {
     mgr.protect_all();  // batched re-arm racing the appends
-    collected += reg.collect(sink).ranges.size();
+    collected += tracker.log.collect().ranges.size();
   }
   for (auto& t : writers) t.join();
-  collected += reg.collect(sink).ranges.size();
+  collected += tracker.log.collect().ranges.size();
 
-  const std::uint64_t dropped = reg.total_drops() - drops0;
-  EXPECT_EQ(collected + dropped, kWriters * kPerWriter);
+  EXPECT_EQ(collected + tracker.log_drops.load(), kWriters * kPerWriter);
   EXPECT_EQ(tracker.writes_logged.load(), kWriters * kPerWriter);
   mgr.unregister_range(h);
 }
@@ -363,9 +354,6 @@ TEST(Protection, RegistrationChurnReclaimsRetiredSnapshots) {
     const TrackMode mode =
         (i % 2) ? TrackMode::kWriteLog : TrackMode::kSoftware;
     const int h = mgr.register_range(buf.data(), buf.size(), &tracker, mode);
-    if (mode == TrackMode::kWriteLog) {
-      WriteLogRegistry::instance().append(mgr.log_sink(h), 0, 8);
-    }
     mgr.unregister_range(h);
     max_snapshots = std::max(max_snapshots, mgr.retired_snapshot_count());
     max_ranges = std::max(max_ranges, mgr.retired_range_count());
@@ -376,6 +364,27 @@ TEST(Protection, RegistrationChurnReclaimsRetiredSnapshots) {
   EXPECT_LE(max_ranges, 1u);
   EXPECT_LE(mgr.retired_snapshot_count(), 1u);
   EXPECT_EQ(mgr.retired_range_count(), 0u);
+}
+
+// A lazy restore copies inside the fault handler, so only a registration
+// that faults can carry one: on any other the PROT_NONE mapping would
+// never be repaired, and the first touch would kill the process.
+TEST(Protection, LazyRestoreRefusesRangesThatNeverFault) {
+  auto& mgr = ProtectionManager::instance();
+  const std::vector<std::byte> src(ProtectionManager::host_page_size(),
+                                   std::byte{7});
+  for (const TrackMode mode : {TrackMode::kSoftware, TrackMode::kWriteLog}) {
+    MappedBuffer buf(1);
+    WriteTracker tracker;
+    const int h = mgr.register_range(buf.data(), buf.size(), &tracker, mode);
+    EXPECT_THROW(mgr.arm_lazy_restore(h, src.data(), src.size(), 0),
+                 NvmcpError)
+        << to_string(mode);
+    EXPECT_EQ(mgr.lazy_state(h), ProtectionManager::LazyState::kIdle);
+    buf.data()[0] = std::byte{1};  // still mapped read-write
+    EXPECT_EQ(buf.data()[0], std::byte{1});
+    mgr.unregister_range(h);
+  }
 }
 
 TEST(Protection, PerTrackerFaultTimeIsAccounted) {

@@ -8,6 +8,7 @@
 #include <atomic>
 #include <filesystem>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -415,35 +416,53 @@ TEST(Stress, RingGcVsCommitChurn) {
   EXPECT_GT(mgr.metrics().counter("epoch.gc.slots_reclaimed").value(), 0u);
 }
 
-/// A writer stores into a kSoftware chunk and notifies while the main
+/// A writer stores into a chunk and records each store -- a notify under
+/// kSoftware, a logged 8-byte range under kWriteLog -- while the main
 /// thread pre-copies (batched re-arm) and commits that chunk in a loop,
-/// each round letting a notify land between the arm and the chunk's
+/// each round letting a store land between the arm and the chunk's
 /// clear-and-recheck. That must never leave the chunk clean *and*
 /// disarmed: one quiesced commit must then leave the slot equal to DRAM.
-TEST(Stress, StoreRacingPrecopyArmIsNeverLost) {
+class StoreRacingPrecopyArm
+    : public ::testing::TestWithParam<vmem::TrackMode> {};
+
+TEST_P(StoreRacingPrecopyArm, IsNeverLost) {
+  const vmem::TrackMode mode = GetParam();
   NvmConfig cfg;
   cfg.capacity = 8 * MiB;
   cfg.throttle = false;
   NvmDevice dev(cfg);
   vmem::Container container(dev);
   alloc::ChunkAllocator::Options opts;
-  opts.track_mode = vmem::TrackMode::kSoftware;
+  opts.track_mode = mode;
   alloc::ChunkAllocator allocator(container, opts);
   alloc::Chunk* c = allocator.nvalloc("armed", 4 * KiB, true);
   auto* words = static_cast<std::uint64_t*>(c->data());
   const std::size_t nwords = c->size() / 8;
 
+  // The writer stays at most kLead stores past the main thread's last
+  // await. Under kWriteLog every store is one more range for the next
+  // collect to sort, and a writer left to run outpaces the copies until
+  // each round sorts thousands of ranges (about 20,000 a round under
+  // ASan); the cap keeps a round's cost bounded in every build.
+  constexpr std::uint64_t kLead = 256;
   std::atomic<bool> stop{false};
   std::atomic<std::uint64_t> stores{0};
+  std::atomic<std::uint64_t> allowed{kLead};
   std::thread writer([&] {
     for (std::uint64_t v = 1; !stop.load(std::memory_order_acquire); ++v) {
+      if (stores.load(std::memory_order_relaxed) >=
+          allowed.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+        continue;
+      }
       words[v % nwords] = v;
-      c->notify_write();
+      c->log_write((v % nwords) * 8, 8);  // a notify under kSoftware
       stores.fetch_add(1, std::memory_order_release);
     }
   });
-  const auto await_store = [&] {  // >= 1 full store + notify from now
+  const auto await_store = [&] {  // >= 1 full store + record from now
     const std::uint64_t seen = stores.load(std::memory_order_acquire);
+    allowed.store(seen + kLead, std::memory_order_release);
     while (stores.load(std::memory_order_acquire) < seen + 2) {
       std::this_thread::yield();
     }
@@ -452,22 +471,27 @@ TEST(Stress, StoreRacingPrecopyArmIsNeverLost) {
   // next store records nothing: after one full store past each copy the
   // chunk must read dirty. The loss window is a few instructions wide;
   // 300,000 rounds caught it in every run of a Release build without
-  // seq_cst ordering at the clear and the writers. ThreadSanitizer slows
-  // a round by orders of magnitude and checks the race contract instead,
+  // seq_cst ordering at the clear and the writers. A write-log round also
+  // collects, merges and range-copies the stores logged since the last
+  // one, so it costs several software rounds: 60,000 of them take about
+  // as long as the software variant's 300,000. ThreadSanitizer slows a
+  // round by orders of magnitude and checks the race contract instead,
   // so it runs fewer.
 #if defined(__SANITIZE_THREAD__)
-  constexpr std::uint64_t kRounds = 2000;
+  constexpr bool kTsan = true;
 #elif defined(__has_feature)
 #if __has_feature(thread_sanitizer)
-  constexpr std::uint64_t kRounds = 2000;
+  constexpr bool kTsan = true;
 #else
-  constexpr std::uint64_t kRounds = 300000;
+  constexpr bool kTsan = false;
 #endif
 #else
-  constexpr std::uint64_t kRounds = 300000;
+  constexpr bool kTsan = false;
 #endif
+  std::uint64_t rounds = mode == vmem::TrackMode::kWriteLog ? 60000 : 300000;
+  if (kTsan) rounds = 2000;
   std::uint64_t lost = 0;
-  for (std::uint64_t epoch = 1; epoch <= kRounds; ++epoch) {
+  for (std::uint64_t epoch = 1; epoch <= rounds; ++epoch) {
     allocator.arm_chunks({c});
     await_store();
     allocator.precopy_chunk(*c, epoch, nullptr, /*skip_arm=*/true);
@@ -479,12 +503,19 @@ TEST(Stress, StoreRacingPrecopyArmIsNeverLost) {
   stop.store(true, std::memory_order_release);
   writer.join();
 
-  if (c->dirty_local()) allocator.checkpoint_chunk(*c, kRounds + 1);
+  if (c->dirty_local()) allocator.checkpoint_chunk(*c, rounds + 1);
   std::vector<std::byte> slot(c->size());
   ASSERT_TRUE(allocator.read_committed(*c, slot.data()));
   EXPECT_EQ(std::memcmp(slot.data(), c->data(), c->size()), 0)
       << "a store that raced pre-copy arming was lost";
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Stress, StoreRacingPrecopyArm,
+    ::testing::Values(vmem::TrackMode::kSoftware, vmem::TrackMode::kWriteLog),
+    [](const ::testing::TestParamInfo<vmem::TrackMode>& info) {
+      return std::string(vmem::to_string(info.param));
+    });
 
 }  // namespace
 }  // namespace nvmcp

@@ -114,12 +114,6 @@ TEST(ThrottledCopier, TwoLimitersSlowestWins) {
   EXPECT_NEAR(secs, 0.1, 0.04);
 }
 
-TEST(ThrottledCopier, ConsumeWithoutPayload) {
-  BandwidthLimiter lim(10.0 * MiB);
-  const double secs = ThrottledCopier::consume(1 * MiB, &lim);
-  EXPECT_NEAR(secs, 0.1, 0.04);
-}
-
 TEST(ThrottledCopier, SharedLimiterSplitsBandwidth) {
   // Two threads sharing one 20 MiB/s pipe moving 1 MiB each should take
   // about 0.1 s total (aggregate 2 MiB at 20 MiB/s), not 0.05 s.
